@@ -1,25 +1,24 @@
 """A14 — frontier-vectorized Generic Join and fused semiring kernels.
 
-PR 10's hot-path rewrite, measured three ways:
+PR 10's hot-path rewrite, measured two ways:
 
 - **frontier vs recursive Generic Join** — the triangle query over a
   sparse random instance and the 4-clique query over a planted-clique
   graph, answered at the code level (``generic_join_codes``, asserted
-  zero decodes via ``decoded_row_count``) vs the legacy depth-first
-  path (``REPRO_FRONTIER=0``).  Sparse inputs are the adversarial
+  zero decodes via ``decoded_row_count``) vs the depth-first stack
+  search on the same rows stored in the python backend
+  (``db.to_backend("python")``).  Sparse inputs are the adversarial
   case for the recursive path: many prefixes with small candidate
   sets, so the per-prefix Python overhead dominates.  Answers are
-  asserted *identical* after decoding, and the frontier path must
-  clear a >= 5x floor at full size.
-- **fused vs chained FAQ messages** — counting + tropical aggregation
-  of a two-atom chain with ``REPRO_FAQ_FUSED`` toggled: the fused
-  group-lookup's peak scratch (``scratch_peak``) must stay at the
-  *distinct-key* count, not the full frame size the chained
-  group_reduce -> gather pipeline allocates.
-- **numba vs NumPy kernels** — the same FAQ suite under
-  ``REPRO_KERNELS=numba`` vs ``numpy``, identical answers; skipped
-  gracefully when numba is not importable (it is an optional
-  accelerator, never a dependency).
+  asserted *identical* after decoding — to each other and to brute
+  force — and the frontier path must clear a >= 5x floor at full
+  size.
+- **fused vs per-shard FAQ messages** — counting + tropical
+  aggregation of a two-atom chain on plain columnar frames (the fused
+  group-lookup) and on the same rows in one shard (the group_reduce
+  -> gather message merge): the fused pass's peak scratch
+  (``scratch_peak``) must stay at the *distinct-key* count, not the
+  full frame size the per-shard pipeline allocates.
 
 Timings append to ``benchmarks/BENCH_backends.json`` for the perf
 trajectory.  Set ``BENCH_SMOKE=1`` for tiny sizes with the speedup
@@ -29,8 +28,6 @@ always run; CI wires this into the bench-smoke matrix).
 
 import os
 import time
-
-import pytest
 
 from repro.db import Database
 from repro.db.columnar import (
@@ -42,7 +39,6 @@ from repro.db.columnar import (
 from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.query.catalog import clique_query, triangle_query
 from repro.query.parser import parse_query
-from repro.semiring import kernels as kernel_mod
 from repro.semiring.faq import aggregate_acyclic
 from repro.semiring.semirings import COUNTING, MIN_PLUS
 from repro.util.rng import make_rng
@@ -92,19 +88,6 @@ def _emit(workload, m, seconds):
     )
 
 
-def _with_env(name, value, run):
-    """Run ``run()`` with ``name=value`` in the environment, then restore."""
-    saved = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        return run()
-    finally:
-        if saved is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = saved
-
-
 def _planted_clique_graph(n, m, planted, seed=11):
     """A sparse symmetric edge set with ``planted`` disjoint K4s.
 
@@ -130,7 +113,7 @@ def _planted_clique_graph(n, m, planted, seed=11):
 
 
 def _frontier_vs_recursive(query, db, relation):
-    """(decoded answer sets, seconds) for the frontier and legacy paths."""
+    """(decoded answer sets, seconds) for the frontier and python paths."""
     reset_decoded_row_count()
     coded, frontier_secs = _best_of(
         lambda: generic_join_codes(query, db), 1 if SMOKE else 3
@@ -139,11 +122,11 @@ def _frontier_vs_recursive(query, db, relation):
     assert decoded_row_count() == 0  # codes stay codes end to end
     codes, _head = coded
     decoded = set(db[relation].dictionary.decode_rows(codes))
-    recursive, recursive_secs = _with_env(
-        "REPRO_FRONTIER",
-        "0",
-        lambda: _best_of(lambda: generic_join(query, db), 1 if SMOKE else 3),
+    reference = db.to_backend("python")
+    recursive, recursive_secs = _best_of(
+        lambda: generic_join(query, reference), 1 if SMOKE else 3
     )
+    assert query.evaluate_brute_force(reference) == recursive
     return decoded, set(recursive), {
         "frontier": frontier_secs,
         "recursive": recursive_secs,
@@ -216,61 +199,35 @@ def _faq_suite(db):
 
 def test_a14_fused_faq(benchmark, experiment_report):
     db = _chain_db()
+    # One shard holds every row, so the per-shard pipeline's gathered
+    # column is a full-frame intermediate.
+    dbs = {
+        "fused": db,
+        "sharded": db.to_backend("sharded", shard_count=1),
+    }
 
     def run():
         results, seconds, peaks = {}, {}, {}
-        for mode, env in (("fused", "1"), ("chained", "0")):
+        for mode, mode_db in dbs.items():
             reset_scratch_peak()
-            results[mode], seconds[mode] = _with_env(
-                "REPRO_FAQ_FUSED",
-                env,
-                lambda: _best_of(lambda: _faq_suite(db), 1 if SMOKE else 3),
+            results[mode], seconds[mode] = _best_of(
+                lambda: _faq_suite(mode_db), 1 if SMOKE else 3
             )
             peaks[mode] = scratch_peak()
         return results, seconds, peaks
 
     results, seconds, peaks = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert results["fused"] == results["chained"]  # exact scalars
+    assert results["fused"] == results["sharded"]  # exact scalars
     # The fused kernel's scratch is bounded by the distinct join keys;
-    # the chained pipeline materializes a full-frame intermediate.
+    # the per-shard pipeline materializes a full-frame intermediate.
     assert peaks["fused"] <= FAQ_KEYS
-    assert peaks["chained"] >= FAQ_ROWS
+    assert peaks["sharded"] >= FAQ_ROWS
     experiment_report.row(
         f"count+min-plus chain FAQ, m={2 * FAQ_ROWS}, {FAQ_KEYS} keys",
         f"identical scalars, fused scratch <= {FAQ_KEYS} "
-        f"vs chained >= {FAQ_ROWS}",
-        f"fused peak {peaks['fused']} vs chained {peaks['chained']} "
-        f"(fused {fmt_seconds(seconds['fused'])}, chained "
-        f"{fmt_seconds(seconds['chained'])})",
+        f"vs per-shard >= {FAQ_ROWS}",
+        f"fused peak {peaks['fused']} vs per-shard {peaks['sharded']} "
+        f"(fused {fmt_seconds(seconds['fused'])}, per-shard "
+        f"{fmt_seconds(seconds['sharded'])})",
     )
     _emit("faq_fused", 2 * FAQ_ROWS, seconds)
-
-
-def test_a14_kernel_backends(benchmark, experiment_report):
-    if kernel_mod.numba is None:
-        experiment_report.note(
-            "numba kernels: skipped (numba not importable; NumPy "
-            "reduceat path is the only backend on this host)"
-        )
-        pytest.skip("numba not installed; NumPy kernel path covered above")
-    db = _chain_db()
-
-    def run():
-        results, seconds = {}, {}
-        for mode in ("numba", "numpy"):
-            results[mode], seconds[mode] = _with_env(
-                "REPRO_KERNELS",
-                mode,
-                lambda: _best_of(lambda: _faq_suite(db), 1 if SMOKE else 3),
-            )
-        return results, seconds
-
-    results, seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert results["numba"] == results["numpy"]
-    experiment_report.row(
-        f"count+min-plus chain FAQ, m={2 * FAQ_ROWS}, numba kernels",
-        "identical scalars",
-        f"numba {fmt_seconds(seconds['numba'])} vs numpy "
-        f"{fmt_seconds(seconds['numpy'])}",
-    )
-    _emit("faq_kernels", 2 * FAQ_ROWS, seconds)

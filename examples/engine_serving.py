@@ -3,9 +3,9 @@
 Simulates the production shape the engine targets: one prepared query
 handles a stream of page requests (a UI scrolling through results
 sorted by a lexicographic order) while single-tuple inserts and
-deletes keep arriving.  The session routes execution to the columnar
-backend (forced here; by default it switches above the planner's size
-cutoff), where
+deletes keep arriving.  The session serves the database converted to
+the columnar backend (``connect()`` creates columnar databases by
+default; an existing ``Database`` keeps its own backend), where
 
 - counts are maintained incrementally (delta messages folded up the
   join tree, :mod:`repro.dynamic`),
@@ -39,10 +39,8 @@ def main() -> None:
     db = random_database(
         query, tuples_per_relation=1500, domain_size=120, seed=7
     )
-    session = Session(db)
-    prepared = session.prepare(
-        query, order=("user", "item"), backend="columnar"
-    )
+    session = Session(db.to_backend("columnar"))
+    prepared = session.prepare(query, order=("user", "item"))
     print(prepared.explain())
     print()
 

@@ -6,15 +6,19 @@ hand-rolled request parsing.  This example stands a server up on a
 loopback port and walks the whole surface:
 
 - two isolated tenants sharing one process (and one engine pool);
+  a tenant's storage backend is fixed at ``create_db`` (columnar
+  unless the request says otherwise) and every query executes on it;
 - ``prepare`` over the wire: the handle echoes the plan (family,
-  backend, maintained count) exactly as ``explain()`` reports it;
+  the tenant's backend, maintained count) exactly as ``explain()``
+  reports it;
 - streamed NDJSON ingestion with read-your-writes: the upload's
   response arrives only after every update is applied;
 - paged reads and semiring aggregates against the live handle;
 - an SSE ``watch`` subscription observing each change exactly once;
 - replication over HTTP: ``connect(replica_of="http://...")``
   bootstraps a local follower session from the served tenant and
-  converges stamp-exact through delta pulls.
+  converges stamp-exact through delta pulls; queries prepared on the
+  follower stay live across ``sync()``.
 
 Run:  python examples/http_serving.py
 """
@@ -32,7 +36,7 @@ def main() -> None:
 
         # Two tenants, fully isolated, one process.
         client.create_db("store")
-        client.create_db("metrics")
+        client.create_db("metrics", backend="python")
         client.add("metrics", "E", [(1, 1)])
         print(f"tenants: {client.databases()}")
 
@@ -98,10 +102,15 @@ def main() -> None:
         rows = sorted(map(tuple, follower.db["Clicks"]))
         print(f"follower Clicks: {rows}")
         assert len(rows) == 4
+        replica_answers = follower.prepare(
+            "q(user, item) :- Clicks(user, item), Active(user)"
+        ).run()
+        assert len(replica_answers) == 4
 
         client.add("store", "Clicks", [(3, 50)])
         follower.sync()
         assert len(follower.db["Clicks"]) == 5
+        assert len(replica_answers) == query.count() == 5
         stamps_match = all(
             follower.db[name].mutation_stamp
             == server.server.registry._tenants["store"]

@@ -29,16 +29,22 @@ maintain one aggregate under         :class:`HierarchicalCountMaintainer`
 updates, no serving facade           / :mod:`repro.dynamic`
 build inputs                         :class:`Database`, :func:`parse_query`,
                                      :mod:`repro.workloads`
-pick a storage backend               ``Database(backend=...)`` —
-                                     ``"python"`` (tiny inputs,
-                                     per-row callbacks), ``"columnar"``
-                                     (bulk analytics, one NumPy code
-                                     matrix per relation), ``"sharded"``
-                                     (hash-partitioned matrices: batched
-                                     ingestion + merge-based
-                                     aggregation at out-of-core scale);
-                                     the engine planner picks one
-                                     automatically by input size
+pick a storage backend               ``connect(backend=...)`` /
+                                     ``Database(backend=...)`` — a
+                                     session stores one copy of its
+                                     data and executes on it:
+                                     ``"columnar"`` (the engine
+                                     default: one NumPy code matrix
+                                     per relation), ``"python"`` (the
+                                     reference implementation and
+                                     ``Database()`` default: hash
+                                     sets, per-row callbacks),
+                                     ``"sharded"`` (hash-partitioned
+                                     matrices; choose it for spill /
+                                     out-of-core data); nothing
+                                     switches backend by size —
+                                     convert with
+                                     ``Database.to_backend``
 run shards in parallel               ``connect(workers=N)`` (or the
                                      ``REPRO_WORKERS`` environment
                                      variable) — per-shard scans,
@@ -100,24 +106,17 @@ speed / aggregate without            generic_join_codes` — the
 decoding                             breadth-first *frontier* Generic
                                      Join over dictionary-code
                                      matrices (zero per-row decodes;
-                                     the default on the columnar and
-                                     sharded backends, ``REPRO_
-                                     FRONTIER=0`` restores the
-                                     depth-first oracle);
+                                     the columnar and sharded path —
+                                     the python backend runs the
+                                     depth-first stack search);
                                      :func:`generic_join` is the same
                                      with values decoded at the
                                      boundary
 speed up semiring aggregation        nothing — the fused group-lookup
                                      kernel (``fused_group_lookup``)
-                                     is the FAQ default on columnar
-                                     frames (``REPRO_FAQ_FUSED=0``
-                                     restores the chained pipeline);
-                                     install ``numba`` and set
-                                     ``REPRO_KERNELS=numba`` for
-                                     jit-compiled per-semiring
-                                     kernels (:mod:`repro.semiring.
-                                     kernels`; optional, object
-                                     semirings unaffected)
+                                     is the FAQ path on columnar
+                                     frames; sharded frames merge
+                                     per-shard messages instead
 operate the durable store            ``DurableDatabase.verify()`` —
 (scrub / verify / repair /           re-check every checkpoint file
 quarantine)                          and WAL segment against manifest
@@ -149,7 +148,7 @@ Subpackages:
   AYZ triangle, LW joins;
 - :mod:`repro.counting` — answer counting algorithms + interpolation;
 - :mod:`repro.semiring` — aggregation over semirings (FAQ; fused
-  group-lookup kernels, optional numba compilation);
+  group-lookup kernels);
 - :mod:`repro.enumeration` — constant-delay enumeration;
 - :mod:`repro.direct_access` — lexicographic / sum-order direct access,
   testing;

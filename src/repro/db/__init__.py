@@ -40,7 +40,6 @@ from repro.db.interface import (
     StaleStructureError,
     TruncatedHistoryError,
     TupleStore,
-    preferred_backend,
     preferred_shard_count,
     snapshot_stamps,
     stale_relations,
@@ -67,7 +66,6 @@ __all__ = [
     "TruncatedHistoryError",
     "TupleStore",
     "attach",
-    "preferred_backend",
     "preferred_shard_count",
     "snapshot_stamps",
     "stale_relations",

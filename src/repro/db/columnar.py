@@ -480,7 +480,6 @@ def fused_group_lookup(
     times_fn,
     target: np.ndarray,
     scratch: Optional[np.ndarray] = None,
-    kernel=None,
 ) -> np.ndarray:
     """Fused ``group_reduce`` → binary-search gather → ⊗-combine.
 
@@ -512,10 +511,6 @@ def fused_group_lookup(
     Query rows without a matching source key pick up an arbitrary
     segment's value; mask them with the returned ``found`` array, the
     same way the chained pipeline masks its dead rows.
-
-    ``kernel``, when given, is a compiled fused segment-reduce + search
-    + combine (:mod:`repro.semiring.kernels`, numba-jitted); it
-    replaces the reduceat/searchsorted/gather steps with one pass.
     """
     n = len(target)
     if not len(source_sub):
@@ -530,9 +525,6 @@ def fused_group_lookup(
     sorted_values = source_values[order]
     note_scratch(len(uniq_keys))
     found = np.empty(n, dtype=bool)
-    if kernel is not None:
-        kernel(sorted_values, seg_starts, uniq_keys, q_keys, target, found)
-        return found
     reduced = plus_ufunc.reduceat(sorted_values, seg_starts)
     pos = np.searchsorted(uniq_keys, q_keys)
     np.minimum(pos, len(uniq_keys) - 1, out=pos)

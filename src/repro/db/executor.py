@@ -2,9 +2,8 @@
 
 Every per-shard loop in the sharded substrate — batched ingestion and
 ``delta_since`` assembly (:mod:`repro.db.sharded`), frame algebra over
-shard parts (:mod:`repro.joins.vectorized`), per-shard FAQ message
-computation (:mod:`repro.semiring.faq`), and the session's mirror
-fan-out (:mod:`repro.engine.session`) — dispatches through a
+shard parts (:mod:`repro.joins.vectorized`), and per-shard FAQ message
+computation (:mod:`repro.semiring.faq`) — dispatches through a
 :class:`ShardExecutor` instead of a bare ``for`` loop.
 
 Two implementations share the contract "``map(fn, items)`` returns
@@ -153,9 +152,8 @@ class ParallelExecutor(ShardExecutor):
                 self._pool = None
 
 
-# One shared pool per worker count: sessions, databases and mirrors
-# asking for the same parallelism reuse threads instead of multiplying
-# pools.
+# One shared pool per worker count: sessions and databases asking for
+# the same parallelism reuse threads instead of multiplying pools.
 _SHARED: dict = {}
 _SHARED_LOCK = threading.Lock()
 

@@ -1,22 +1,30 @@
 """The common backend interface for tuple stores and frames.
 
-The repo ships two execution backends behind one contract:
+The repo ships three storage backends behind one contract; a database
+is stored in exactly one of them and every algorithm executes on the
+backend it is stored in:
 
-========================  ==============================  =============================
-role                      ``"python"`` backend            ``"columnar"`` backend
-========================  ==============================  =============================
-tuple store (relations)   :class:`repro.db.relation.Relation`
-                                                          :class:`repro.db.columnar.ColumnarRelation`
-frame (operator algebra)  :class:`repro.joins.frame.Frame`
-                                                          :class:`repro.joins.vectorized.ColumnarFrame`
-========================  ==============================  =============================
+=============  =============================================  ==========================================
+backend        tuple store (relations)                        frame (operator algebra)
+=============  =============================================  ==========================================
+``"python"``   :class:`repro.db.relation.Relation`            :class:`repro.joins.frame.Frame`
+``"columnar"`` :class:`repro.db.columnar.ColumnarRelation`    :class:`repro.joins.vectorized.ColumnarFrame`
+``"sharded"``  :class:`repro.db.sharded.ShardedColumnarRelation`
+                                                              :class:`repro.joins.vectorized.ShardedColumnarFrame`
+=============  =============================================  ==========================================
 
 The backend is selected with a ``backend=`` switch at the boundaries —
-:class:`repro.db.database.Database`, the workload generators in
+:class:`repro.db.database.Database` (default ``"python"``, the
+reference implementation the differential tests compare against),
+the engine front doors :func:`repro.connect` / :func:`repro.db.attach`
+(default ``"columnar"``), the workload generators in
 :mod:`repro.workloads.databases`, and
 :func:`repro.joins.semijoin.atom_frames` — after which every join-stack
 algorithm (hash joins, full reducers, Yannakakis, Generic Join) runs
 unchanged: algorithms only ever call the methods declared here.
+``"sharded"`` is the caller's choice for spillable / out-of-core data;
+nothing promotes a database into it (or out of ``"python"``) by size.
+:meth:`repro.db.database.Database.to_backend` converts explicitly.
 
 The classes below are *virtual* ABCs: implementations are registered
 rather than subclassed, so each backend keeps its own storage layout
@@ -86,24 +94,8 @@ from typing import Dict, Iterable, Optional
 
 BACKENDS = ("python", "columnar", "sharded")
 
-# Input size (total tuples) above which the vectorized columnar backend
-# amortizes its encoding overhead.  Below it, the python backend's
-# hash sets win on constant factors (single-tuple lookups, tiny joins);
-# above it, the array programs are 15-90x faster (ROADMAP, PR 1/2).
-# The engine planner (repro.engine) uses this as its default backend
-# cutoff; callers can override per session or per prepare() call.
-DEFAULT_COLUMNAR_CUTOFF = 2048
-
-# Input size above which the planner prefers the *sharded* columnar
-# backend (repro.db.sharded): hash-partitioned code matrices whose hot
-# pipelines run shard-by-shard and merge per-shard FAQ messages, so no
-# global array larger than one shard (plus the merged separator
-# domain) is materialized on the count/aggregate path.  Below it the
-# partitioning overhead (one routing pass per batch, k-way message
-# merges) buys nothing.
-DEFAULT_SHARD_CUTOFF = 1 << 17
-
-# Shard-count heuristic: aim for roughly this many tuples per shard,
+# Shard-count heuristic for Database.to_backend("sharded") without an
+# explicit count: aim for roughly this many tuples per shard,
 # doubling the shard count until reached, capped at MAX_SHARD_COUNT
 # (diminishing returns: each extra shard adds one message to every
 # cross-shard merge).
@@ -112,7 +104,7 @@ MAX_SHARD_COUNT = 16
 
 
 def preferred_shard_count(size: int, target: Optional[int] = None) -> int:
-    """Planner heuristic: power-of-two shard count for an input size.
+    """Power-of-two shard count for an input size.
 
     Doubles until shards hold at most ~``target`` tuples each
     (default :data:`SHARD_TARGET_ROWS`), capped at
@@ -134,40 +126,6 @@ def check_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
-
-
-def preferred_backend(
-    size: int,
-    stored_backend: str = "python",
-    cutoff: Optional[int] = None,
-    shard_cutoff: Optional[int] = None,
-) -> str:
-    """The execution backend the planner prefers for an input size.
-
-    A database already stored sharded (or columnar) stays that way —
-    its relations are encoded, and re-partitioning a columnar store
-    would decode and re-encode every tuple into a second dictionary
-    for roughly-parity merge-bound speed (``bench_a09``).  A
-    python-stored database promotes by size: at least ``shard_cutoff``
-    tuples (default :data:`DEFAULT_SHARD_CUTOFF`) goes straight to
-    the partitioned ``"sharded"`` backend (encoding happens once
-    either way), at least ``cutoff`` (default
-    :data:`DEFAULT_COLUMNAR_CUTOFF`) to single-array ``"columnar"``
-    execution — the regimes the benchmark trajectory shows each
-    layout winning in.
-    """
-    check_backend(stored_backend)
-    if cutoff is None:
-        cutoff = DEFAULT_COLUMNAR_CUTOFF
-    if shard_cutoff is None:
-        shard_cutoff = DEFAULT_SHARD_CUTOFF
-    if stored_backend == "sharded":
-        return "sharded"
-    if stored_backend == "columnar":
-        return "columnar"
-    if size >= shard_cutoff:
-        return "sharded"
-    return "columnar" if size >= cutoff else "python"
 
 
 class StaleStructureError(RuntimeError):

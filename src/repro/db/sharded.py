@@ -70,8 +70,8 @@ from repro.db.executor import SERIAL, ShardExecutor, get_default_executor
 from repro.db.interface import TruncatedHistoryError
 
 # Default number of shards for relations created without an explicit
-# count (Database(backend="sharded")).  The engine planner sizes real
-# workloads via repro.db.interface.preferred_shard_count instead.
+# count (Database(backend="sharded")).  Database.to_backend("sharded")
+# sizes by input instead (repro.db.interface.preferred_shard_count).
 DEFAULT_SHARD_COUNT = 4
 
 # Routing-history length bound: single-tuple ops append one (global

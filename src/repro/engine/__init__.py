@@ -24,16 +24,17 @@ Layers:
 - :mod:`repro.engine.planner` — :func:`plan_query` turns one
   :func:`repro.classify.classify` pass into a :class:`Plan`: a
   pipeline route per capability with the theorem citations and cost
-  expressions quoted from the classifier's verdicts, plus the
-  execution-backend choice (columnar above a size cutoff).
+  expressions quoted from the classifier's verdicts (the execution
+  backend is the database's stored backend, not a planning choice).
 - :mod:`repro.engine.prepared` — :class:`PreparedQuery` (lazy, cached
   answer structures; live under updates) and :class:`AnswerSet` (the
   uniform ``len`` / iterate / ``[i]`` / slice / aggregate handle).
 - :mod:`repro.engine.session` — :class:`Session` / :func:`connect`:
-  database ownership, update flow, and backend mirrors; with
-  ``connect(path=...)`` the session is durable (WAL + checkpoints,
-  see :mod:`repro.db.wal`) and ``Session.checkpoint()`` persists the
-  prepared plans for a warm restart.
+  ownership of the one database every query executes on, and the
+  update flow; with ``connect(path=...)`` the session is durable
+  (WAL + checkpoints, see :mod:`repro.db.wal`) and
+  ``Session.checkpoint()`` persists the prepared plans for a warm
+  restart.
 - :mod:`repro.engine.replication` — :class:`LeaderFeed` /
   :class:`FollowerSession`: read-only replica sessions that consume
   shipped ``delta_since`` batches with retry/backoff and fall back

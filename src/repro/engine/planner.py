@@ -11,16 +11,17 @@ cyclic fallback (Theorem 3.7).  :func:`plan_query` turns one
 one route per serving capability (``decide`` / ``count`` / ``iterate``
 / ``access`` / ``aggregate``), each quoting the theorem and cost
 expression of the corresponding :class:`repro.classify.report.
-TaskVerdict`, plus the chosen execution backend (columnar above
-:data:`repro.db.interface.DEFAULT_COLUMNAR_CUTOFF` tuples, python
-below).
+TaskVerdict`.  The execution backend is not a planning decision: the
+paper picks algorithms from the query, never from a size threshold,
+and a session executes on the one database it stores — so
+``Plan.backend`` is the stored backend.
 
 The planner never reads tuples: order admissibility is decided from
 the reduced bag family
 (:func:`repro.hypergraph.freeconnex.free_variable_bags` fed to
 :func:`repro.direct_access.layered.find_layered_tree`), so the plan —
 and :meth:`Plan.render`, the ``explain()`` text — is a pure function
-of (query, order, backend, input size).
+of (query, order, stored backend, input size).
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.classify.classifier import classify
 from repro.classify.report import QueryClassification
-from repro.db.interface import (
-    DEFAULT_COLUMNAR_CUTOFF,
-    DEFAULT_SHARD_CUTOFF,
-    preferred_backend,
-    preferred_shard_count,
-)
+from repro.db.interface import check_backend, preferred_shard_count
 from repro.direct_access.layered import find_layered_tree
 from repro.hypergraph.freeconnex import free_variable_bags
 from repro.hypergraph.trios import trio_free_order
@@ -106,9 +102,6 @@ class Plan:
     # shard-size histograms.  They break Generic Join variable-order
     # ties and explain() cites them next to the theorem citations.
     stats: Tuple[str, ...] = ()
-    # "numba" when compiled fused semiring kernels are active for this
-    # process, else "numpy" (repro.semiring.kernels.kernel_backend).
-    kernel_backend: str = "numpy"
 
     def route(self, capability: str) -> PlanRoute:
         """Look up one capability's route by name."""
@@ -182,18 +175,6 @@ class Plan:
                     " (explicit stack; python backend)"
                 )
             lines.append(f"  wcoj:     {strategy}")
-        if self.backend in ("columnar", "sharded"):
-            if self.kernel_backend == "numba":
-                kernels = (
-                    "numba: fused group-reduce/gather/combine compiled"
-                    " per semiring (REPRO_KERNELS)"
-                )
-            else:
-                kernels = (
-                    "numpy: fused group-lookup via reduceat +"
-                    " searchsorted (numba not active)"
-                )
-            lines.append(f"  kernels:  {kernels}")
         for route in self.routes:
             lines.append(route.render())
         if self.maintained_count:
@@ -247,63 +228,40 @@ def plan_query(
     size: int,
     stored_backend: str = "python",
     order: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
-    cutoff: Optional[int] = None,
-    shard_cutoff: Optional[int] = None,
     stored_shard_count: Optional[int] = None,
     workers: Optional[int] = None,
     stats: Sequence[str] = (),
 ) -> Plan:
     """Classify ``query`` and select pipelines for every capability.
 
-    ``size``/``stored_backend`` describe the input (for the backend
-    cutoffs); ``order`` fixes the lexicographic access order (default:
-    the planner searches for an admissible one); ``backend`` forces
-    the execution backend.  Above ``shard_cutoff`` tuples (default
-    :data:`repro.db.interface.DEFAULT_SHARD_CUTOFF`) the plan picks
-    the ``"sharded"`` backend and a shard count sized by
-    :func:`repro.db.interface.preferred_shard_count` (or the stored
-    partitioning, when the database is already sharded —
-    ``stored_shard_count``); ``explain()`` then reports the
-    partitioning.  ``workers`` records the shard-executor width the
-    session will dispatch with (``explain()`` reports serial vs.
-    threaded fan-out on sharded plans).  ``stats`` carries measured
+    ``size``/``stored_backend`` describe the database the plan will
+    execute on (``Plan.backend`` is ``stored_backend``); ``order``
+    fixes the lexicographic access order (default: the planner
+    searches for an admissible one).  For a sharded database
+    ``stored_shard_count`` is its partitioning (default: the size
+    heuristic :func:`repro.db.interface.preferred_shard_count`, which
+    is what ``Database.to_backend("sharded")`` partitions with) and
+    ``workers`` the shard-executor width the session will dispatch
+    with; ``explain()`` reports both.  ``stats`` carries measured
     per-relation statistics the *session* collected (the planner stays
     pure — no relation is read here); ``explain()`` cites them and the
     worst-case-optimal routes note that variable-order ties break on
     them.
     """
     classification = classify(query)
-    if backend is not None:
-        chosen = backend
-        reason = "forced by caller"
-    else:
-        chosen = preferred_backend(size, stored_backend, cutoff, shard_cutoff)
-        cut = DEFAULT_COLUMNAR_CUTOFF if cutoff is None else cutoff
-        shard_cut = (
-            DEFAULT_SHARD_CUTOFF if shard_cutoff is None else shard_cutoff
-        )
-        if chosen == stored_backend and chosen in ("columnar", "sharded"):
-            reason = f"database already {chosen}"
-        elif chosen == "sharded":
-            reason = f"m={size} >= shard cutoff {shard_cut}"
-        elif chosen == "columnar":
-            reason = f"m={size} >= cutoff {cut}"
-        else:
-            reason = f"m={size} < cutoff {cut}"
-    if chosen != "sharded":
-        shard_count = 1
-    elif stored_backend == "sharded" and stored_shard_count:
-        shard_count = stored_shard_count
-    else:
-        shard_count = preferred_shard_count(size)
-    plan_workers = workers if (chosen == "sharded" and workers) else 1
+    backend = check_backend(stored_backend)
+    reason = f"stored backend, m={size}"
+    sharded = backend == "sharded"
+    shard_count = 1
+    if sharded:
+        shard_count = stored_shard_count or preferred_shard_count(size)
+    plan_workers = workers if (sharded and workers) else 1
 
     if query.is_boolean():
         if order is not None:
             raise ValueError("Boolean queries admit no answer order")
         return _plan_boolean(
-            query, classification, chosen, reason, shard_count,
+            query, classification, backend, reason, shard_count,
             plan_workers, tuple(stats),
         )
 
@@ -334,7 +292,7 @@ def plan_query(
     maintained = (
         family == FREE_CONNEX
         and query.is_join_query()
-        and chosen in ("columnar", "sharded")
+        and backend in ("columnar", "sharded")
     )
     routes = (
         _count_route(query, classification, family, maintained),
@@ -345,7 +303,7 @@ def plan_query(
     return Plan(
         query_text=str(query),
         family=family,
-        backend=chosen,
+        backend=backend,
         backend_reason=reason,
         order=chosen_order,
         access_admissible=admissible,
@@ -355,17 +313,7 @@ def plan_query(
         shard_count=shard_count,
         workers=plan_workers,
         stats=tuple(stats),
-        kernel_backend=_kernel_backend(),
     )
-
-
-def _kernel_backend() -> str:
-    from repro.semiring.kernels import kernel_backend
-
-    try:
-        return kernel_backend()
-    except RuntimeError:  # REPRO_KERNELS=numba without numba installed
-        return "numpy"
 
 
 def _plan_boolean(
@@ -408,7 +356,6 @@ def _plan_boolean(
         shard_count=shard_count,
         workers=workers,
         stats=stats,
-        kernel_backend=_kernel_backend(),
     )
 
 

@@ -1,7 +1,7 @@
 """Prepared queries and the uniform :class:`AnswerSet` handle.
 
 A :class:`PreparedQuery` is the engine's unit of serving: one query,
-one :class:`~repro.engine.planner.Plan`, one execution database, and a
+one :class:`~repro.engine.planner.Plan`, the session's database, and a
 set of lazily built answer structures shared by every
 :meth:`PreparedQuery.run` call.  The structures are exactly the
 low-level pipelines of the repo — FAQ maintainers
@@ -66,14 +66,13 @@ class PreparedQuery:
         session,
         query: ConjunctiveQuery,
         plan: Plan,
-        db: Database,
         semiring: Optional[Semiring] = None,
     ) -> None:
         self.session = session
         self.query = query
         self.plan = plan
         self.semiring = semiring
-        self._db = db
+        self._db: Database = session.db
         self.head = tuple(query.head)
         # Lazy serving structures; None = not built yet, False (for
         # the counter) = attempted and inapplicable.
@@ -115,7 +114,7 @@ class PreparedQuery:
     # ------------------------------------------------------------------
     @property
     def database(self) -> Database:
-        """The execution database (the session's primary or a mirror)."""
+        """The database the query executes on — ``session.db``."""
         return self._db
 
     def run(self) -> "AnswerSet":

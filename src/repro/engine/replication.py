@@ -255,7 +255,6 @@ class FollowerSession:
         timeout: Optional[float] = None,
         sleep: Callable[[float], None] = None,
         clock: Callable[[], float] = None,
-        columnar_cutoff: Optional[int] = None,
         small_delta: Optional[int] = None,
         catchup_path: Optional[str] = None,
         catchup_batch: int = 4096,
@@ -277,13 +276,9 @@ class FollowerSession:
         self._clock = clock if clock is not None else time.monotonic
         self._dict_len = 0
         self._leader_stamps: Dict[str, int] = {}
-        kwargs = (
-            {} if columnar_cutoff is None
-            else {"columnar_cutoff": columnar_cutoff}
-        )
         if catchup_path is not None:
             self._bootstrap_from_files(catchup_path, catchup_batch)
-            self.session = Session(self.db, **kwargs)
+            self.session = Session(self.db)
             return
         seed = self._call("handshake", feed.handshake)
         try:
@@ -297,7 +292,7 @@ class FollowerSession:
             raise ReplicationError(
                 f"corrupt handshake payload: {exc}"
             ) from exc
-        self.session = Session(self.db, **kwargs)
+        self.session = Session(self.db)
         try:
             for entry in seed["relations"]:
                 self._apply_entry(entry)

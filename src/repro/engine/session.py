@@ -1,8 +1,8 @@
 """The :class:`Session`: the engine's front door.
 
-A session owns a :class:`~repro.db.database.Database`, prepares
-queries against it, and funnels updates to every execution copy, so
-prepared queries stay live::
+A session owns exactly one :class:`~repro.db.database.Database`,
+prepares queries against it, and applies updates to it, so prepared
+queries stay live::
 
     from repro import connect
 
@@ -13,22 +13,23 @@ prepared queries stay live::
     session.add("R", (1, 9)); session.discard("S", (2, 3))
     len(answers)            # reflects the updates, never stale
 
-**Execution backends and mirrors.**  The planner picks the execution
-backend per prepared query (columnar above
-:data:`repro.db.interface.DEFAULT_COLUMNAR_CUTOFF` total tuples,
-hash-partitioned *sharded* above
-:data:`repro.db.interface.DEFAULT_SHARD_CUTOFF`, python below;
-override with ``prepare(backend=...)`` or the session's
-``columnar_cutoff``).  When the chosen backend differs from the stored
-one, the session materializes a *mirror* — a one-time
-:meth:`~repro.db.database.Database.to_backend` conversion — and keeps
-it in sync by applying every :meth:`add` / :meth:`discard` to the
-primary and all mirrors.  Mirrors may be sharded: a sharded mirror's
-relations route each update to the owning shard internally, so the
-session's update path is backend-agnostic.  Updates must flow through
-the session; mutating ``session.db`` relations directly while a
-mirror exists desynchronizes the mirror (prepared queries on the
-primary still self-repair through their mutation stamps).
+**One database, one backend.**  Every prepared query executes on
+``session.db`` — the session holds no other copy of the data — so the
+execution backend is the *stored* backend, fixed when the session is
+opened.  The front doors default to ``"columnar"`` (dictionary-encoded
+NumPy columns; it beats the python tier from ~100 rows per relation
+up, ROADMAP item 3(c)); ``backend="python"`` selects the reference
+implementation (hash sets, what the differential tests compare
+against) and ``backend="sharded"`` the hash-partitioned layout for
+spilling / out-of-core data.  ``connect(db)`` runs on ``db``'s own
+backend; convert first with
+:meth:`~repro.db.database.Database.to_backend` to serve it on another.
+Because prepared queries guard every structure with the relations'
+mutation stamps, mutating ``session.db`` relations directly (as
+replication followers and :class:`~repro.semiring.faq.WeightedDatabase`
+do) is safe: there is nothing to desynchronize.  Multi-threaded
+embedders should still route updates through the session, whose
+write lock keeps readers out of half-applied updates.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.db.database import Database, attach
 from repro.db.executor import executor_of
-from repro.db.interface import (
-    DEFAULT_COLUMNAR_CUTOFF,
-    check_backend,
-    preferred_backend,
-)
+from repro.db.interface import check_backend
 from repro.engine.planner import plan_query
 from repro.engine.prepared import AnswerSet, PreparedQuery
 from repro.query.cq import ConjunctiveQuery
@@ -66,15 +63,13 @@ class Session:
     ``db`` may be a :class:`Database`, a ``{name: rows}`` mapping
     (converted via :meth:`Database.from_dict`), or ``None`` for an
     empty database; ``backend`` selects the stored backend in the
-    latter two cases.  ``columnar_cutoff`` tunes the planner's
-    backend switchover point.
+    latter two cases (a :class:`Database` keeps its own).
     """
 
     def __init__(
         self,
         db: Union[Database, Mapping, None] = None,
-        backend: str = "python",
-        columnar_cutoff: int = DEFAULT_COLUMNAR_CUTOFF,
+        backend: str = "columnar",
         workers: Optional[int] = None,
         spill_dir: Optional[str] = None,
         max_resident_shards: Optional[int] = None,
@@ -111,19 +106,17 @@ class Session:
                 max_resident_shards=max_resident_shards,
             )
         self.db = db
-        self.columnar_cutoff = columnar_cutoff
         self.closed = False
         # Single-writer / many-reader contract for multi-threaded
         # embedders (the HTTP serving layer): mutations take the
         # exclusive side, AnswerSet reads take the shared side, so a
         # read never observes a half-applied update across relations.
         self._rw = ReadWriteLock()
-        self._mirrors: dict = {}
-        # Prepared-plan cache: (canonical query text, order, resolved
-        # backend, default semiring) -> PreparedQuery.  Reusing the
-        # PreparedQuery also reuses its lazily built (and incrementally
-        # maintained) answer structures, so a repeated prepare() of the
-        # same query skips re-classification *and* re-preprocessing.
+        # Prepared-plan cache: (canonical query text, order, default
+        # semiring) -> PreparedQuery.  Reusing the PreparedQuery also
+        # reuses its lazily built (and incrementally maintained) answer
+        # structures, so a repeated prepare() of the same query skips
+        # re-classification *and* re-preprocessing.
         # Evicted wholesale whenever the relation schema changes.
         self._prepared: dict = {}
         self._schema_token: tuple = ()
@@ -136,47 +129,36 @@ class Session:
         query: QueryLike,
         order: Optional[Sequence[str]] = None,
         semiring: Optional[Semiring] = None,
-        backend: Optional[str] = None,
     ) -> PreparedQuery:
         """Classify, plan, and return a live :class:`PreparedQuery`.
 
         ``query`` is datalog-style text or a parsed
         :class:`ConjunctiveQuery`; ``order`` fixes the paging order
         (default: the planner finds an admissible one); ``semiring``
-        sets the default for ``AnswerSet.aggregate()``; ``backend``
-        forces the execution backend.  Relations the query mentions
-        are created empty when absent, so serving can start before
-        ingestion.
+        sets the default for ``AnswerSet.aggregate()``.  Relations the
+        query mentions are created empty when absent, so serving can
+        start before ingestion.
 
-        Repeated ``prepare()`` of the same (query, order, backend,
-        semiring) returns the cached :class:`PreparedQuery` — no
+        Repeated ``prepare()`` of the same (query, order, semiring)
+        returns the cached :class:`PreparedQuery` — no
         re-classification, and its maintained structures carry over.
-        The cache key includes the *resolved* backend, so a database
-        growing across a planner cutoff replans instead of serving a
-        stale backend choice, and the cache is evicted whenever the
-        relation schema changes (a relation created or dropped).
+        The cache is evicted whenever the relation schema changes (a
+        relation created or dropped).
         """
         self._check_open()
         if isinstance(query, str):
             query = parse_query(query)
-        if backend is not None:
-            check_backend(backend)
-        self._ensure_relations(query)
+        for atom in query.atoms:
+            self.db.ensure_relation(atom.relation, atom.arity)
         schema_token = tuple(
             sorted((rel.name, rel.arity) for rel in self.db)
         )
         if schema_token != self._schema_token:
             self._prepared.clear()
             self._schema_token = schema_token
-        resolved = backend
-        if resolved is None:
-            resolved = preferred_backend(
-                self.db.size(), self.db.backend, self.columnar_cutoff
-            )
         key = (
             str(query),
             tuple(order) if order is not None else None,
-            resolved,
             semiring,
         )
         cached = self._prepared.get(key)
@@ -187,14 +169,11 @@ class Session:
             size=self.db.size(),
             stored_backend=self.db.backend,
             order=order,
-            backend=backend,
-            cutoff=self.columnar_cutoff,
             stored_shard_count=self._stored_shard_count(),
             workers=executor_of(self.db).workers,
             stats=_measure_statistics(self.db, query),
         )
-        execution_db = self._execution_db(plan.backend)
-        prepared = PreparedQuery(self, query, plan, execution_db, semiring)
+        prepared = PreparedQuery(self, query, plan, semiring)
         self._prepared[key] = prepared
         return prepared
 
@@ -203,40 +182,25 @@ class Session:
         return self.prepare(query, **kwargs).run()
 
     # ------------------------------------------------------------------
-    # updates (the only supported mutation path)
+    # updates
     # ------------------------------------------------------------------
     def add(self, relation: str, row: Iterable) -> None:
-        """Insert one tuple, in the primary database and all mirrors.
-
-        With several execution copies the fan-out dispatches through
-        the shard executor — one task per database (each database has
-        its own dictionary and journal, so copies are independent);
-        with a single copy or a serial executor this degenerates to
-        the plain loop.
-        """
+        """Insert one tuple (the relation is created when absent)."""
         self._check_open()
         row = tuple(row)
-
-        def apply(db: Database) -> None:
-            db.ensure_relation(relation, len(row)).add(row)
-
         with self._rw.write():
-            executor_of(self.db).map(apply, list(self._all_databases()))
+            self.db.ensure_relation(relation, len(row)).add(row)
 
     def discard(self, relation: str, row: Iterable) -> None:
-        """Delete one tuple (no-op when absent), everywhere."""
+        """Delete one tuple (no-op when absent)."""
         self._check_open()
         row = tuple(row)
-
-        def apply(db: Database) -> None:
-            if relation in db:
-                db[relation].discard(row)
-
         with self._rw.write():
-            executor_of(self.db).map(apply, list(self._all_databases()))
+            if relation in self.db:
+                self.db[relation].discard(row)
 
     def add_all(self, relation: str, rows: Sequence) -> None:
-        """Bulk insert: one write-lock hold, one batched path per copy.
+        """Bulk insert: one write-lock hold, one batched relation call.
 
         The batched relation path (``Relation.add_all``) encodes once
         and routes whole code batches on the columnar/sharded
@@ -248,13 +212,8 @@ class Session:
         rows = [tuple(r) for r in rows]
         if not rows:
             return
-        arity = len(rows[0])
-
-        def apply(db: Database) -> None:
-            db.ensure_relation(relation, arity).add_all(rows)
-
         with self._rw.write():
-            executor_of(self.db).map(apply, list(self._all_databases()))
+            self.db.ensure_relation(relation, len(rows[0])).add_all(rows)
 
     def discard_all(self, relation: str, rows: Sequence) -> None:
         """Bulk delete (absent rows are no-ops), one lock hold."""
@@ -262,15 +221,11 @@ class Session:
         rows = [tuple(r) for r in rows]
         if not rows:
             return
-
-        def apply(db: Database) -> None:
-            if relation in db:
-                rel = db[relation]
+        with self._rw.write():
+            if relation in self.db:
+                rel = self.db[relation]
                 for row in rows:
                     rel.discard(row)
-
-        with self._rw.write():
-            executor_of(self.db).map(apply, list(self._all_databases()))
 
     # ------------------------------------------------------------------
     # durability
@@ -303,19 +258,12 @@ class Session:
 
         Semirings are live objects with no stable serial form, so
         entries prepared with an explicit default semiring are
-        skipped — their queries still recover cold.  The resolved
-        backend is *not* persisted: the planner re-resolves it
-        against the recovered sizes, which is the correct choice when
-        the database grew across a cutoff since the checkpoint.
+        skipped — their queries still recover cold.
         """
         specs: List[dict] = []
-        seen = set()
-        for text, order, _backend, semiring in self._prepared:
+        for text, order, semiring in self._prepared:
             if semiring is not None:
                 continue
-            if (text, order) in seen:
-                continue
-            seen.add((text, order))
             specs.append(
                 {
                     "query": text,
@@ -361,11 +309,11 @@ class Session:
         """Release the session's resources deterministically.
 
         Drops the prepared-plan cache (and with it every maintained
-        answer structure), closes the primary database and all backend
-        mirrors — for a durable session that flushes and closes the
-        WAL; for a spilling database it returns shards to RAM and
-        deletes the spill files — and marks the session closed:
-        further ``prepare``/``add``/``discard`` calls raise.  The
+        answer structure) and closes the database — for a durable
+        session that flushes and closes the WAL; for a spilling
+        database it returns shards to RAM and deletes the spill files
+        — and marks the session closed: further
+        ``prepare``/``add``/``discard`` calls raise.  The
         multi-tenant registry in :mod:`repro.server` relies on this to
         evict idle tenants without leaking open memmaps or WAL file
         handles until garbage collection.  Idempotent.
@@ -380,11 +328,9 @@ class Session:
         self.closed = True
         with self._rw.write():
             self._prepared.clear()
-            for db in self._all_databases():
-                closer = getattr(db, "close", None)
-                if closer is not None:
-                    closer()
-            self._mirrors.clear()
+            closer = getattr(self.db, "close", None)
+            if closer is not None:
+                closer()
 
     def __enter__(self) -> "Session":
         return self
@@ -400,32 +346,18 @@ class Session:
     # introspection
     # ------------------------------------------------------------------
     def size(self) -> int:
-        """Total tuples in the primary database (the paper's ``m``)."""
+        """Total tuples in the database (the paper's ``m``)."""
         return self.db.size()
 
     def relation(self, name: str):
-        """The primary database's relation (read-only by convention)."""
+        """The database's relation of that name."""
         return self.db[name]
-
-    @property
-    def backends(self) -> tuple:
-        """Backends with a live execution copy (primary first)."""
-        return (self.db.backend, *self._mirrors.keys())
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _all_databases(self):
-        yield self.db
-        yield from self._mirrors.values()
-
-    def _ensure_relations(self, query: ConjunctiveQuery) -> None:
-        for atom in query.atoms:
-            for db in self._all_databases():
-                db.ensure_relation(atom.relation, atom.arity)
-
     def _stored_shard_count(self) -> Optional[int]:
-        """The primary's actual partitioning, for plan reporting."""
+        """The database's actual partitioning, for plan reporting."""
         if self.db.backend != "sharded":
             return None
         if self.db.shard_count is not None:
@@ -436,19 +368,8 @@ class Session:
                 return count
         return None
 
-    def _execution_db(self, backend: str) -> Database:
-        if backend == self.db.backend:
-            return self.db
-        mirror = self._mirrors.get(backend)
-        if mirror is None:
-            mirror = self.db.to_backend(backend)
-            self._mirrors[backend] = mirror
-        return mirror
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Session({self.db!r}, cutoff={self.columnar_cutoff})"
-        )
+        return f"Session({self.db!r})"
 
 
 def _measure_statistics(
@@ -483,8 +404,7 @@ def _measure_statistics(
 
 def connect(
     db: Union[Database, Mapping, None] = None,
-    backend: str = "python",
-    columnar_cutoff: int = DEFAULT_COLUMNAR_CUTOFF,
+    backend: str = "columnar",
     path: Optional[str] = None,
     shard_count: Optional[int] = None,
     sync: str = "batch",
@@ -502,6 +422,12 @@ def connect(
     max_resident_shards: Optional[int] = None,
 ):
     """Open a :class:`Session` (the engine's ``connect(...)`` idiom).
+
+    ``backend`` is the storage — and therefore execution — backend of
+    a database the call creates (``db`` a mapping or ``None``, or a
+    fresh ``path``): ``"columnar"`` by default, ``"python"`` for the
+    reference implementation, ``"sharded"`` for hash-partitioned /
+    spillable storage.  An existing :class:`Database` keeps its own.
 
     With ``path=...`` the session is *durable*: the directory is
     opened (or recovered) via :func:`repro.db.attach`, every update
@@ -568,7 +494,6 @@ def connect(
             retries=DEFAULT_RETRIES if retries is None else retries,
             backoff=DEFAULT_BACKOFF if backoff is None else backoff,
             timeout=timeout,
-            columnar_cutoff=columnar_cutoff,
             small_delta=small_delta,
             catchup_path=path,
         )
@@ -591,13 +516,12 @@ def connect(
             spill_dir=spill_dir,
             max_resident_shards=max_resident_shards,
         )
-        session = Session(durable, columnar_cutoff=columnar_cutoff)
+        session = Session(durable)
         session._restore_prepared_specs()
         return session
     return Session(
         db,
         backend=backend,
-        columnar_cutoff=columnar_cutoff,
         workers=workers,
         spill_dir=spill_dir,
         max_resident_shards=max_resident_shards,

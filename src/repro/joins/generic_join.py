@@ -56,14 +56,16 @@ bit-identical to the serial result because the level step is a pure
 function of its chunk and the output order is canonical.
 
 Python-backend databases (and mixed-dictionary inputs, where codes are
-not comparable across atoms) fall back to the legacy depth-first
-strategy, now driven by an explicit stack so deep variable orders can
-never hit Python's recursion limit.
+not comparable across atoms) run the depth-first strategy over
+hash-map tries (:class:`_AtomIndex`), driven by an explicit stack so
+deep variable orders can never hit Python's recursion limit.  It
+shares no code with the frontier path, which makes
+``db.to_backend("python")`` the independent oracle the parity tests
+compare the frontier against.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -91,20 +93,6 @@ _CHUNK_MIN = 1024
 # enough to find the requested witnesses — and falls back to the
 # uncapped run only when the truncated search came up short.
 _WITNESS_CAP = 1024
-
-
-def _frontier_enabled() -> bool:
-    """The ``REPRO_FRONTIER`` escape hatch (default: on).
-
-    ``REPRO_FRONTIER=0`` forces the legacy depth-first strategy on
-    every backend — the parity tests and benchmarks use it to compare
-    the two strategies on identical inputs.
-    """
-    return os.environ.get("REPRO_FRONTIER", "1").strip().lower() not in (
-        "0",
-        "off",
-        "recursive",
-    )
 
 
 class _AtomIndex:
@@ -161,58 +149,6 @@ class _AtomIndex:
         depth = self.ordered_vars.index(var)
         key = tuple(assignment[v] for v in self.ordered_vars[:depth])
         return self.levels[depth].get(key, set())
-
-
-class _ColumnarAtomIndex:
-    """The prefix trie of :class:`_AtomIndex`, built from sorted arrays.
-
-    Instead of inserting every row into per-depth dictionaries, lexsort
-    the atom's code matrix once; then, at each depth ``d``, the distinct
-    ``(d+1)``-prefixes and their group boundaries fall out of a single
-    vectorized compare of adjacent sorted rows.  Python-level work drops
-    from O(rows × depth) dict inserts to O(distinct prefixes), which is
-    what makes trie construction cheap on dense AGM-tight instances.
-
-    The resulting ``levels`` structure (and :meth:`candidates`) is
-    identical to the Python version's, so the legacy depth-first search
-    is byte-for-byte the same for both backends.  The frontier strategy
-    uses :class:`_FrontierAtomIndex` instead, which keeps the same
-    sorted arrays *as* arrays and never decodes a value.
-    """
-
-    candidates = _AtomIndex.candidates
-
-    def __init__(
-        self,
-        relation: ColumnarRelation,
-        atom_variables: Sequence[str],
-        global_order: Sequence[str],
-    ) -> None:
-        distinct, first_pos, codes = atom_codes(relation, atom_variables)
-        rank = {v: i for i, v in enumerate(global_order)}
-        self.ordered_vars: List[str] = sorted(distinct, key=rank.get)
-        k = len(self.ordered_vars)
-        self.levels: List[Dict[Tuple, Set[object]]] = [{} for _ in range(k)]
-        if k == 0 or not len(codes):
-            return
-        sub, first_diff = _sorted_prefixes(codes, first_pos, self.ordered_vars)
-        decode = relation.dictionary.decode
-        for depth in range(k):
-            new_prefix = np.flatnonzero(first_diff <= depth)
-            prefix_rows = sub[new_prefix]
-            values = [decode(int(c)) for c in prefix_rows[:, depth]]
-            # Within the distinct (depth+1)-prefixes, a new key (first
-            # ``depth`` columns) starts where the difference occurred
-            # strictly before column ``depth``.
-            group_start = np.flatnonzero(first_diff[new_prefix] < depth)
-            bounds = list(group_start) + [len(new_prefix)]
-            level = self.levels[depth]
-            for g in range(len(group_start)):
-                lo, hi = bounds[g], bounds[g + 1]
-                key = tuple(
-                    decode(int(c)) for c in prefix_rows[lo, :depth]
-                )
-                level[key] = set(values[lo:hi])
 
 
 def _sorted_prefixes(
@@ -565,15 +501,15 @@ def generic_join_codes(
 
     Returns ``(codes, head)`` — one distinct row per answer, columns in
     head order, values as dictionary codes — or ``None`` when the
-    frontier strategy does not apply (python backend, mixed
-    dictionaries, or disabled via ``REPRO_FRONTIER=0``).  This is the
+    frontier strategy does not apply (python backend or mixed
+    dictionaries).  This is the
     zero-decode entry point for counting and semiring aggregation over
     cyclic queries; :func:`generic_join` is the same computation with a
     decode at the value boundary.
     """
     query.validate_database(db)
     dictionary = _shared_dictionary(query, db)
-    if dictionary is None or not _frontier_enabled():
+    if dictionary is None:
         return None
     head = tuple(query.head)
     if _empty_atom_falsifies(query, db):
@@ -600,7 +536,7 @@ def generic_join(
 
     Columnar inputs run the breadth-first frontier strategy (module
     docstring) and decode only the final head rows; everything else
-    runs the legacy depth-first search.  Both strategies visit the
+    runs the depth-first search.  Both strategies visit the
     same prefix tree, so their answer sets are identical.
     """
     query.validate_database(db)
@@ -608,7 +544,7 @@ def generic_join(
         return set()
     global_order = _choose_order(query, order, db)
     dictionary = _shared_dictionary(query, db)
-    if dictionary is None or not _frontier_enabled():
+    if dictionary is None:
         return _generic_join_stack(query, db, global_order, limit)
     cardinality = len(dictionary)
     head = tuple(query.head)
@@ -633,7 +569,7 @@ def _generic_join_stack(
     global_order: Sequence[str],
     limit: Optional[int],
 ) -> Set[Tuple]:
-    """The legacy depth-first strategy, driven by an explicit stack.
+    """The depth-first strategy, driven by an explicit stack.
 
     One stack frame per bound variable — an iterator over the smallest
     candidate set plus the other sets to intersect against — so a
@@ -641,11 +577,7 @@ def _generic_join_stack(
     deep variable orders can never trip Python's recursion limit.
     """
     indexes = [
-        (
-            _ColumnarAtomIndex(db[a.relation], a.variables, global_order)
-            if isinstance(db[a.relation], ColumnarRelation)
-            else _AtomIndex(db[a.relation], a.variables, global_order)
-        )
+        _AtomIndex(db[a.relation], a.variables, global_order)
         for a in query.atoms
     ]
     head = tuple(query.head)

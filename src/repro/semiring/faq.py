@@ -10,16 +10,20 @@ With the counting semiring and unit weights this is exactly the
 linear-time answer counting of Theorem 3.8; with the tropical semiring
 it is min-weight aggregation (Section 4.1.2).
 
-**Two execution paths.**  On Python-backend frames the passing is the
-classical dict fold: one Python dict per message, one fold per tuple.
-On columnar frames (:class:`repro.joins.vectorized.ColumnarFrame`
-sharing one dictionary) the same recurrence runs as an array program —
-a *message* is a pair ``(separator code matrix, weight column)``;
-receiving one is a binary-search gather
-(:func:`repro.db.columnar.lookup_rows`) plus an elementwise ⊗; sending
-one is a sort-based group-by (:func:`repro.db.columnar.group_rows`)
-plus one segment reduce (``⊕.reduceat``,
-:func:`repro.db.columnar.group_reduce`).  Semirings without native
+**One execution path per frame type.**  On Python-backend frames the
+passing is the classical dict fold: one Python dict per message, one
+fold per tuple.  On columnar frames
+(:class:`repro.joins.vectorized.ColumnarFrame` sharing one dictionary)
+the same recurrence runs as an array program — a *message* is a pair
+``(separator code matrix, weight column)`` that the parent consumes
+with one :func:`repro.db.columnar.fused_group_lookup` (group-reduce,
+binary-search gather and in-place ⊗ in one pass).  Sharded frames
+(:class:`repro.joins.vectorized.ShardedColumnarFrame`) compute one
+group-reduced message per shard — a sort-based group-by
+(:func:`repro.db.columnar.group_rows`) plus one segment reduce
+(``⊕.reduceat``, :func:`repro.db.columnar.group_reduce`), received by
+a :func:`repro.db.columnar.lookup_rows` gather — and merge them over
+the separator domain.  Semirings without native
 NumPy kernels fall back to object-dtype ``frompyfunc`` folds (see
 :meth:`repro.semiring.semirings.Semiring.kernels`), keeping a single
 code path.  No tuple is ever decoded back into Python values.
@@ -47,7 +51,6 @@ The gap between the two paths on the clique query is experiment E13.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -93,7 +96,10 @@ class WeightedDatabase:
     Weights are stored per relation name and tuple; missing entries
     default to the semiring's ``one`` (unweighted tuples are neutral),
     matching the convention that an unweighted query aggregates to a
-    pure count/existence value.
+    pure count/existence value.  The store wraps the database it is
+    given — ``WeightedDatabase(session.db)`` mutates the very relations
+    the session's prepared queries execute on, and they notice through
+    the relations' mutation stamps.
 
     For columnar relations the store additionally keys every weight by
     the tuple's *dictionary codes*, so the vectorized aggregation reads
@@ -428,18 +434,25 @@ def aggregate_frames(
     otherwise tuples without child matches are ⊕-skipped, which computes
     the aggregate over the actual join but may visit dead tuples.
 
-    Dispatches on the frame backend: columnar frames sharing one
-    dictionary run the vectorized array program (when the weights are
+    Dispatches on the frame type: columnar frames sharing one
+    dictionary run a vectorized array program (when the weights are
     ``None`` or column-capable, as returned by
-    :meth:`WeightedDatabase.atom_weight_fn`); everything else runs the
-    scalar dict fold.
+    :meth:`WeightedDatabase.atom_weight_fn`) — the fused pass for plain
+    frames, the per-shard message merge when any frame is sharded;
+    everything else runs the scalar dict fold.
     """
+    run = _aggregate_frames_python
     if weights is None or hasattr(weights, "column"):
         if columnar_family(frames.values()) is not None:
-            return _aggregate_frames_columnar(
-                frames, tree, semiring, weights
+            sharded = any(
+                isinstance(f, ShardedColumnarFrame) for f in frames.values()
             )
-    return _aggregate_frames_python(frames, tree, semiring, weights)
+            run = (
+                _aggregate_frames_sharded
+                if sharded
+                else _aggregate_frames_fused
+            )
+    return run(frames, tree, semiring, weights)
 
 
 def _aggregate_frames_python(
@@ -499,20 +512,6 @@ def _aggregate_frames_python(
     return semiring.product(node_value[root] for root in tree.roots)
 
 
-def _faq_fused_enabled() -> bool:
-    """The ``REPRO_FAQ_FUSED`` escape hatch (default: on).
-
-    ``REPRO_FAQ_FUSED=0`` forces the chained gather/group-reduce
-    message passing — the parity tests compare the two pipelines on
-    identical inputs.
-    """
-    return os.environ.get("REPRO_FAQ_FUSED", "1").strip().lower() not in (
-        "0",
-        "off",
-        "chained",
-    )
-
-
 def _aggregate_frames_fused(
     frames: Mapping[int, ColumnarFrame],
     tree: JoinTree,
@@ -521,27 +520,19 @@ def _aggregate_frames_fused(
 ) -> object:
     """Fused message passing for unsharded columnar trees.
 
-    The chained pipeline sends a child's message as group-reduced
-    ``(separator reps, reduced values)`` and receives it with a
-    binary-search gather plus an elementwise ⊗ — three full-frame
-    intermediates per child (the clamped index, the gathered incoming
-    column, and the fresh ⊗ result).  Here a child's message stays
-    *unreduced* — its surviving separator codes and combined values,
-    arrays it owns anyway — and the parent consumes it with one
-    :func:`~repro.db.columnar.fused_group_lookup` call per child:
-    group-reduce, gather, and in-place ⊗ into the parent's running
-    column, reusing a single scratch buffer across children.  The only
-    per-child allocation is the reduced message itself (one entry per
-    distinct separator key); ``scratch_peak`` asserts it.  Fold orders
-    are identical to the chained pipeline's (both group with stable
-    sorts, so each ⊕ segment folds the child's rows in frame order,
-    and children ⊗-apply in the same tree order), so results match
-    bit for bit.  Semirings with a compiled kernel
-    (:meth:`~repro.semiring.semirings.Semiring.fused_kernel`) run the
-    whole consume as one jitted loop.
+    A child's message stays *unreduced* — its surviving separator
+    codes and combined values, arrays it owns anyway — and the parent
+    consumes it with one :func:`~repro.db.columnar.fused_group_lookup`
+    call per child: group-reduce, gather, and in-place ⊗ into the
+    parent's running column, reusing a single scratch buffer across
+    children.  The only per-child allocation is the reduced message
+    itself (one entry per distinct separator key); ``scratch_peak``
+    asserts it.  Grouping uses stable sorts, so each ⊕ segment folds
+    the child's rows in frame order and children ⊗-apply in tree
+    order — the same fold order as the per-shard merge of
+    :func:`_aggregate_frames_sharded`.
     """
     plus_ufunc, times_fn, dtype = semiring.kernels()
-    kernel = semiring.fused_kernel()
     # pending[child]: the child's surviving separator codes and
     # combined values, unreduced; consumed exactly once by the parent.
     pending: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -580,7 +571,6 @@ def _aggregate_frames_fused(
                 times_fn,
                 values,
                 scratch=scratch,
-                kernel=kernel,
             )
             # Dead rows hold garbage combinations; masked out below.
             alive &= found
@@ -605,35 +595,26 @@ def _aggregate_frames_fused(
     )
 
 
-def _aggregate_frames_columnar(
+def _aggregate_frames_sharded(
     frames: Mapping[int, ColumnarFrame],
     tree: JoinTree,
     semiring: Semiring,
     weights: Optional["_AtomWeights"],
 ) -> object:
-    """The vectorized message passing: weight columns along separators.
+    """Message passing over sharded trees: one message per shard, merged.
 
     A message is ``(separator representatives, reduced weight column)``.
-    Per node: gather each child's column by binary search on the node's
-    separator codes, ⊗ into the node's own weight column, drop rows
-    some child cannot extend, then group by the parent separator and
-    ⊕-reduce each segment.  Everything is O(n log n) array work; the
-    only Python-level loop is over the (constant-size) tree.
-
-    **Sharded frames** (:class:`~repro.joins.vectorized.
-    ShardedColumnarFrame`) run the same recurrence shard by shard —
-    one (separator codes, weight column) message *per shard* — and
-    merge the per-shard messages with one
+    Per node and shard: gather each child's column by binary search on
+    the shard's separator codes, ⊗ into its own weight column, drop
+    rows some child cannot extend, then group by the parent separator
+    and ⊕-reduce each segment.  The per-shard messages merge with one
     :func:`~repro.db.columnar.group_reduce` over their concatenation.
     Because messages live in the merged separator domain, no array
     larger than one shard (plus that domain) is ever materialized:
     distributed aggregation is literally a merge of messages, with no
-    shared state beyond the append-only dictionary.
+    shared state beyond the append-only dictionary.  A plain columnar
+    frame in the tree counts as a single shard.
     """
-    if _faq_fused_enabled() and not any(
-        isinstance(f, ShardedColumnarFrame) for f in frames.values()
-    ):
-        return _aggregate_frames_fused(frames, tree, semiring, weights)
     plus_ufunc, times_fn, _ = semiring.kernels()
     messages: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     node_value: Dict[int, object] = {}

@@ -92,22 +92,6 @@ class Semiring:
             return column
         return np.full(length, self.one, dtype=dtype)
 
-    def fused_kernel(self) -> Optional[Any]:
-        """A compiled fused group-lookup kernel, or ``None``.
-
-        The optional ``numba`` path behind the same seam as
-        :meth:`kernels`: when :mod:`repro.semiring.kernels` can build a
-        jitted kernel for this semiring it is passed to
-        :func:`repro.db.columnar.fused_group_lookup`, which otherwise
-        runs its (bit-identical) NumPy form.  Object-dtype semirings
-        always return ``None`` — the escape hatch is unchanged.
-        """
-        if self.np_plus is None:
-            return None
-        from repro.semiring.kernels import fused_kernel_for
-
-        return fused_kernel_for(self)
-
     def as_scalar(self, value: Any) -> Any:
         """A NumPy scalar back as the plain Python value.
 

@@ -579,6 +579,14 @@ class QueryServer:
             raise HttpError(
                 400, "bad_request", 'prepare needs a "query" string'
             )
+        if "backend" in spec:
+            raise HttpError(
+                400,
+                "bad_request",
+                'prepare takes no "backend": a query executes on its '
+                "database's stored backend, chosen when the database "
+                'is created (POST /v1/db/{name} {"backend": ...})',
+            )
         semiring = None
         if spec.get("semiring") is not None:
             semiring = SEMIRINGS.get(spec["semiring"])
@@ -604,7 +612,6 @@ class QueryServer:
                     query,
                     order=order,
                     semiring=semiring,
-                    backend=spec.get("backend"),
                 )
             )
         served = self.registry.register(tenant, prepared)

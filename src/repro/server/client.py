@@ -175,15 +175,12 @@ class ServerClient:
         query: str,
         order: Optional[List[str]] = None,
         semiring: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> "RemoteQuery":
         spec: Dict[str, Any] = {"query": query}
         if order is not None:
             spec["order"] = list(order)
         if semiring is not None:
             spec["semiring"] = semiring
-        if backend is not None:
-            spec["backend"] = backend
         info = self._json("POST", f"/v1/db/{db}/prepare", spec)
         return RemoteQuery(self, info)
 

@@ -40,20 +40,18 @@ def default_session_factory(
 ) -> Session:
     """Build a tenant session from the creation request's JSON body.
 
-    ``backend`` / ``shard_count`` / ``workers`` / ``columnar_cutoff``
-    pass straight to :func:`repro.engine.session.connect`.  A tenant
+    ``backend`` (default ``"columnar"``) / ``shard_count`` /
+    ``workers`` pass straight to
+    :func:`repro.engine.session.connect`.  A tenant
     asking ``durable: true`` gets a WAL-backed session whose directory
     is ``<data_root>/<name>`` — the *server* chooses the path, so no
     network peer can aim a tenant at an arbitrary filesystem location.
     """
-    backend = config.get("backend", "python")
     kwargs = {
-        "backend": backend,
+        "backend": config.get("backend", "columnar"),
         "shard_count": config.get("shard_count"),
         "workers": config.get("workers"),
     }
-    if config.get("columnar_cutoff") is not None:
-        kwargs["columnar_cutoff"] = int(config["columnar_cutoff"])
     if config.get("durable"):
         if data_root is None:
             raise HttpError(

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 
 from repro.counting.algorithms import count_answers
 from repro.db.database import Database
-from repro.db.interface import DEFAULT_COLUMNAR_CUTOFF
 from repro.direct_access.lex import LexDirectAccess
 from repro.engine import Session, connect
 from repro.enumeration.constant_delay import ConstantDelayEnumerator
@@ -61,7 +60,7 @@ def test_facade_parity_with_low_level(family, backend):
     query = parse_query(FAMILY_QUERIES[family])
     db = _database_for(FAMILY_QUERIES[family], backend)
     session = Session(db)
-    prepared = session.prepare(query, backend=backend)
+    prepared = session.prepare(query)
     answers = prepared.run()
     assert prepared.database is db
 
@@ -123,7 +122,7 @@ def test_prepared_query_survives_update_stream(family, backend):
     query = parse_query(text)
     db = _database_for(text, backend, seed=23)
     session = Session(db)
-    prepared = session.prepare(query, backend=backend)
+    prepared = session.prepare(query)
     answers = prepared.run()
     rng = random.Random(99)
     symbols = list(query.relation_symbols)
@@ -159,19 +158,33 @@ def test_maintained_count_stays_incremental_on_columnar():
     assert prepared._counter.rebuilds == 0
 
 
-def test_session_mirror_serves_columnar_from_python_store():
+def test_session_owns_one_database_and_add_mutates_it_once():
+    """One stored copy: the default front door is columnar, an explicit
+    backend or an existing Database is kept, every prepared query
+    executes on ``session.db``, and one ``add`` is one relation
+    mutation (nothing is re-applied to a second copy)."""
+    data = {"R": [(1, 2), (2, 3)], "S": [(2, 4), (3, 4)]}
+    assert connect(data).db.backend == "columnar"
+    assert connect().db.backend == "columnar"
+    assert connect(data, backend="python").db.backend == "python"
+    assert connect(Database.from_dict(data)).db.backend == "python"
+
     query = parse_query(FAMILY_QUERIES["join-chain"])
-    session = connect({"R": [(1, 2), (2, 3)], "S": [(2, 4), (3, 4)]})
-    prepared = session.prepare(query, backend="columnar")
-    answers = prepared.run()
-    assert prepared.database is not session.db
-    assert prepared.database.backend == "columnar"
-    assert session.backends == ("python", "columnar")
-    session.add("R", (7, 2))
-    session.discard("S", (3, 4))
-    assert answers[:] == _sorted_oracle(
-        query, session.db, prepared.plan.order
-    )
+    for session in (connect(data), connect(data, backend="python")):
+        prepared = session.prepare(query)
+        answers = prepared.run()
+        assert prepared.database is session.db
+        assert prepared.plan.backend == session.db.backend
+        relations = {rel.name: rel for rel in session.db}
+        before = {n: rel.mutation_stamp for n, rel in relations.items()}
+        session.add("R", (7, 2))
+        assert {rel.name: rel for rel in session.db} == relations
+        after = {n: rel.mutation_stamp for n, rel in relations.items()}
+        assert after == {**before, "R": before["R"] + 1}
+        session.discard("S", (3, 4))
+        assert answers[:] == _sorted_oracle(
+            query, session.db, prepared.plan.order
+        )
 
 
 def test_session_construction_and_conveniences():
@@ -190,23 +203,12 @@ def test_session_construction_and_conveniences():
     assert connect(None, backend="columnar").db.backend == "columnar"
 
 
-def test_backend_cutoff_drives_execution_choice():
-    session = connect({"R": [(i, i + 1) for i in range(10)]},
-                      columnar_cutoff=5)
-    prepared = session.prepare("q(a, b) :- R(a, b)")
-    assert prepared.plan.backend == "columnar"
-    assert prepared.database.backend == "columnar"
-    small = connect({"R": [(0, 1)]})
-    assert small.prepare("q(a, b) :- R(a, b)").plan.backend == "python"
-    assert DEFAULT_COLUMNAR_CUTOFF > 1
-
-
 def test_session_and_prepare_argument_errors():
     session = connect({"R": [(0, 1)]})
     with pytest.raises(ValueError, match="unknown backend"):
         connect(backend="fortran")
-    with pytest.raises(ValueError, match="unknown backend"):
-        session.prepare("q(a, b) :- R(a, b)", backend="fortran")
+    with pytest.raises(TypeError, match="backend"):
+        session.prepare("q(a, b) :- R(a, b)", backend="columnar")
     with pytest.raises(TypeError, match="Database"):
         Session(42)
     with pytest.raises(ValueError, match="permutation"):
@@ -242,7 +244,7 @@ def test_facade_parity_random_queries(query_db):
     for backend in BACKENDS:
         execution = db.to_backend(backend)
         session = Session(execution)
-        answers = session.prepare(query, backend=backend).run()
+        answers = session.prepare(query).run()
         assert len(answers) == len(oracle)
         if query.is_boolean():
             assert list(answers) == ([()] if oracle else [])

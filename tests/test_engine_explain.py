@@ -4,12 +4,12 @@ One snapshot per pipeline family (boolean, count, enumeration + lex
 direct access, inadmissible lex order, acyclic materialize, cyclic
 fallback), asserting the rendered plan — chosen pipelines, execution
 backend, and quoted theorems — is stable.  The plan is a pure function
-of (query, order, backend, input size), so any diff here is a
+of (query, order, stored backend, input size), so any diff here is a
 deliberate planner change: update the snapshot *and* the CHANGES entry
 together.
 
-The fixture database has m=6 tuples; the ``count`` case leaves the
-backend to the planner to pin the cutoff rationale text.
+The fixture database has m=6 tuples; the ``count`` case opens the
+session without a backend to pin the front-door default (columnar).
 """
 
 import pytest
@@ -20,14 +20,17 @@ DATA = {"R": [(1, 2), (2, 3)], "S": [(2, 3), (3, 1)], "T": [(3, 1), (1, 2)]}
 
 
 def render(text, backend=None, order=None):
-    session = Session({name: list(rows) for name, rows in DATA.items()})
-    return session.prepare(text, backend=backend, order=order).explain()
+    kwargs = {} if backend is None else {"backend": backend}
+    session = Session(
+        {name: list(rows) for name, rows in DATA.items()}, **kwargs
+    )
+    return session.prepare(text, order=order).explain()
 
 
 BOOLEAN = """\
 plan for q() :- R(x, y), S(y, z)
   family:   boolean
-  backend:  python (forced by caller)
+  backend:  python (stored backend, m=6)
   structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
   stats:    R: rows=2
   stats:    S: rows=2
@@ -38,11 +41,11 @@ plan for q() :- R(x, y), S(y, z)
 COUNT = """\
 plan for q(x) :- R(x, y), S(y, z)
   family:   free-connex
-  backend:  python (m=6 < cutoff 2048)
+  backend:  columnar (stored backend, m=6)
   structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
   order:    x
-  stats:    R: rows=2
-  stats:    S: rows=2
+  stats:    R: rows=2 distinct=(2, 2)
+  stats:    S: rows=2 distinct=(2, 2)
   count     via free-connex FAQ message passing -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
@@ -52,12 +55,11 @@ plan for q(x) :- R(x, y), S(y, z)
 ENUM_AND_LEX_DIRECT_ACCESS = """\
 plan for q(a, b, c) :- R(a, b), S(b, c)
   family:   free-connex
-  backend:  columnar (forced by caller)
+  backend:  columnar (stored backend, m=6)
   structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
   order:    a > b > c
-  stats:    R: rows=2
-  stats:    S: rows=2
-  kernels:  numpy: fused group-lookup via reduceat + searchsorted (numba not active)
+  stats:    R: rows=2 distinct=(2, 2)
+  stats:    S: rows=2 distinct=(2, 2)
   count     via FAQ message passing (counting semiring), incrementally maintained -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
   access    via lex direct access on (a > b > c) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
@@ -67,7 +69,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
 LEX_ORDER_WITH_DISRUPTIVE_TRIO = """\
 plan for q(a, b, c) :- R(a, b), S(b, c)
   family:   free-connex
-  backend:  python (forced by caller)
+  backend:  python (stored backend, m=6)
   structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
   order:    a > c > b
   stats:    R: rows=2
@@ -82,7 +84,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
 ACYCLIC_MATERIALIZE = """\
 plan for q(x, z) :- R(x, y), S(y, z)
   family:   acyclic-materialize
-  backend:  python (forced by caller)
+  backend:  python (stored backend, m=6)
   structure: acyclic=True free-connex=False self-join-free=True rho*=2.000
   order:    x > z
   stats:    R: rows=2
@@ -99,7 +101,7 @@ plan for q(x, z) :- R(x, y), S(y, z)
 CYCLIC_FALLBACK = """\
 plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
   family:   cyclic-materialize
-  backend:  python (forced by caller)
+  backend:  python (stored backend, m=6)
   structure: acyclic=False free-connex=False self-join-free=True rho*=1.500
   order:    x > y > z
   stats:    R: rows=2

@@ -75,7 +75,7 @@ def test_materialize_families_serve_correct_pages(backend):
             },
             backend=backend,
         )
-        answers = session.prepare(query, backend=backend).run()
+        answers = session.prepare(query).run()
         oracle = sorted(query.evaluate_brute_force(session.db))
         assert len(answers) == len(oracle)
         assert answers[:] == oracle
@@ -116,7 +116,7 @@ def test_answer_set_paging_equals_sorted_materialization(query_db):
     brute = sorted(query.evaluate_brute_force(db))
     for backend in BACKENDS:
         session = Session(db.to_backend(backend))
-        prepared = session.prepare(query, backend=backend)
+        prepared = session.prepare(query)
         answers = prepared.run()
         positions = [query.head.index(v) for v in prepared.plan.order]
         oracle = sorted(

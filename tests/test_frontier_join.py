@@ -2,17 +2,16 @@
 fused semiring kernels.
 
 Three strategies must agree on every input: the breadth-first frontier
-join (columnar/sharded backends), the legacy depth-first search
-(``REPRO_FRONTIER=0``, and the only strategy on the python backend),
-and the brute-force reference.  On top of parity, this file pins the
-paths' guarantees: zero decodes up to the value boundary
+join (columnar/sharded backends), the depth-first stack search (the
+python backend — ``db.to_backend("python")`` is the independent
+oracle), and the brute-force reference.  On top of parity, this file
+pins the paths' guarantees: zero decodes up to the value boundary
 (``decoded_row_count``), no full-frame aggregation intermediates in
 the fused FAQ pipeline (``scratch_peak``), recursion-limit immunity of
-the explicit-stack legacy path, statistics-aware variable orders, and
-numpy/numba kernel agreement (skipped where numba is absent).
+the explicit-stack path, statistics-aware variable orders, and
+columnar/sharded/python agreement of the FAQ message passing.
 """
 
-import os
 import sys
 
 import numpy as np
@@ -56,12 +55,8 @@ SHARD_COUNTS = (1, 3)
 WORKER_COUNTS = (1, 3)
 
 
-def _recursive(monkeypatch):
-    monkeypatch.setenv("REPRO_FRONTIER", "0")
-
-
 # ----------------------------------------------------------------------
-# parity: frontier == recursive == brute force, across backends
+# parity: frontier == depth-first == brute force, across backends
 # ----------------------------------------------------------------------
 @given(queries_with_databases())
 @settings(max_examples=25)
@@ -99,16 +94,12 @@ def test_frontier_parity_sharded(query_db):
 def test_frontier_matches_recursive(query_db):
     query, db = query_db
     join_query = query.as_join_query()
-    columnar_db = db.to_backend("columnar")
-    frontier = generic_join(join_query, columnar_db)
-    os.environ["REPRO_FRONTIER"] = "0"
-    try:
-        assert generic_join(join_query, columnar_db) == frontier
-    finally:
-        del os.environ["REPRO_FRONTIER"]
+    frontier = generic_join(join_query, db.to_backend("columnar"))
+    assert generic_join(join_query, db.to_backend("python")) == frontier
+    assert join_query.evaluate_brute_force(db) == frontier
 
 
-def test_frontier_chunked_matches_serial(monkeypatch):
+def test_frontier_chunked_matches_serial():
     # Big enough that the sharded run splits frontiers into chunks
     # through the executor; the merge must stay bit-identical.
     db = agm_tight_triangle_db(2000, backend="sharded")
@@ -117,8 +108,9 @@ def test_frontier_chunked_matches_serial(monkeypatch):
     chunked = generic_join(query, db)
     serial = generic_join(query, db.to_backend("columnar"))
     assert chunked == serial
-    _recursive(monkeypatch)
-    assert generic_join(query, db) == chunked
+    reference = db.to_backend("python")
+    assert generic_join(query, reference) == chunked
+    assert query.evaluate_brute_force(reference) == chunked
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +188,7 @@ def test_codes_path_refuses_python_backend():
 
 
 def test_sixty_variable_chain_low_recursion_limit():
-    # The legacy path is an explicit stack: a 60-variable chain order
+    # The depth-first path is an explicit stack: a 60-variable chain order
     # must survive a recursion limit far below the variable count.
     query = path_query(60)
     db = Database()
@@ -213,7 +205,7 @@ def test_sixty_variable_chain_low_recursion_limit():
     assert len(answers) == 2
 
 
-def test_loomis_whitney_and_clique_parity(monkeypatch):
+def test_loomis_whitney_and_clique_parity():
     lw = loomis_whitney_query(3, boolean=False)
     clique = clique_query(3)
     for query in (lw, clique):
@@ -227,9 +219,7 @@ def test_loomis_whitney_and_clique_parity(monkeypatch):
         assert expected
         got = generic_join(query, db.to_backend("columnar"))
         assert got == expected
-        _recursive(monkeypatch)
-        assert generic_join(query, db.to_backend("columnar")) == expected
-        monkeypatch.delenv("REPRO_FRONTIER")
+        assert generic_join(query, db.to_backend("python")) == expected
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +257,6 @@ def test_explain_cites_measured_statistics():
     ).explain()
     assert "stats:    R: rows=2 distinct=(2, 2)" in text
     assert "wcoj:     breadth-first frontier arrays" in text
-    assert "kernels:" in text
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +268,7 @@ def _chain_db(n=200, keys=3):
             "R": [(i, i % keys) for i in range(n)],
             "S": [(i % keys, i) for i in range(n)],
         }
-    ).to_backend("columnar")
+    )
 
 
 CHAIN = parse_query("q(a, b, c) :- R(a, b), S(b, c)")
@@ -296,32 +285,39 @@ OBJECT_COUNTING = Semiring(
 @pytest.mark.parametrize(
     "semiring", [COUNTING, MIN_PLUS, BOOLEAN, OBJECT_COUNTING]
 )
-def test_fused_matches_chained(semiring, monkeypatch):
+def test_fused_matches_sharded_and_python(semiring):
+    """The three FAQ paths — fused (plain columnar frames), per-shard
+    message merge (sharded frames) and the scalar dict fold (python) —
+    agree."""
     db = _chain_db()
-    fused = aggregate_acyclic(CHAIN, db, semiring)
-    monkeypatch.setenv("REPRO_FAQ_FUSED", "0")
-    chained = aggregate_acyclic(CHAIN, db, semiring)
-    assert fused == chained
-    assert type(fused) is type(chained)
+    fused = aggregate_acyclic(CHAIN, db.to_backend("columnar"), semiring)
+    assert fused == aggregate_acyclic(CHAIN, db, semiring)
+    for shard_count in SHARD_COUNTS:
+        sharded = db.to_backend("sharded", shard_count=shard_count)
+        merged = aggregate_acyclic(CHAIN, sharded, semiring)
+        assert fused == merged
+        # The two array programs also agree on the carrier type (the
+        # scalar fold keeps Python ints where min-plus arrays are float).
+        assert type(fused) is type(merged)
 
 
-def test_fused_allocates_no_full_size_intermediate(monkeypatch):
-    n = 200
-    db = _chain_db(n=n)
+def test_fused_allocates_no_full_size_intermediate():
+    n, keys = 200, 3
+    db = _chain_db(n=n, keys=keys)
+    columnar_db = db.to_backend("columnar")
     reset_scratch_peak()
-    fused_total = aggregate_acyclic(CHAIN, db, COUNTING)
+    fused_total = aggregate_acyclic(CHAIN, columnar_db, COUNTING)
     fused_peak = scratch_peak()
+    single_shard = db.to_backend("sharded", shard_count=1)
     reset_scratch_peak()
-    monkeypatch.setenv("REPRO_FAQ_FUSED", "0")
-    chained_total = aggregate_acyclic(CHAIN, db, COUNTING)
-    chained_peak = scratch_peak()
-    assert fused_total == chained_total
-    # The chained pipeline gathers one full-frame incoming column per
+    merged_total = aggregate_acyclic(CHAIN, single_shard, COUNTING)
+    merged_peak = scratch_peak()
+    assert fused_total == merged_total
+    # The per-shard pipeline gathers one full-shard incoming column per
     # child; the fused pass materializes only the reduced message
     # (one entry per distinct separator key).
-    assert chained_peak >= n
-    assert fused_peak < n
-    assert fused_peak < chained_peak
+    assert merged_peak >= n
+    assert fused_peak <= keys
 
 
 def test_fused_group_lookup_primitive_matches_chain():
@@ -355,39 +351,15 @@ def test_fused_group_lookup_primitive_matches_chain():
     )
 
 
-# ----------------------------------------------------------------------
-# compiled kernels: numpy/numba agreement, graceful absence
-# ----------------------------------------------------------------------
-def test_kernel_backend_reports_numpy_without_numba(monkeypatch):
-    from repro.semiring import kernels
-
-    if kernels.numba is not None:
-        pytest.skip("numba installed; covered by the parity test")
-    assert kernels.kernel_backend() == "numpy"
-    assert COUNTING.fused_kernel() is None
-    monkeypatch.setenv("REPRO_KERNELS", "numba")
-    with pytest.raises(RuntimeError):
-        kernels.kernel_backend()
-
-
-@pytest.mark.parametrize("semiring", [COUNTING, MIN_PLUS, BOOLEAN])
-def test_numba_kernels_match_numpy(semiring, monkeypatch):
-    pytest.importorskip("numba")
-    monkeypatch.setenv("REPRO_KERNELS", "numba")
-    kernel = semiring.fused_kernel()
-    assert kernel is not None
-    db = _chain_db()
-    compiled = aggregate_acyclic(CHAIN, db, semiring)
-    monkeypatch.setenv("REPRO_KERNELS", "numpy")
-    assert semiring.fused_kernel() is None
-    plain = aggregate_acyclic(CHAIN, db, semiring)
-    assert compiled == plain
-
-
-def test_object_escape_hatch_ignores_kernels(monkeypatch):
-    # Object-dtype semirings must never consult the compiled kernels.
-    monkeypatch.setenv("REPRO_KERNELS", "numba")
-    assert OBJECT_COUNTING.fused_kernel() is None
+def test_object_escape_hatch_ignores_kernels():
+    # Object-dtype semirings declare no NumPy kernels: they vectorize
+    # through frompyfunc lifts of their scalar ops, same answers.
+    _, _, dtype = OBJECT_COUNTING.kernels()
+    assert dtype == np.dtype(object)
+    db = _chain_db().to_backend("columnar")
+    assert aggregate_acyclic(
+        CHAIN, db, OBJECT_COUNTING
+    ) == aggregate_acyclic(CHAIN, db, COUNTING)
 
 
 # ----------------------------------------------------------------------

@@ -209,10 +209,10 @@ def test_parallel_session_update_stream_parity(query_db, ops):
         return
     arity = query.atoms[0].arity
     target = query.atoms[0].relation
-    threaded = connect(db.to_backend("python"), workers=3)
-    prepared = threaded.prepare(query, backend="sharded")
+    threaded = connect(db.to_backend("sharded"), workers=3)
+    prepared = threaded.prepare(query)
     oracle_session = connect(db.to_backend("python"))
-    oracle = oracle_session.prepare(query, backend="python")
+    oracle = oracle_session.prepare(query)
     answers, expected = prepared.run(), oracle.run()
     for is_add, row in ops:
         row = row[:arity] + (0,) * (arity - len(row))

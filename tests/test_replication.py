@@ -7,7 +7,9 @@ into a leader/follower protocol.  Pinned here:
   converges after arbitrary leader updates via coded delta pulls, on
   all three backends;
 - the follower's *own* prepared queries stay live across syncs (the
-  replica is a full session, not a passive mirror);
+  replica is a full session, not a passive mirror) — at every size
+  and on every leader backend, over the in-process feed and over the
+  HTTP replica transport;
 - transient transport failures retry with exponential backoff
   (injectable sleep — the tests assert the actual delays) and give
   up with :class:`ReplicationError` when attempts or the time budget
@@ -21,6 +23,7 @@ import os
 
 import pytest
 
+from repro.db.database import Database
 from repro.engine import connect
 from repro.engine.replication import (
     FollowerSession,
@@ -28,6 +31,8 @@ from repro.engine.replication import (
     ReplicationError,
     TransientReplicationError,
 )
+from repro.query.parser import parse_query
+from repro.semiring.semirings import COUNTING
 
 BACKENDS = ("python", "columnar", "sharded")
 
@@ -87,6 +92,80 @@ def test_follower_prepared_queries_stay_live():
     leader.add("S", (3, 0))
     follower.sync()
     assert set(map(tuple, answers)) == {(1,), (2,), (7,)}
+
+
+TWO_PATH = "q(x, y, z) :- R(x, y), S(y, z)"
+PATH_ROWS = {
+    "R": [(i, i % 1000) for i in range(3000)],
+    "S": [(j % 1000, 10_000 + j) for j in range(3000)],
+}
+JOINING_PAIR = {"R": (90_001, 90_002), "S": (90_002, 90_003)}
+
+
+def _brute_force_after_pair():
+    query = parse_query(TWO_PATH)
+    db = Database.from_dict(PATH_ROWS)
+    for name, row in JOINING_PAIR.items():
+        db[name].add(row)
+    return sorted(query.evaluate_brute_force(db))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_follower_answers_track_leader_at_scale(backend):
+    """A follower's prepared query — opened *before* the leader's
+    update — reads the update after ``sync()``: same ``len`` / page /
+    aggregate as the leader and as brute force.  (With 6 000 tuples a
+    follower session used to execute on a private columnar copy that
+    ``sync()`` never touched, so it answered 9 000 forever.)"""
+    leader = connect(PATH_ROWS, backend=backend)
+    follower = FollowerSession(LeaderFeed(leader))
+    answers = follower.prepare(TWO_PATH).run()
+    assert len(answers) == 9000
+    for name, row in JOINING_PAIR.items():
+        leader.add(name, row)
+    follower.sync()
+
+    expected = _brute_force_after_pair()
+    assert len(expected) == 9001
+    for session in (leader, follower):
+        # A fresh prepare and the long-lived handle must both be live.
+        for live in (session.prepare(TWO_PATH).run(), answers):
+            assert len(live) == len(expected)
+            assert live.page(8990, 20) == expected[8990:9010]
+            assert live.aggregate(COUNTING) == len(expected)
+
+
+def test_http_follower_answers_track_leader_at_scale():
+    """The same contract over the HTTP replica transport, against a
+    python-backend tenant (the configuration that used to go stale)."""
+    from repro.server import ServerClient, ServerThread
+
+    with ServerThread(flush_interval=0.005) as server:
+        client = ServerClient(server.host, server.port)
+        try:
+            client.create_db("lead", backend="python")
+            for name, rows in PATH_ROWS.items():
+                client.add("lead", name, rows)
+            remote = client.prepare("lead", TWO_PATH)
+            follower = connect(replica_of=client.replica_url("lead"))
+            answers = follower.prepare(TWO_PATH).run()
+            assert len(answers) == remote.count() == 9000
+            for name, row in JOINING_PAIR.items():
+                client.add("lead", name, [row])
+            follower.sync()
+
+            expected = _brute_force_after_pair()
+            assert len(answers) == remote.count() == len(expected)
+            page = expected[8990:9010]
+            assert answers.page(8990, 20) == remote.page(8990, 20) == page
+            assert (
+                answers.aggregate(COUNTING)
+                == remote.aggregate("counting")
+                == len(expected)
+            )
+            follower.close()
+        finally:
+            client.close()
 
 
 def test_new_leader_relation_reaches_the_follower():

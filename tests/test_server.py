@@ -88,6 +88,7 @@ def test_tenant_lifecycle_and_isolation():
 
         info = client.db_info("alpha")
         assert info["relations"]["E"]["size"] == 1
+        assert info["backend"] == qa.info["backend"] == "columnar"
         assert info["handles"] == [qa.handle]
 
         client.drop_db("alpha")
@@ -147,9 +148,7 @@ def test_prepare_page_len_aggregate_match_oracle(backend):
         client.create_db("db", backend=backend)
         client.add("db", "R", r_rows)
         client.add("db", "S", s_rows)
-        q = client.prepare(
-            "db", "q(x, y) :- R(x, z), S(z, y)", backend=backend
-        )
+        q = client.prepare("db", "q(x, y) :- R(x, z), S(z, y)")
         assert q.info["backend"] == backend
         assert q.info["family"]
         expected = oracle_join(r_rows, s_rows)
@@ -277,7 +276,7 @@ def test_watch_observes_every_change_exactly_once_in_order():
 def test_watch_deltas_carry_exact_counts_on_columnar():
     with serving(flush_rows=1) as (server, client):
         client.create_db("db", backend="columnar")
-        q = client.prepare("db", "q(x) :- E(x, y)", backend="columnar")
+        q = client.prepare("db", "q(x) :- E(x, y)")
         events = []
         done = threading.Event()
 
@@ -440,6 +439,19 @@ def test_error_envelope_codes():
         with pytest.raises(ServerError) as excinfo:
             client.prepare("db", "q(x) :- E(x, y)", semiring="modular")
         assert excinfo.value.code == "bad_semiring"
+
+        # The backend is a property of the database, not of a prepare.
+        with pytest.raises(ServerError) as excinfo:
+            client._json(
+                "POST",
+                "/v1/db/db/prepare",
+                {"query": "q(x) :- E(x, y)", "backend": "python"},
+            )
+        assert (excinfo.value.status, excinfo.value.code) == (
+            400,
+            "bad_request",
+        )
+        assert "POST /v1/db/{name}" in excinfo.value.message
 
         with pytest.raises(ServerError) as excinfo:
             client.create_db("bad$name")

@@ -132,17 +132,3 @@ def test_shared_pools_close_and_self_heal():
     assert executor._pool is None
     assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
     close_shared_pools()
-
-
-def test_mirrors_close_with_the_session():
-    session = connect(
-        {"R": [(i, i + 1) for i in range(30)]}, backend="python"
-    )
-    # Forcing a different backend materializes a mirror.
-    prepared = session.prepare(
-        "q(x, y) :- R(x, y)", backend="columnar"
-    )
-    assert prepared.count() == 30
-    assert session._mirrors
-    session.close()
-    assert not session._mirrors

@@ -110,17 +110,6 @@ def test_coded_mutators_route_to_shards():
     assert rel.rows() == frozenset({(1, 2), (2, 1)})
 
 
-def test_preferred_backend_never_reencodes_columnar():
-    from repro.db.interface import preferred_backend
-
-    huge = 1 << 20
-    # Encoded stores stay on their layout; python promotes by size.
-    assert preferred_backend(huge, "columnar") == "columnar"
-    assert preferred_backend(huge, "sharded") == "sharded"
-    assert preferred_backend(huge, "python") == "sharded"
-    assert preferred_backend(10, "python") == "python"
-
-
 def test_empty_relation_and_arity_zero():
     empty = ShardedColumnarRelation("E", 2, shard_count=3)
     assert len(empty) == 0 and empty.is_empty()
@@ -317,10 +306,10 @@ def test_session_update_stream_parity(query_db, ops):
         return
     arity = query.atoms[0].arity
     target = query.atoms[0].relation
-    session_sh = connect(db.to_backend("python"), backend="python")
-    prepared = session_sh.prepare(query, backend="sharded")
-    session_py = connect(db.to_backend("python"), backend="python")
-    oracle = session_py.prepare(query, backend="python")
+    session_sh = connect(db.to_backend("sharded"))
+    prepared = session_sh.prepare(query)
+    session_py = connect(db.to_backend("python"))
+    oracle = session_py.prepare(query)
     answers, expected = prepared.run(), oracle.run()
     for is_add, row in ops:
         row = row[:arity] if len(row) >= arity else row + (0,) * (
@@ -349,11 +338,12 @@ def test_prepared_plan_cache():
     refreshed = session.prepare(text)
     assert refreshed is not first
     assert refreshed.count() == first.count()
-    # The resolved backend is part of the key.
-    forced = session.prepare(text, backend="sharded")
+    # Another backend is another session over a converted database.
+    sharded = connect(session.db.to_backend("sharded"))
+    forced = sharded.prepare(text)
     assert forced is not refreshed
     assert forced.plan.backend == "sharded"
-    assert session.prepare(text, backend="sharded") is forced
+    assert sharded.prepare(text) is forced
 
 
 def test_sharded_session_serves_all_capabilities():
@@ -361,7 +351,7 @@ def test_sharded_session_serves_all_capabilities():
             "R2": [(i % 19, i % 7) for i in range(300)]}
     session = connect(rows, backend="sharded")
     prepared = session.prepare("q(z, x1, x2) :- R1(x1, z), R2(x2, z)")
-    oracle = connect(rows).prepare(
+    oracle = connect(rows, backend="python").prepare(
         "q(z, x1, x2) :- R1(x1, z), R2(x2, z)"
     )
     answers, expected = prepared.run(), oracle.run()
