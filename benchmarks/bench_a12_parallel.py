@@ -1,27 +1,15 @@
-"""A12 — parallel, spillable shard execution.
+"""A12 — spillable shard storage.
 
-PR 8's ShardExecutor layer, measured three ways:
-
-- **threaded aggregation** — counting + tropical aggregation of an
-  acyclic star query over the sharded backend, serial executor vs a
-  thread pool (``workers=4``).  Per-shard FAQ messages run
-  concurrently (the NumPy kernels release the GIL) and merge in shard
-  order, so the answers are asserted *identical*; on a multi-core
-  host the threaded run must clear the speedup floor (>= 2x with 4+
-  cores, >= 1.2x with 2-3; single-core hosts assert parity only).
-- **co-partitioned joins** — both sides hash-partitioned on the
-  shared join variable: shard *i* joins shard *i* directly, with
-  **zero** build-side materialization (``coalesced_row_peak``),
-  vs the broadcast fallback that coalesces the build side.
-- **spilled aggregation** — the same query suite answered with
-  ``max_resident_shards=1``: all but one shard's code matrix lives on
-  disk as an ``np.memmap``, and answers must stay identical while the
-  residency budget holds.
+**Spilled aggregation** — counting + tropical aggregation of an
+acyclic star query answered with ``max_resident_shards=1``: all but
+one shard's stored code matrix lives on disk as an ``np.memmap``, and
+answers must stay identical to the fully-resident database while the
+residency budget holds.
 
 Timings append to ``benchmarks/BENCH_backends.json`` for the perf
-trajectory.  Set ``BENCH_SMOKE=1`` for tiny sizes with the speed
-assertions relaxed (parity and the structural assertions always run;
-CI wires this into the bench-smoke matrix).
+trajectory.  Set ``BENCH_SMOKE=1`` for tiny sizes (parity and the
+residency assertion always run; CI wires this into the bench-smoke
+matrix).
 """
 
 import os
@@ -30,8 +18,6 @@ import time
 
 from repro.counting import count_answers
 from repro.db import Database
-from repro.db.sharded import coalesced_row_peak, reset_coalesced_row_peak
-from repro.joins.vectorized import ShardedColumnarFrame
 from repro.query import catalog
 from repro.semiring.faq import aggregate_acyclic
 from repro.semiring.semirings import MIN_PLUS
@@ -40,15 +26,9 @@ from repro.util.rng import make_rng
 from benchmarks._harness import emit_perf_trajectory, fmt_seconds
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
-CORES = os.cpu_count() or 1
 
 STAR_M = 1_000 if SMOKE else 60_000  # per relation; total m = 2x
-JOIN_ROWS = 2_000 if SMOKE else 200_000
 SHARDS = 4
-WORKERS = 4
-# Threaded speedup floors, by how much hardware is actually there.
-MIN_SPEEDUP_SMOKE = 1.2   # >= 2 cores (the CI runners)
-MIN_SPEEDUP_FULL = 2.0    # >= 4 cores
 
 STAR_QUERY = catalog.star_query_full(2, self_join_free=True)
 
@@ -91,116 +71,6 @@ def _emit(workload, m, seconds):
             for backend, value in seconds.items()
         ],
     )
-
-
-def test_a12_threaded_aggregation(benchmark, experiment_report):
-    domain = max(STAR_M // 40, 3)
-    rows = _star_rows(STAR_M, domain, seed=37)
-    databases = {
-        "serial": Database.from_dict(
-            rows, backend="sharded", shard_count=SHARDS, workers=1
-        ),
-        "threaded": Database.from_dict(
-            rows, backend="sharded", shard_count=SHARDS, workers=WORKERS
-        ),
-    }
-
-    def suite(db):
-        return (
-            count_answers(STAR_QUERY, db),
-            aggregate_acyclic(STAR_QUERY, db, MIN_PLUS),
-        )
-
-    def run():
-        results, seconds = {}, {}
-        for mode, db in databases.items():
-            results[mode], seconds[mode] = _best_of(
-                lambda db=db: suite(db), 1 if SMOKE else 3
-            )
-        return results, seconds
-
-    results, seconds = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert results["threaded"] == results["serial"]  # bit-identical
-    speedup = seconds["serial"] / seconds["threaded"]
-    if CORES >= 4 and not SMOKE:
-        floor = MIN_SPEEDUP_FULL
-    elif CORES >= 2:
-        floor = MIN_SPEEDUP_SMOKE
-    else:
-        floor = None  # single-core host: parity is the whole claim
-    experiment_report.row(
-        f"count+min-plus q*_2, m={2 * STAR_M}, {SHARDS} shards, "
-        f"{WORKERS} workers on {CORES} cores",
-        "identical answers"
-        + (f", >= {floor}x over serial" if floor else " (1 core)"),
-        f"{speedup:.2f}x over serial (serial "
-        f"{fmt_seconds(seconds['serial'])}, threaded "
-        f"{fmt_seconds(seconds['threaded'])})",
-    )
-    _emit("parallel_aggregate", 2 * STAR_M, seconds)
-    if floor is not None:
-        assert speedup >= floor
-
-
-def test_a12_co_partitioned_join(benchmark, experiment_report):
-    rng = make_rng(41)
-    domain = max(JOIN_ROWS // 50, 5)
-    db = Database(backend="sharded", shard_count=SHARDS, workers=1)
-    db.add_relation(
-        db.new_relation(
-            "R",
-            2,
-            [
-                (rng.randrange(domain), rng.randrange(64))
-                for _ in range(JOIN_ROWS)
-            ],
-        )
-    )
-    db.add_relation(
-        db.new_relation(
-            "S",
-            2,
-            [
-                (rng.randrange(domain), rng.randrange(64))
-                for _ in range(JOIN_ROWS // 2)
-            ],
-        )
-    )
-    # Both frames partitioned on the join variable "x" (key column 0).
-    left = ShardedColumnarFrame.from_sharded_atom(db["R"], ("x", "y"))
-    right = ShardedColumnarFrame.from_sharded_atom(db["S"], ("x", "z"))
-    assert left._co_partitioned(right)
-    # Renaming the build side's partition variable forces broadcast.
-    broadcast_right = right.rename({"x": "x2"}).rename({"x2": "x"})
-
-    def run():
-        seconds = {}
-        _, seconds["broadcast"] = _best_of(
-            lambda: left.join(broadcast_right), 1 if SMOKE else 3
-        )
-        reset_coalesced_row_peak()
-        joined, seconds["co_partitioned"] = _best_of(
-            lambda: left.join(right), 1 if SMOKE else 3
-        )
-        peak = coalesced_row_peak()
-        return joined, peak, seconds
-
-    joined, peak, seconds = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    assert peak == 0  # shard i met shard i; nothing was coalesced
-    oracle = set(left.to_plain().join(right.to_plain()).rows)
-    assert set(joined.rows) == oracle
-    relative = seconds["broadcast"] / seconds["co_partitioned"]
-    experiment_report.row(
-        f"R(x,y) |x| S(x,z), m={JOIN_ROWS + JOIN_ROWS // 2}, "
-        f"{SHARDS}x{SHARDS} shards",
-        "identical rows, zero build-side coalesces",
-        f"{relative:.2f}x vs broadcast (broadcast "
-        f"{fmt_seconds(seconds['broadcast'])}, co-partitioned "
-        f"{fmt_seconds(seconds['co_partitioned'])})",
-    )
-    _emit("co_partition_join", JOIN_ROWS + JOIN_ROWS // 2, seconds)
 
 
 def test_a12_spilled_aggregation(benchmark, experiment_report):

@@ -13,12 +13,11 @@ PR 10's hot-path rewrite, measured two ways:
   asserted *identical* after decoding — to each other and to brute
   force — and the frontier path must clear a >= 5x floor at full
   size.
-- **fused vs per-shard FAQ messages** — counting + tropical
-  aggregation of a two-atom chain on plain columnar frames (the fused
-  group-lookup) and on the same rows in one shard (the group_reduce
-  -> gather message merge): the fused pass's peak scratch
-  (``scratch_peak``) must stay at the *distinct-key* count, not the
-  full frame size the per-shard pipeline allocates.
+- **fused FAQ messages** — counting + tropical aggregation of a
+  two-atom chain on columnar frames (the fused group-lookup) vs the
+  scalar dict fold on the python backend: identical scalars, and the
+  fused pass's peak scratch (``scratch_peak``) must stay at the
+  *distinct-key* count, not the frame size.
 
 Timings append to ``benchmarks/BENCH_backends.json`` for the perf
 trajectory.  Set ``BENCH_SMOKE=1`` for tiny sizes with the speedup
@@ -199,35 +198,25 @@ def _faq_suite(db):
 
 def test_a14_fused_faq(benchmark, experiment_report):
     db = _chain_db()
-    # One shard holds every row, so the per-shard pipeline's gathered
-    # column is a full-frame intermediate.
-    dbs = {
-        "fused": db,
-        "sharded": db.to_backend("sharded", shard_count=1),
-    }
+    dbs = {"fused": db, "python": db.to_backend("python")}
 
     def run():
-        results, seconds, peaks = {}, {}, {}
+        results, seconds = {}, {}
+        reset_scratch_peak()
         for mode, mode_db in dbs.items():
-            reset_scratch_peak()
             results[mode], seconds[mode] = _best_of(
                 lambda: _faq_suite(mode_db), 1 if SMOKE else 3
             )
-            peaks[mode] = scratch_peak()
-        return results, seconds, peaks
+        return results, seconds, scratch_peak()
 
-    results, seconds, peaks = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert results["fused"] == results["sharded"]  # exact scalars
-    # The fused kernel's scratch is bounded by the distinct join keys;
-    # the per-shard pipeline materializes a full-frame intermediate.
-    assert peaks["fused"] <= FAQ_KEYS
-    assert peaks["sharded"] >= FAQ_ROWS
+    results, seconds, peak = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert results["fused"] == results["python"]
+    # The fused kernel's scratch is bounded by the distinct join keys.
+    assert peak <= FAQ_KEYS
     experiment_report.row(
         f"count+min-plus chain FAQ, m={2 * FAQ_ROWS}, {FAQ_KEYS} keys",
-        f"identical scalars, fused scratch <= {FAQ_KEYS} "
-        f"vs per-shard >= {FAQ_ROWS}",
-        f"fused peak {peaks['fused']} vs per-shard {peaks['sharded']} "
-        f"(fused {fmt_seconds(seconds['fused'])}, per-shard "
-        f"{fmt_seconds(seconds['sharded'])})",
+        f"identical scalars, fused scratch <= {FAQ_KEYS}",
+        f"fused peak {peak} (fused {fmt_seconds(seconds['fused'])}, "
+        f"python {fmt_seconds(seconds['python'])})",
     )
     _emit("faq_fused", 2 * FAQ_ROWS, seconds)

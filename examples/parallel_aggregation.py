@@ -1,21 +1,20 @@
-"""Parallel, spillable shard execution (PR 8).
+"""Threaded, spillable shard storage (PR 8).
 
-Two knobs turn the sharded backend from "partitioned" into "uses the
-hardware":
+Two knobs on the sharded *storage layout* (queries themselves run the
+one columnar engine over the shards' concatenated code matrix):
 
 **Workers.**  ``connect(workers=N)`` (or the ``REPRO_WORKERS``
-environment variable) puts a thread pool over the shards: per-shard
-scans, co-partitioned join legs, and FAQ messages run concurrently
-(the NumPy kernels release the GIL) and merge in shard-index order, so
-every answer is bit-identical to serial execution.  ``explain()``
-reports the executor the plan will dispatch through.
+environment variable) puts a thread pool over the per-shard storage
+work — batch routing, compaction, coalescing, distinct counts — and
+collects results in shard-index order, so every answer is
+bit-identical to serial execution.
 
 **Spill.**  ``connect(spill_dir=..., max_resident_shards=K)`` bounds
 how many shards' compacted code matrices stay in RAM.  Cold shards are
 written once as versioned ``.npy`` files and re-opened as
 ``np.memmap`` — touching one faults it back in and evicts the
-least-recently-used resident shard, so a database larger than memory
-still serves the full query suite.
+least-recently-used resident shard.  The pool bounds the *stored*
+matrices; a query's working set is O(m), as on every backend.
 
 Run:  python examples/parallel_aggregation.py
 """
@@ -69,8 +68,8 @@ def main() -> None:
             "memory-mapped files)"
         )
 
-        # --- updates stay live: the maintainers fold each tuple into
-        # the owning shard only, and answers reflect it immediately
+        # --- updates stay live: each tuple lands in its owning
+        # shard's delta log, and answers reflect it immediately
         threaded.add("R", (5, 7))
         serial.add("R", (5, 7))
         threaded.discard("S", (0, 0))

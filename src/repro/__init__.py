@@ -47,22 +47,25 @@ pick a storage backend               ``connect(backend=...)`` /
                                      ``Database.to_backend``
 run shards in parallel               ``connect(workers=N)`` (or the
                                      ``REPRO_WORKERS`` environment
-                                     variable) — per-shard scans,
-                                     joins, and FAQ messages fan out
-                                     over a thread pool
-                                     (:mod:`repro.db.executor`) and
-                                     merge in shard order, so answers
-                                     stay bit-identical to serial;
-                                     ``explain()`` reports the
-                                     executor choice
-serve a database larger than RAM     ``connect(spill_dir=...,
+                                     variable) — the per-shard
+                                     *storage* work of the sharded
+                                     backend (batch routing,
+                                     compaction, coalesce, distinct
+                                     counts) maps over a thread pool
+                                     (:mod:`repro.db.executor`) in
+                                     shard order, bit-identical to
+                                     serial; queries themselves run
+                                     the one columnar path
+keep stored shards out of RAM        ``connect(spill_dir=...,
                                      max_resident_shards=K)`` — an
                                      LRU :class:`repro.db.spill.
-                                     SpillPool` keeps only hot
-                                     shards' code matrices resident;
-                                     cold shards live on disk as
+                                     SpillPool` bounds the resident
+                                     *stored* shard matrices; cold
+                                     shards live on disk as
                                      ``np.memmap`` files and fault
-                                     back in on touch
+                                     back in on touch.  A query's
+                                     working set is O(m), as on
+                                     every backend
 survive crashes / restart warm /     ``connect(path=...)`` — a durable
 replicate to read followers          session (CRC-checked WAL +
                                      atomic incremental checkpoints,
@@ -114,9 +117,8 @@ decoding                             breadth-first *frontier* Generic
                                      boundary
 speed up semiring aggregation        nothing — the fused group-lookup
                                      kernel (``fused_group_lookup``)
-                                     is the FAQ path on columnar
-                                     frames; sharded frames merge
-                                     per-shard messages instead
+                                     is the one FAQ path on the
+                                     columnar and sharded backends
 operate the durable store            ``DurableDatabase.verify()`` —
 (scrub / verify / repair /           re-check every checkpoint file
 quarantine)                          and WAL segment against manifest

@@ -91,7 +91,7 @@ DELTA_COMPACT_FRACTION = 0.25
 # aggregation, direct access, enumeration preprocessing) promise *zero*
 # per-row decodes on columnar inputs; tests assert that promise through
 # this hook rather than by auditing call sites.  The bump is lock-guarded:
-# per-shard work runs on pool threads (repro.db.executor) and an unguarded
+# concurrent readers decode on their own threads and an unguarded
 # read-modify-write would drop counts under contention.
 _DECODED_ROWS = 0
 _DECODED_LOCK = threading.Lock()
@@ -118,8 +118,9 @@ def reset_decoded_row_count() -> None:
 # (:func:`fused_group_lookup`) only ever materializes group-sized
 # reduced values, and tests assert that win through this hook instead
 # of auditing allocations.  Same locking rationale as the decode
-# counter: per-shard work runs on pool threads and an unguarded max
-# would let a smaller concurrent peak overwrite a larger one.
+# counter: concurrent readers aggregate on their own threads and an
+# unguarded max would let a smaller concurrent peak overwrite a larger
+# one.
 _SCRATCH_PEAK = 0
 _SCRATCH_LOCK = threading.Lock()
 

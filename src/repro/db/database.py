@@ -43,8 +43,9 @@ class Database:
     join stack compares int codes instead of Python values, and
     ``"sharded"`` builds hash-partitioned
     :class:`~repro.db.sharded.ShardedColumnarRelation` objects
-    (``shard_count`` shards each, over the same shared dictionary) for
-    batched ingestion and merge-based distributed aggregation.
+    (``shard_count`` shards each, over the same shared dictionary) —
+    a storage layout for batched ingestion, per-shard compaction /
+    checkpoints and spilling; queries read it like a columnar relation.
     """
 
     def __init__(
@@ -61,9 +62,9 @@ class Database:
             Dictionary() if backend in ("columnar", "sharded") else None
         )
         self.shard_count = shard_count
-        # Per-shard execution / residency knobs (sharded backend only):
-        # workers sizes the ShardExecutor every created relation (and
-        # frame derived from it) dispatches through; spill_dir /
+        # Per-shard storage / residency knobs (sharded backend only):
+        # workers sizes the ShardExecutor every created relation's
+        # per-shard storage maps dispatch through; spill_dir /
         # max_resident_shards configure an LRU SpillPool that keeps
         # only the hot shards' main segments in RAM (out-of-core).
         self.workers = workers

@@ -1,10 +1,11 @@
 """Shard execution layer: serial and thread-pooled per-shard map/reduce.
 
-Every per-shard loop in the sharded substrate — batched ingestion and
-``delta_since`` assembly (:mod:`repro.db.sharded`), frame algebra over
-shard parts (:mod:`repro.joins.vectorized`), and per-shard FAQ message
-computation (:mod:`repro.semiring.faq`) — dispatches through a
-:class:`ShardExecutor` instead of a bare ``for`` loop.
+Every per-shard loop of the sharded *storage* layer
+(:mod:`repro.db.sharded`) — batched ingestion, compaction,
+``delta_since`` assembly, coalescing ``codes()``, distinct counts —
+dispatches through a :class:`ShardExecutor` instead of a bare ``for``
+loop.  Query algorithms never fan out over shards: they read the
+coalesced code matrix.
 
 Two implementations share the contract "``map(fn, items)`` returns
 ``[fn(item) for item in items]`` in input order":
@@ -20,15 +21,15 @@ Two implementations share the contract "``map(fn, items)`` returns
   disjoint, so per-shard calls never contend on relation internals.
 
 Because ``pool.map`` yields results in submission order, a parallel map
-over shards is a *drop-in* replacement for the serial loop: downstream
-merges see shard parts in shard-index order and results stay
-bit-identical to serial execution.
+over shards is a *drop-in* replacement for the serial loop: shard
+parts concatenate in shard-index order and results stay bit-identical
+to serial execution.
 
 Worker count resolution (:func:`resolve_workers`): an explicit value
 wins, then the ``REPRO_WORKERS`` environment variable, then
 ``os.cpu_count()``.  ``connect(workers=...)`` threads an explicit value
-through :class:`repro.db.database.Database` down to every relation and
-frame.
+through :class:`repro.db.database.Database` down to every sharded
+relation.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class ShardExecutor:
     """Maps a function over per-shard work items, preserving order.
 
     The base class doubles as the serial strategy; subclasses override
-    :meth:`map`.  ``workers`` is informational (planner / ``explain()``).
+    :meth:`map`.  ``workers`` is informational.
     """
 
     workers: int = 1
@@ -101,9 +102,9 @@ class SerialExecutor(ShardExecutor):
 #: Process-wide serial singleton (executors are stateless re: shards).
 SERIAL = SerialExecutor()
 
-# A worker thread that re-enters map() (e.g. a parallel join inside a
-# parallel aggregation) must run inline: waiting on the same bounded
-# pool from inside the pool can deadlock once all workers block.
+# A worker thread that re-enters map() must run inline: waiting on
+# the same bounded pool from inside the pool can deadlock once all
+# workers block.
 _REENTRANT = threading.local()
 
 
@@ -209,9 +210,3 @@ def set_default_executor(
     with _DEFAULT_LOCK:
         _DEFAULT = executor
     return get_default_executor()
-
-
-def executor_of(obj: object) -> ShardExecutor:
-    """``obj.executor`` if one was injected, else the process default."""
-    executor = getattr(obj, "executor", None)
-    return executor if executor is not None else get_default_executor()

@@ -10,8 +10,13 @@ backend        tuple store (relations)                        frame (operator al
 ``"python"``   :class:`repro.db.relation.Relation`            :class:`repro.joins.frame.Frame`
 ``"columnar"`` :class:`repro.db.columnar.ColumnarRelation`    :class:`repro.joins.vectorized.ColumnarFrame`
 ``"sharded"``  :class:`repro.db.sharded.ShardedColumnarRelation`
-                                                              :class:`repro.joins.vectorized.ShardedColumnarFrame`
+                                                              :class:`repro.joins.vectorized.ColumnarFrame`
 =============  =============================================  ==========================================
+
+Sharding is a *storage layout*, not a third execution engine: a
+sharded relation is a :class:`~repro.db.columnar.ColumnarRelation`
+whose ``codes()`` is the cached concatenation of its shards, and every
+algorithm reads it through that one interface.
 
 The backend is selected with a ``backend=`` switch at the boundaries —
 :class:`repro.db.database.Database` (default ``"python"``, the
@@ -97,8 +102,8 @@ BACKENDS = ("python", "columnar", "sharded")
 # Shard-count heuristic for Database.to_backend("sharded") without an
 # explicit count: aim for roughly this many tuples per shard,
 # doubling the shard count until reached, capped at MAX_SHARD_COUNT
-# (diminishing returns: each extra shard adds one message to every
-# cross-shard merge).
+# (diminishing returns: each extra shard adds one part to every
+# coalesce and one file to every checkpoint).
 SHARD_TARGET_ROWS = 1 << 15
 MAX_SHARD_COUNT = 16
 

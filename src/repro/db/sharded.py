@@ -1,6 +1,6 @@
 """Sharded columnar storage: hash-partitioned code matrices.
 
-This module is the partitioned half of the columnar substrate: a
+This module is a *storage layout*, not an execution engine: a
 :class:`ShardedColumnarRelation` stores its tuples as ``shard_count``
 independent :class:`~repro.db.columnar.ColumnarRelation` shards — each
 a compacted main segment plus delta segments — over **one shared
@@ -8,16 +8,19 @@ dictionary**.  Rows are routed by a multiplicative hash of the code in
 one *key column*, so equal tuples always land in the same shard and
 the shards partition the tuple set.
 
-Why the shared :class:`~repro.db.columnar.Dictionary` is the natural
-shard boundary: dictionary codes are append-only and global, so two
-shards' code matrices are directly comparable — a cross-shard join
-compares ints, never values, and a shard's FAQ message is already a
-``(separator codes, weight column)`` pair.  Cross-shard aggregation is
-therefore just a *merge of messages* — one
-:func:`repro.db.columnar.group_reduce` over the concatenation of the
-per-shard messages — with no shared mutable state beyond the
-append-only dictionary (see
-:func:`repro.semiring.faq._aggregate_frames_columnar`).
+What the layout buys is per-shard *storage* work: hash-routed batched
+ingestion, per-shard delta logs and compaction, per-shard checkpoint
+files, and an LRU :class:`~repro.db.spill.SpillPool` that keeps cold
+shards' main segments on disk.  Those per-shard maps dispatch through
+the relation's :class:`~repro.db.executor.ShardExecutor`.  Queries do
+not see the partitioning: dictionary codes are append-only and global,
+so the shards' code matrices concatenate into one ordinary columnar
+code matrix, and every algorithm (joins, FAQ message passing, direct
+access, enumeration, Generic Join) reads the relation through
+:meth:`ShardedColumnarRelation.codes` — the cached shard
+concatenation — exactly as it reads an unsharded
+:class:`~repro.db.columnar.ColumnarRelation`.  A query's working set
+is therefore O(m) whatever the shard count or spill budget.
 
 **Ingestion.**  ``add_all`` encodes the whole batch once, computes the
 shard of every row in one vectorized hash pass, and hands each shard
@@ -43,14 +46,11 @@ parent-level — routing is deterministic (bit-identical scalar and
 vectorized hashes), so re-applying the parent-named records rebuilds
 identical shards without persisting any shard ids.
 
-**Materialization accounting.**  The promise of the sharded pipelines
-is that the count/aggregate path never materializes a global array
-larger than one shard (plus the merged separator domain).  Every place
-that *does* coalesce shards into one global matrix (``codes()`` on the
-relation, ``ShardedColumnarFrame._codes``) reports the coalesced row
-count through :func:`note_coalesce`; benchmarks and tests read the
-peak via :func:`coalesced_row_peak` to assert the promise, the same
-way :func:`repro.db.columnar.decoded_row_count` asserts zero decodes.
+**Coalesce counter.**  Every multi-shard concatenation in
+``codes()`` reports its row count through :func:`note_coalesce`;
+:func:`coalesced_row_peak` reads the largest one since the last reset.
+It is a plain counter for benchmarks (how many rows did serving this
+query concatenate), not a promise that any path avoids coalescing.
 """
 
 from __future__ import annotations
@@ -89,12 +89,10 @@ _MASK = (1 << 64) - 1
 # ----------------------------------------------------------------------
 # coalesce instrumentation
 # ----------------------------------------------------------------------
-# Peak row count of any multi-shard coalesce (global materialization)
-# since the last reset.  The shard-parallel pipelines promise zero on
-# the aggregate path; benchmarks assert it through this hook.  The
-# read-compare-write is lock-guarded: coalesces can race on executor
-# worker threads (repro.db.executor), and an unguarded max would let a
-# smaller concurrent peak overwrite a larger one.
+# Peak row count of any multi-shard coalesce since the last reset.
+# The read-compare-write is lock-guarded: concurrent readers can
+# coalesce different relations at once, and an unguarded max would let
+# a smaller concurrent peak overwrite a larger one.
 _COALESCED_PEAK = 0
 _COALESCED_LOCK = threading.Lock()
 
@@ -200,12 +198,9 @@ class ShardedColumnarRelation(ColumnarRelation):
     (default: the first column), so the shards are disjoint and the
     routing of a tuple never changes.
 
-    Shard-aware consumers (:class:`repro.joins.vectorized.
-    ShardedColumnarFrame`, the FAQ message merge) read the shards
-    directly via :attr:`shards` / :meth:`shard_delta_since` and never
-    touch a global matrix; generic columnar consumers fall back to
-    :meth:`codes`, which coalesces — correct, merely unsharded — and
-    reports the materialization through :func:`note_coalesce`.
+    Storage-level consumers (checkpoints, the spill pool) read the
+    shards via :attr:`shards` / :meth:`shard_delta_since`; every query
+    algorithm reads :meth:`codes`, the cached shard concatenation.
     """
 
     backend = "sharded"
@@ -547,12 +542,11 @@ class ShardedColumnarRelation(ColumnarRelation):
     # access
     # ------------------------------------------------------------------
     def codes(self) -> np.ndarray:
-        """The *coalesced* global code matrix (shard concatenation).
+        """The global code matrix: the shards' matrices concatenated.
 
-        Correct for every generic columnar consumer, but it
-        materializes all shards into one array — shard-aware pipelines
-        read :attr:`shards` instead.  Multi-shard coalesces are
-        reported through :func:`note_coalesce`.
+        Cached until the next mutation; this is the one interface the
+        query algorithms read.  Multi-shard concatenations are counted
+        through :func:`note_coalesce`.
         """
         if self._coalesced is None:
             parts = self._exec().map(

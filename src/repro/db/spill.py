@@ -29,7 +29,10 @@ Mechanics and invariants:
 Threaded through ``Database(spill_dir=..., max_resident_shards=...)``
 and ``connect(...)``; every query path is oblivious — a memmap flows
 through the NumPy kernels exactly like a RAM array, so answers are
-bit-identical to the fully-resident run.
+bit-identical to the fully-resident run.  The pool bounds the *stored*
+matrices only: queries read a sharded relation through its coalesced
+``codes()`` (an in-RAM concatenation, cached until the next mutation),
+so a query's working set is O(m) whatever the budget.
 """
 
 from __future__ import annotations

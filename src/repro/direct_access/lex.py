@@ -46,15 +46,10 @@ gone (compaction past the threshold, or a bulk rewrite) refresh falls
 back to a full rebuild — the regime where patching would not have
 been cheaper anyway.
 
-**Sharded inputs.**  Direct access needs globally sorted per-node
-stores, so frames of the sharded backend
-(:class:`repro.joins.vectorized.ShardedColumnarFrame`) coalesce per
-node at build time — an inherently global structure.  Counting and
-aggregation never pay that: the engine serves ``count()`` /
-``aggregate()`` through the FAQ message passing, which on sharded
-frames computes one message per shard and merges them in the separator
-domain (:mod:`repro.semiring.faq`), so only an explicit ``access``
-demand materializes anything shard-global.
+**Sharded inputs.**  Sharding is a storage layout: a sharded relation
+binds to the same plain :class:`~repro.joins.vectorized.ColumnarFrame`
+as an unsharded one (through its coalesced ``codes()``), so the
+per-node stores are built, served and patched identically.
 
 When no layered tree exists (a disruptive trio), the ``strict=False``
 fallback materializes and sorts the whole result — the superlinear

@@ -89,14 +89,9 @@ class Plan:
     maintained_count: bool
     classification: QueryClassification
     routes: Tuple[PlanRoute, ...]
-    # 1 = unsharded; > 1 only when backend == "sharded": the hot
-    # pipelines then run one message per shard and merge (group_reduce
-    # over the concatenation of per-shard messages).
+    # 1 = unsharded; > 1 only when backend == "sharded".  A storage
+    # fact reported by explain(); no route depends on it.
     shard_count: int = 1
-    # Shard-executor width: 1 = serial, > 1 = per-shard work fans out
-    # over a thread pool of this many workers (repro.db.executor).
-    # Meaningful only when backend == "sharded".
-    workers: int = 1
     # Measured per-relation statistics (pre-rendered lines from
     # Session._measure_statistics): rows, per-column distinct counts,
     # shard-size histograms.  They break Generic Join variable-order
@@ -126,23 +121,9 @@ class Plan:
         ]
         if self.backend == "sharded":
             lines.append(
-                f"  shards:   {self.shard_count} (hash-partitioned on"
-                " the key column; one FAQ message per shard, merged by"
-                " group_reduce over their concatenation)"
-            )
-            if self.workers > 1:
-                executor = (
-                    f"threaded({self.workers} workers): per-shard maps"
-                    " fan out over a shared thread pool, merged in"
-                    " shard order (bit-identical to serial)"
-                )
-            else:
-                executor = "serial: shards are visited one at a time"
-            lines.append(f"  executor: {executor}")
-            lines.append(
-                "  joins:    shard-by-shard co-partitioned when both"
-                " sides are hash-partitioned on the same variable"
-                " (shard i joins shard i only); broadcast otherwise"
+                f"  shards:   {self.shard_count} (storage layout:"
+                " hash-partitioned on the key column; queries read the"
+                " coalesced code matrix)"
             )
         if self.order is not None:
             lines.append(f"  order:    {' > '.join(self.order)}")
@@ -156,14 +137,8 @@ class Plan:
             if self.backend in ("columnar", "sharded"):
                 strategy = (
                     "breadth-first frontier arrays (all prefixes per"
-                    " level extended at once; zero per-row decodes"
+                    " level extended at once; zero per-row decodes)"
                 )
-                if self.backend == "sharded":
-                    strategy += (
-                        f"; frontiers split into {self.shard_count}"
-                        " chunks per level through the shard executor"
-                    )
-                strategy += ")"
                 if self.stats:
                     strategy += (
                         "; variable-order ties broken by the measured"
@@ -229,7 +204,6 @@ def plan_query(
     stored_backend: str = "python",
     order: Optional[Sequence[str]] = None,
     stored_shard_count: Optional[int] = None,
-    workers: Optional[int] = None,
     stats: Sequence[str] = (),
 ) -> Plan:
     """Classify ``query`` and select pipelines for every capability.
@@ -240,9 +214,8 @@ def plan_query(
     searches for an admissible one).  For a sharded database
     ``stored_shard_count`` is its partitioning (default: the size
     heuristic :func:`repro.db.interface.preferred_shard_count`, which
-    is what ``Database.to_backend("sharded")`` partitions with) and
-    ``workers`` the shard-executor width the session will dispatch
-    with; ``explain()`` reports both.  ``stats`` carries measured
+    is what ``Database.to_backend("sharded")`` partitions with);
+    ``explain()`` reports it.  ``stats`` carries measured
     per-relation statistics the *session* collected (the planner stays
     pure — no relation is read here); ``explain()`` cites them and the
     worst-case-optimal routes note that variable-order ties break on
@@ -251,18 +224,16 @@ def plan_query(
     classification = classify(query)
     backend = check_backend(stored_backend)
     reason = f"stored backend, m={size}"
-    sharded = backend == "sharded"
     shard_count = 1
-    if sharded:
+    if backend == "sharded":
         shard_count = stored_shard_count or preferred_shard_count(size)
-    plan_workers = workers if (sharded and workers) else 1
 
     if query.is_boolean():
         if order is not None:
             raise ValueError("Boolean queries admit no answer order")
         return _plan_boolean(
             query, classification, backend, reason, shard_count,
-            plan_workers, tuple(stats),
+            tuple(stats),
         )
 
     head = tuple(query.head)
@@ -311,7 +282,6 @@ def plan_query(
         classification=classification,
         routes=routes,
         shard_count=shard_count,
-        workers=plan_workers,
         stats=tuple(stats),
     )
 
@@ -322,7 +292,6 @@ def _plan_boolean(
     backend: str,
     reason: str,
     shard_count: int = 1,
-    workers: int = 1,
     stats: Tuple[str, ...] = (),
 ) -> Plan:
     verdict = classification.verdict("boolean")
@@ -354,7 +323,6 @@ def _plan_boolean(
         classification=classification,
         routes=(decide, count),
         shard_count=shard_count,
-        workers=workers,
         stats=stats,
     )
 

@@ -360,20 +360,24 @@ class AnswerSet:
         return self.prepared._iterate()
 
     def __getitem__(self, item):
-        n = self.count()
-        if isinstance(item, slice):
-            return [
-                self.prepared._access(i)
-                for i in range(*item.indices(n))
-            ]
-        index = operator.index(item)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError(
-                f"index {item} out of range for {n} answers"
-            )
-        return self.prepared._access(index)
+        # One guard hold (it is re-entrant) around the count and every
+        # row access: a page is one consistent read — no writer can
+        # commit between the bounds check and a row, or between rows.
+        with self.prepared._serving_guard():
+            n = self.count()
+            if isinstance(item, slice):
+                return [
+                    self.prepared._access(i)
+                    for i in range(*item.indices(n))
+                ]
+            index = operator.index(item)
+            if index < 0:
+                index += n
+            if not 0 <= index < n:
+                raise IndexError(
+                    f"index {item} out of range for {n} answers"
+                )
+            return self.prepared._access(index)
 
     def first(self, k: int) -> List[Row]:
         """The first ``k`` answers in enumeration order."""

@@ -39,7 +39,6 @@ import os
 from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.db.database import Database, attach
-from repro.db.executor import executor_of
 from repro.db.interface import check_backend
 from repro.engine.planner import plan_query
 from repro.engine.prepared import AnswerSet, PreparedQuery
@@ -170,7 +169,6 @@ class Session:
             stored_backend=self.db.backend,
             order=order,
             stored_shard_count=self._stored_shard_count(),
-            workers=executor_of(self.db).workers,
             stats=_measure_statistics(self.db, query),
         )
         prepared = PreparedQuery(self, query, plan, semiring)
@@ -461,14 +459,15 @@ def connect(
     the leader's checkpoint chain and rotated WAL segment files, then
     hands off to the live feed at a stamp-exact boundary.
 
-    Parallel / out-of-core execution knobs (per-open, never
-    persisted): ``workers`` sizes the shard executor — per-shard scans
-    and messages fan out over that many threads, results merged in
-    shard order so answers stay bit-identical to serial (default: the
-    ``REPRO_WORKERS`` environment variable, else serial);
-    ``spill_dir`` / ``max_resident_shards`` bound resident shards with
-    an LRU spill pool — cold shards' compacted code matrices live on
-    disk as memory-maps and fault back in on touch.
+    Sharded-storage knobs (per-open, never persisted): ``workers``
+    sizes the shard executor — the per-shard storage maps (batch
+    routing, compaction, coalesce, distinct counts) run over that many
+    threads, collected in shard order so results stay bit-identical to
+    serial (default: the ``REPRO_WORKERS`` environment variable, else
+    the cpu count); ``spill_dir`` / ``max_resident_shards`` bound the
+    resident *stored* shards with an LRU spill pool — cold shards'
+    compacted code matrices live on disk as memory-maps and fault back
+    in on touch (a query's working set stays O(m)).
     """
     if replica_of is not None:
         if db is not None:

@@ -48,12 +48,9 @@ pure array work:
 
 No tuple is ever decoded (``decoded_row_count`` stays zero up to the
 public value boundary), and no per-prefix Python runs: the interpreter
-cost per level is O(#atoms), not O(#prefixes).  On the sharded backend
-the frontier is split into shard-count contiguous chunks per level and
-the chunks are extended through the relation's
-:class:`~repro.db.executor.ShardExecutor`, merged in chunk order —
-bit-identical to the serial result because the level step is a pure
-function of its chunk and the output order is canonical.
+cost per level is O(#atoms), not O(#prefixes).  Sharded relations are
+columnar relations (the prefix tables are built from their coalesced
+``codes()``), so they run this same level step.
 
 Python-backend databases (and mixed-dictionary inputs, where codes are
 not comparable across atoms) run the depth-first strategy over
@@ -78,15 +75,9 @@ from repro.db.columnar import (
     unique_rows,
 )
 from repro.db.database import Database
-from repro.db.executor import SERIAL, ShardExecutor
-from repro.db.sharded import ShardedColumnarRelation
 from repro.query.cq import ConjunctiveQuery
 
 Assignment = Dict[str, object]
-
-# Frontier chunks smaller than this are not worth a dispatch through
-# the shard executor; below it the level step runs as one chunk.
-_CHUNK_MIN = 1024
 
 # Capped-witness search: with ``limit`` set the breadth-first run first
 # caps every frontier at max(limit, _WITNESS_CAP) rows — almost always
@@ -386,25 +377,6 @@ def _extend_frontier(
     return out
 
 
-def _frontier_executor(
-    query: ConjunctiveQuery, db: Database
-) -> Tuple[ShardExecutor, int]:
-    """The shard executor and chunk count for the level-step fan-out.
-
-    Sharded inputs extend the frontier shard-count contiguous chunks at
-    a time through the relation's executor (merged in chunk order —
-    bit-identical to serial); unsharded inputs run one chunk.
-    """
-    executor: ShardExecutor = SERIAL
-    chunks = 1
-    for atom in query.atoms:
-        rel = db[atom.relation]
-        if isinstance(rel, ShardedColumnarRelation):
-            executor = rel._exec()
-            chunks = max(chunks, rel.shard_count)
-    return executor, chunks
-
-
 def _shared_dictionary(
     query: ConjunctiveQuery, db: Database
 ) -> Optional[Dictionary]:
@@ -437,7 +409,6 @@ def _frontier_run(
         _FrontierAtomIndex(db[a.relation], a.variables, global_order)
         for a in query.atoms
     ]
-    executor, chunks = _frontier_executor(query, db)
     frontier = np.zeros((1, 0), dtype=np.int64)
     truncated = False
     for t, var in enumerate(global_order):
@@ -446,17 +417,7 @@ def _frontier_run(
             for index in indexes
             if var in index.depth_of
         ]
-
-        def extend(chunk: np.ndarray) -> np.ndarray:
-            return _extend_frontier(chunk, constraining, cardinality)
-
-        if chunks > 1 and len(frontier) >= max(_CHUNK_MIN, chunks):
-            parts = executor.map(
-                extend, np.array_split(frontier, chunks)
-            )
-            frontier = np.concatenate(parts, axis=0)
-        else:
-            frontier = extend(frontier)
+        frontier = _extend_frontier(frontier, constraining, cardinality)
         if cap is not None and len(frontier) > cap:
             frontier = frontier[:cap]
             truncated = True

@@ -13,10 +13,11 @@ from typing import Dict, List, Optional
 
 from repro.db.columnar import ColumnarRelation, Dictionary
 from repro.db.database import Database
+from repro.db.interface import check_backend
 from repro.db.relation import Relation
 from repro.hypergraph.jointree import JoinTree
 from repro.joins.frame import Frame
-from repro.joins.vectorized import check_backend, frame_for_atom
+from repro.joins.vectorized import frame_for_atom
 from repro.query.cq import ConjunctiveQuery
 
 

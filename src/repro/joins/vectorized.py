@@ -52,17 +52,11 @@ from repro.db.columnar import (
     common_keys,
     group_rows,
     match_pairs,
-    pack_rows,
     unique_rows,
 )
-from repro.db.executor import ShardExecutor, get_default_executor
-from repro.db.interface import BACKENDS, check_backend
-from repro.db.sharded import ShardedColumnarRelation, note_coalesce
 from repro.joins.frame import Frame
 
 Row = Tuple[object, ...]
-
-PYTHON_BACKEND, COLUMNAR_BACKEND, SHARDED_BACKEND = BACKENDS
 
 
 class ColumnarFrame:
@@ -374,391 +368,8 @@ class ColumnarFrame:
 
 
 # ----------------------------------------------------------------------
-# sharded frames: shard x build broadcasts
-# ----------------------------------------------------------------------
-# A semijoin build table (boolean array over the packed-key span) is
-# used when the span stays within max(_TABLE_SPAN_MIN, 4*cardinality)
-# entries — i.e. when it is proportional to the merged separator
-# domain, the scratch size the sharded substrate allows.  Wider spans
-# fall back to per-shard-deduplicated sorted keys.
-_TABLE_SPAN_MIN = 1 << 20
-
-
-def _shard_build_keys(
-    frame, shared: Tuple[str, ...], cardinality: int
-) -> Optional[np.ndarray]:
-    """Packed build-side keys of ``frame``'s projection onto ``shared``.
-
-    For a sharded build side the keys are *deduplicated per shard*
-    before concatenating, so the build table is bounded by the merged
-    separator domain instead of the global row count — this is what
-    keeps the full-reducer semijoins on the aggregate path free of
-    global materializations.  Returns ``None`` when the keys cannot be
-    packed into 64 bits (callers fall back to the coalesced path).
-    """
-    positions = list(frame.positions(shared))
-    if isinstance(frame, ShardedColumnarFrame):
-        parts: List[np.ndarray] = []
-        for shard in frame.shards:
-            keys = pack_rows(shard.codes()[:, positions], cardinality)
-            if keys is None:
-                return None
-            parts.append(np.unique(keys))
-        return np.concatenate(parts)
-    return pack_rows(frame.codes()[:, positions], cardinality)
-
-
-def _shard_build_table(
-    frame, shared: Tuple[str, ...], cardinality: int, span: int
-) -> Optional[np.ndarray]:
-    """Boolean membership table over the packed-key span of ``frame``.
-
-    One scatter per build part, no sorts: probing a shard is then one
-    O(shard) gather.  ``None`` when some part's keys cannot be packed.
-    """
-    parts = (
-        frame.shards
-        if isinstance(frame, ShardedColumnarFrame)
-        else [frame]
-    )
-    table = np.zeros(span, dtype=bool)
-    for part in parts:
-        positions = list(part.positions(shared))
-        keys = pack_rows(part.codes()[:, positions], cardinality)
-        if keys is None:
-            return None
-        table[keys] = True
-    return table
-
-
-class ShardedColumnarFrame(ColumnarFrame):
-    """A columnar frame partitioned into per-shard code matrices.
-
-    Subclasses :class:`ColumnarFrame`, so every consumer of the frame
-    algebra accepts it; the inherited operators see the *coalesced*
-    matrix through the lazy ``_codes`` property (correct, merely
-    unsharded, and reported via
-    :func:`repro.db.sharded.note_coalesce`), while the hot operators
-    below run shard-parallel-by-construction:
-
-    - **semijoin** — shard x shard when the two sides are
-      co-partitioned (:meth:`_co_partitioned`); otherwise one build
-      table of per-shard-deduplicated packed keys (bounded by the
-      merged separator domain), broadcast against every shard's probe
-      keys;
-    - **join** — shard x shard when co-partitioned (shard *i* joins
-      shard *i* only, no build-side materialization); otherwise the
-      build side is broadcast against each shard (shard x build).
-      Either way the output inherits the partitioning because the
-      probe side keeps all its columns;
-    - **project / select_in / rename / reorder** — per-shard maps;
-      a projection that drops the partition variable coalesces (rows
-      from different shards may collide, so per-shard dedup would no
-      longer be global dedup).
-
-    Every per-shard map dispatches through the frame's
-    :class:`~repro.db.executor.ShardExecutor` (inherited from the
-    originating relation), so shards run in parallel when a worker
-    pool is configured — results are bit-identical to the serial
-    order because the executor preserves shard-index ordering.
-
-    Invariant: the shard frames hold pairwise-disjoint row sets — every
-    row lives in the shard given by hashing its ``partition_var`` code
-    (``partition_var=None`` only for width-0 frames, where at most one
-    shard is nonempty).
-    """
-
-    def __init__(
-        self,
-        variables: Sequence[str],
-        shards: Sequence[ColumnarFrame],
-        dictionary: Dictionary,
-        partition_var: Optional[str] = None,
-        executor: Optional[ShardExecutor] = None,
-    ) -> None:
-        self.variables = tuple(variables)
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("frame variables must be distinct")
-        self.shards: List[ColumnarFrame] = list(shards)
-        if not self.shards:
-            raise ValueError("a sharded frame needs at least one shard")
-        self.dictionary = dictionary
-        self.partition_var = (
-            partition_var if partition_var in self.variables else None
-        )
-        # Injected ShardExecutor for the per-shard operators (None =>
-        # the process default); inherited from the originating relation
-        # and propagated through every derived frame.
-        self.executor = executor
-        self._rows_cache: Optional[Set[Row]] = None
-        self._coalesced: Optional[np.ndarray] = None
-
-    def _exec(self) -> ShardExecutor:
-        executor = self.executor
-        return executor if executor is not None else get_default_executor()
-
-    @classmethod
-    def from_sharded_atom(
-        cls, relation: ShardedColumnarRelation, variables: Sequence[str]
-    ) -> "ShardedColumnarFrame":
-        """Bind a sharded relation to atom variables, shard by shard.
-
-        Repeated-variable selections are applied per shard (vectorized
-        column compares on each shard's matrix).  The frame stays
-        partitioned on the relation's key column's variable: routing
-        hashed that column's code, and rows passing the equality
-        selection carry the same code at the variable's first
-        occurrence.
-        """
-        variables = tuple(variables)
-        if len(variables) != relation.arity:
-            raise ValueError(
-                f"atom has {len(variables)} positions, relation "
-                f"{relation.name} has arity {relation.arity}"
-            )
-        shard_frames = [
-            ColumnarFrame.from_atom(shard, variables)
-            for shard in relation.shards
-        ]
-        partition_var = (
-            variables[relation.key_column] if relation.arity else None
-        )
-        return cls(
-            shard_frames[0].variables,
-            shard_frames,
-            relation.dictionary,
-            partition_var,
-            executor=relation.executor,
-        )
-
-    # ------------------------------------------------------------------
-    # coalescing (compatibility with every inherited operator)
-    # ------------------------------------------------------------------
-    @property
-    def _codes(self) -> np.ndarray:
-        if self._coalesced is None:
-            parts = self._exec().map(
-                lambda shard: shard.codes(), self.shards
-            )
-            if len(parts) == 1:
-                self._coalesced = parts[0]
-            else:
-                note_coalesce(sum(len(part) for part in parts))
-                self._coalesced = np.concatenate(parts, axis=0)
-        return self._coalesced
-
-    def to_plain(self) -> ColumnarFrame:
-        """The equivalent single-matrix :class:`ColumnarFrame`."""
-        return ColumnarFrame(
-            self.variables, self._codes, self.dictionary, _distinct=True
-        )
-
-    def __len__(self) -> int:
-        # Shards are disjoint by the partitioning invariant.
-        return sum(len(shard) for shard in self.shards)
-
-    def is_empty(self) -> bool:
-        return all(shard.is_empty() for shard in self.shards)
-
-    def _resharded(
-        self,
-        shards: Sequence[ColumnarFrame],
-        variables: Optional[Sequence[str]] = None,
-        partition_var: Optional[str] = None,
-    ) -> "ShardedColumnarFrame":
-        return ShardedColumnarFrame(
-            variables if variables is not None else self.variables,
-            shards,
-            self.dictionary,
-            partition_var if partition_var is not None
-            else self.partition_var,
-            executor=self.executor,
-        )
-
-    # ------------------------------------------------------------------
-    # shard-parallel algebra
-    # ------------------------------------------------------------------
-    def _co_partitioned(self, other) -> bool:
-        """True when shard *i* of ``self`` can pair with shard *i* of
-        ``other`` directly: both sides hash-partition on the same
-        shared variable, over the same dictionary (identical codes =>
-        identical hashes), into the same number of shards.  Rows of
-        ``self`` shard *i* then only ever match rows of ``other``
-        shard *i*, so no build-side materialization is needed."""
-        return (
-            isinstance(other, ShardedColumnarFrame)
-            and self.partition_var is not None
-            and other.partition_var == self.partition_var
-            and other.dictionary is self.dictionary
-            and len(other.shards) == len(self.shards)
-        )
-
-    def project(self, variables: Sequence[str]) -> ColumnarFrame:
-        if self.partition_var is not None and self.partition_var in variables:
-            # Equal projected rows agree on the partition variable, so
-            # they live in the same shard: per-shard dedup is global.
-            return self._resharded(
-                self._exec().map(
-                    lambda shard: shard.project(variables), self.shards
-                ),
-                variables=tuple(variables),
-            )
-        return self.to_plain().project(variables)
-
-    def rename(self, mapping: Dict[str, str]) -> "ShardedColumnarFrame":
-        renamed_partition = (
-            mapping.get(self.partition_var, self.partition_var)
-            if self.partition_var is not None
-            else None
-        )
-        return ShardedColumnarFrame(
-            tuple(mapping.get(v, v) for v in self.variables),
-            self._exec().map(
-                lambda shard: shard.rename(mapping), self.shards
-            ),
-            self.dictionary,
-            renamed_partition,
-            executor=self.executor,
-        )
-
-    def select_in(
-        self, variables: Sequence[str], allowed: Set[Row]
-    ) -> "ShardedColumnarFrame":
-        return self._resharded(
-            self._exec().map(
-                lambda shard: shard.select_in(variables, allowed),
-                self.shards,
-            )
-        )
-
-    def reorder(self, variables: Sequence[str]) -> "ShardedColumnarFrame":
-        return self._resharded(
-            self._exec().map(
-                lambda shard: shard.reorder(variables), self.shards
-            ),
-            variables=tuple(variables),
-        )
-
-    def semijoin(self, other) -> ColumnarFrame:
-        shared = tuple(v for v in self.variables if v in other.variables)
-        if not shared:
-            return (
-                self
-                if not other.is_empty()
-                else self.empty_like(self.variables)
-            )
-        other = self._coerce(other)
-        if self._co_partitioned(other):
-            # Shard x shard: matching rows agree on the partition
-            # variable, hence live in same-index shards on both sides.
-            # No build table, no coalesce of either side.
-            pairs = list(zip(self.shards, other.shards))
-            new_shards = self._exec().map(
-                lambda pair: pair[0].semijoin(pair[1]), pairs
-            )
-            return self._resharded(new_shards)
-        cardinality = len(self.dictionary)
-        positions = list(self.positions(shared))
-        probes = self._exec().map(
-            lambda shard: pack_rows(
-                shard.codes()[:, positions], cardinality
-            ),
-            self.shards,
-        )
-        if any(probe is None for probe in probes):
-            return self.to_plain().semijoin(other)  # keys too wide
-        # Domain-sized packed span -> one boolean scatter table (no
-        # sorts, one gather per probe shard); wider spans fall back to
-        # sorted per-shard-deduplicated build keys.
-        bits = (
-            max(int(cardinality - 1).bit_length(), 1)
-            if cardinality > 1
-            else 1
-        )
-        span_bits = min(bits * len(shared), 63)
-        span = 1 << span_bits
-        table: Optional[np.ndarray] = None
-        if span <= max(_TABLE_SPAN_MIN, 4 * cardinality):
-            table = _shard_build_table(other, shared, cardinality, span)
-        if table is not None:
-            masks = self._exec().map(
-                lambda probe: table[probe], probes
-            )
-        else:
-            build = _shard_build_keys(other, shared, cardinality)
-            if build is None:
-                return self.to_plain().semijoin(other)
-            masks = self._exec().map(
-                lambda probe: np.isin(probe, build), probes
-            )
-        new_shards = self._exec().map(
-            lambda pair: ColumnarFrame(
-                pair[0].variables,
-                pair[0].codes()[pair[1]],
-                self.dictionary,
-                _distinct=True,
-            ),
-            list(zip(self.shards, masks)),
-        )
-        return self._resharded(new_shards)
-
-    def join(self, other) -> ColumnarFrame:
-        other = self._coerce(other)
-        if self._co_partitioned(other):
-            # Shard x shard co-partitioned join: shard i joins shard i
-            # only — neither side is materialized globally, extending
-            # the coalesced_row_peak promise to the build side.
-            pairs = list(zip(self.shards, other.shards))
-            new_shards = self._exec().map(
-                lambda pair: pair[0].join(pair[1]), pairs
-            )
-            return self._resharded(
-                new_shards, variables=new_shards[0].variables
-            )
-        if isinstance(other, ShardedColumnarFrame):
-            other = other.to_plain()  # the broadcast build side
-        build = other
-        new_shards = self._exec().map(
-            lambda shard: shard.join(build), self.shards
-        )
-        # The join keeps every probe-side column, so the output stays
-        # partitioned on the same variable.
-        return self._resharded(
-            new_shards, variables=new_shards[0].variables
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedColumnarFrame({self.variables}, {len(self)} rows, "
-            f"{len(self.shards)} shards on {self.partition_var!r})"
-        )
-
-
-# ----------------------------------------------------------------------
 # backend dispatch helpers
 # ----------------------------------------------------------------------
-def frame_backend(frame) -> str:
-    """Which backend a frame object belongs to."""
-    if isinstance(frame, ShardedColumnarFrame):
-        return SHARDED_BACKEND
-    return (
-        COLUMNAR_BACKEND
-        if isinstance(frame, ColumnarFrame)
-        else PYTHON_BACKEND
-    )
-
-
-def relation_backend(relation) -> str:
-    """Which backend a relation object belongs to."""
-    if isinstance(relation, ShardedColumnarRelation):
-        return SHARDED_BACKEND
-    return (
-        COLUMNAR_BACKEND
-        if isinstance(relation, ColumnarRelation)
-        else PYTHON_BACKEND
-    )
-
-
 def columnar_family(frames: Iterable) -> Optional[Dictionary]:
     """The shared dictionary of an all-columnar frame family, else None.
 
@@ -803,9 +414,12 @@ def relation_family(relations: Iterable) -> Optional[Dictionary]:
 
 
 def frame_for_atom(relation, variables: Sequence[str]):
-    """An atom frame of the backend matching the stored relation."""
-    if isinstance(relation, ShardedColumnarRelation):
-        return ShardedColumnarFrame.from_sharded_atom(relation, variables)
+    """An atom frame of the backend matching the stored relation.
+
+    Any :class:`ColumnarRelation` — sharded ones included, read through
+    their coalesced ``codes()`` — binds to a plain
+    :class:`ColumnarFrame`.
+    """
     if isinstance(relation, ColumnarRelation):
         return ColumnarFrame.from_atom(relation, variables)
     return Frame.from_atom(relation, variables)

@@ -17,16 +17,11 @@ fold per tuple.  On columnar frames
 the same recurrence runs as an array program — a *message* is a pair
 ``(separator code matrix, weight column)`` that the parent consumes
 with one :func:`repro.db.columnar.fused_group_lookup` (group-reduce,
-binary-search gather and in-place ⊗ in one pass).  Sharded frames
-(:class:`repro.joins.vectorized.ShardedColumnarFrame`) compute one
-group-reduced message per shard — a sort-based group-by
-(:func:`repro.db.columnar.group_rows`) plus one segment reduce
-(``⊕.reduceat``, :func:`repro.db.columnar.group_reduce`), received by
-a :func:`repro.db.columnar.lookup_rows` gather — and merge them over
-the separator domain.  Semirings without native
-NumPy kernels fall back to object-dtype ``frompyfunc`` folds (see
-:meth:`repro.semiring.semirings.Semiring.kernels`), keeping a single
-code path.  No tuple is ever decoded back into Python values.
+binary-search gather and in-place ⊗ in one pass); a sharded relation
+binds to the same frames through its coalesced ``codes()``.  Semirings
+without native NumPy kernels fall back to object-dtype ``frompyfunc``
+folds (see :meth:`repro.semiring.semirings.Semiring.kernels`), keeping
+a single code path.  No tuple is ever decoded back into Python values.
 
 **Incremental maintenance.**  :class:`AggregateMaintainer` keeps the
 aggregate of an acyclic join query current under single-tuple updates:
@@ -63,26 +58,19 @@ from repro.db.columnar import (
     group_reduce,
     group_rows,
     lookup_rows,
-    note_scratch,
 )
 from repro.db.database import Database
-from repro.db.executor import SERIAL
 from repro.db.interface import (
     TruncatedHistoryError,
     snapshot_stamps,
     stale_relations,
 )
-from repro.db.sharded import ShardedColumnarRelation, shard_of_code
 from repro.hypergraph.gyo import join_tree
 from repro.hypergraph.jointree import JoinTree
 from repro.joins.frame import Frame
 from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.joins.semijoin import atom_frames, full_reducer_pass
-from repro.joins.vectorized import (
-    ColumnarFrame,
-    ShardedColumnarFrame,
-    columnar_family,
-)
+from repro.joins.vectorized import ColumnarFrame, columnar_family
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.semirings import Semiring
 
@@ -437,21 +425,13 @@ def aggregate_frames(
     Dispatches on the frame type: columnar frames sharing one
     dictionary run a vectorized array program (when the weights are
     ``None`` or column-capable, as returned by
-    :meth:`WeightedDatabase.atom_weight_fn`) — the fused pass for plain
-    frames, the per-shard message merge when any frame is sharded;
-    everything else runs the scalar dict fold.
+    :meth:`WeightedDatabase.atom_weight_fn`); everything else runs the
+    scalar dict fold.
     """
     run = _aggregate_frames_python
     if weights is None or hasattr(weights, "column"):
         if columnar_family(frames.values()) is not None:
-            sharded = any(
-                isinstance(f, ShardedColumnarFrame) for f in frames.values()
-            )
-            run = (
-                _aggregate_frames_sharded
-                if sharded
-                else _aggregate_frames_fused
-            )
+            run = _aggregate_frames_fused
     return run(frames, tree, semiring, weights)
 
 
@@ -518,7 +498,7 @@ def _aggregate_frames_fused(
     semiring: Semiring,
     weights: Optional["_AtomWeights"],
 ) -> object:
-    """Fused message passing for unsharded columnar trees.
+    """Fused message passing for columnar trees.
 
     A child's message stays *unreduced* — its surviving separator
     codes and combined values, arrays it owns anyway — and the parent
@@ -529,8 +509,7 @@ def _aggregate_frames_fused(
     itself (one entry per distinct separator key); ``scratch_peak``
     asserts it.  Grouping uses stable sorts, so each ⊕ segment folds
     the child's rows in frame order and children ⊗-apply in tree
-    order — the same fold order as the per-shard merge of
-    :func:`_aggregate_frames_sharded`.
+    order.
     """
     plus_ufunc, times_fn, dtype = semiring.kernels()
     # pending[child]: the child's surviving separator codes and
@@ -590,129 +569,6 @@ def _aggregate_frames_fused(
             )
             parent_pos = list(frame.positions(parent_key_vars))
             pending[node] = (codes[:, parent_pos], values)
-    return semiring.as_scalar(
-        semiring.product(node_value[root] for root in tree.roots)
-    )
-
-
-def _aggregate_frames_sharded(
-    frames: Mapping[int, ColumnarFrame],
-    tree: JoinTree,
-    semiring: Semiring,
-    weights: Optional["_AtomWeights"],
-) -> object:
-    """Message passing over sharded trees: one message per shard, merged.
-
-    A message is ``(separator representatives, reduced weight column)``.
-    Per node and shard: gather each child's column by binary search on
-    the shard's separator codes, ⊗ into its own weight column, drop
-    rows some child cannot extend, then group by the parent separator
-    and ⊕-reduce each segment.  The per-shard messages merge with one
-    :func:`~repro.db.columnar.group_reduce` over their concatenation.
-    Because messages live in the merged separator domain, no array
-    larger than one shard (plus that domain) is ever materialized:
-    distributed aggregation is literally a merge of messages, with no
-    shared state beyond the append-only dictionary.  A plain columnar
-    frame in the tree counts as a single shard.
-    """
-    plus_ufunc, times_fn, _ = semiring.kernels()
-    messages: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    node_value: Dict[int, object] = {}
-    for node in tree.bottom_up():
-        frame = frames[node]
-        cardinality = len(frame.dictionary)
-        child_gathers: List[Tuple[List[int], Tuple[np.ndarray, np.ndarray]]]
-        child_gathers = []
-        for child in tree.children(node):
-            sep = tuple(
-                sorted(
-                    v for v in frame.variables
-                    if v in frames[child].variables
-                )
-            )
-            child_gathers.append(
-                (list(frame.positions(sep)), messages.pop(child))
-            )
-        sep_to_parent = tree.separator(node)
-        parent_key_vars = tuple(
-            sorted(v for v in frame.variables if v in sep_to_parent)
-        )
-        parent_pos = list(frame.positions(parent_key_vars))
-        if isinstance(frame, ShardedColumnarFrame):
-            shard_frames = list(frame.shards)
-            executor = frame._exec()
-        else:
-            shard_frames = [frame]
-            executor = SERIAL
-
-        def shard_message(shard_frame):
-            """One shard's (separator reps, reduced weights) message.
-
-            Pure per-shard array work over read-only inputs (the
-            child messages and the weight store), so shards run on
-            executor workers; the ordered map keeps the merge below
-            bit-identical to the serial loop.
-            """
-            codes = shard_frame.codes()
-            if weights is None:
-                values = semiring.unit_column(len(codes))
-            else:
-                values = weights.column(node, shard_frame)
-            alive = np.ones(len(codes), dtype=bool)
-            for positions, (child_keys, child_values) in child_gathers:
-                sub = codes[:, positions]
-                index = lookup_rows(sub, child_keys, cardinality)
-                found = index >= 0
-                alive &= found
-                incoming = child_values[np.where(found, index, 0)]
-                # Dead rows pick up garbage here; masked out below.
-                note_scratch(len(incoming))
-                values = times_fn(values, incoming)
-            if not alive.all():
-                codes = codes[alive]
-                values = values[alive]
-            sub = codes[:, parent_pos]
-            representatives, group_ids, group_count = group_rows(
-                sub, cardinality
-            )
-            reduced = group_reduce(
-                values, group_ids, group_count, plus_ufunc
-            )
-            return representatives, reduced, values[:0]
-
-        shard_results = executor.map(shard_message, shard_frames)
-        rep_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        empty_values = semiring.unit_column(0)
-        for representatives, reduced, empty in shard_results:
-            if len(reduced):
-                rep_parts.append(representatives)
-                value_parts.append(reduced)
-            empty_values = empty
-        if not rep_parts:
-            representatives = np.empty(
-                (0, len(parent_pos)), dtype=np.int64
-            )
-            reduced = empty_values
-        elif len(rep_parts) == 1:
-            representatives, reduced = rep_parts[0], value_parts[0]
-        else:
-            # The cross-shard merge: ⊕-combine equal separator keys of
-            # the concatenated per-shard messages.
-            all_reps = np.concatenate(rep_parts, axis=0)
-            all_values = np.concatenate(value_parts)
-            representatives, group_ids, group_count = group_rows(
-                all_reps, cardinality
-            )
-            reduced = group_reduce(
-                all_values, group_ids, group_count, plus_ufunc
-            )
-        messages[node] = (representatives, reduced)
-        node_value[node] = (
-            semiring.as_scalar(plus_ufunc.reduce(reduced))
-            if len(reduced)
-            else semiring.zero
-        )
     return semiring.as_scalar(
         semiring.product(node_value[root] for root in tree.roots)
     )
@@ -975,48 +831,22 @@ class AggregateMaintainer:
             else None
         )
         cardinality = len(dictionary)
-        # Node storage is *partitioned*: per node a list of aligned
-        # (codes, values) parts — one part per shard of the stored
-        # relation when it is sharded (so rebuilds never coalesce and
-        # a single-tuple delta later touches only its owning part),
-        # one part total otherwise.  _route[node] holds the relation's
-        # (key column, shard count) routing map when partitioned.
-        self._codes: Dict[int, List[np.ndarray]] = {}
-        self._values: Dict[int, List[np.ndarray]] = {}
-        self._route: Dict[int, Optional[Tuple[int, int]]] = {}
+        # Per node: the atom frame's code matrix and a weight column
+        # aligned row-for-row with it.
+        self._codes: Dict[int, np.ndarray] = {}
+        self._values: Dict[int, np.ndarray] = {}
         self._messages: Dict[int, _Message] = {}
         self._child_pos: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         self._parent_pos: Dict[int, Tuple[int, ...]] = {}
         for node in self.tree.bottom_up():
             frame = frames[node]
-            relation = db[query.atoms[node].relation]
-            if (
-                isinstance(frame, ShardedColumnarFrame)
-                and isinstance(relation, ShardedColumnarRelation)
-                and len(frame.shards) == relation.shard_count
-            ):
-                part_frames: List[ColumnarFrame] = list(frame.shards)
-                self._route[node] = (
-                    (relation.key_column, relation.shard_count)
-                    if relation.arity
-                    else None  # arity 0 routes everything to shard 0
-                )
-                executor = frame._exec()
-            else:
-                part_frames = [frame]
-                self._route[node] = None
-                executor = SERIAL
-            codes_parts = [pf.codes() for pf in part_frames]
+            codes = frame.codes()
             if atom_weights is not None:
-                values_parts = [
-                    atom_weights.column(node, pf) for pf in part_frames
-                ]
+                values = atom_weights.column(node, frame)
             else:
-                values_parts = [
-                    semiring.unit_column(len(c)) for c in codes_parts
-                ]
-            self._codes[node] = codes_parts
-            self._values[node] = values_parts
+                values = semiring.unit_column(len(codes))
+            self._codes[node] = codes
+            self._values[node] = values
             child_pos: Dict[int, Tuple[int, ...]] = {}
             for child in self.tree.children(node):
                 sep = tuple(
@@ -1033,50 +863,17 @@ class AggregateMaintainer:
             )
             ppos = frame.positions(parent_vars)
             self._parent_pos[node] = ppos
-            child_messages = [
-                (list(pos), self._messages[child])
-                for child, pos in child_pos.items()
-            ]
-
-            def part_message(part):
-                """One part's (reps, reduced) toward the parent."""
-                codes, values = part
-                combined = values
-                for pos, message in child_messages:
-                    gathered = message.gather(
-                        codes[:, pos], cardinality, semiring.zero
-                    )
-                    combined = self._times(combined, gathered)
-                sub = codes[:, list(ppos)] if ppos else codes[:, :0]
-                reps, group_ids, group_count = group_rows(
-                    sub, cardinality
+            combined = values
+            for child, pos in child_pos.items():
+                gathered = self._messages[child].gather(
+                    codes[:, list(pos)], cardinality, semiring.zero
                 )
-                reduced = group_reduce(
-                    combined, group_ids, group_count, self._plus
-                )
-                return reps, reduced
-
-            parts_out = executor.map(
-                part_message, list(zip(codes_parts, values_parts))
+                combined = self._times(combined, gathered)
+            sub = codes[:, list(ppos)] if ppos else codes[:, :0]
+            reps, group_ids, group_count = group_rows(sub, cardinality)
+            reduced = group_reduce(
+                combined, group_ids, group_count, self._plus
             )
-            if len(parts_out) == 1:
-                reps, reduced = parts_out[0]
-            else:
-                # Merge of per-part messages: ⊕-combine equal keys of
-                # the shard-order concatenation (the batch path's
-                # cross-shard merge).
-                all_reps = np.concatenate(
-                    [reps for reps, _ in parts_out], axis=0
-                )
-                all_values = np.concatenate(
-                    [reduced for _, reduced in parts_out]
-                )
-                reps, group_ids, group_count = group_rows(
-                    all_reps, cardinality
-                )
-                reduced = group_reduce(
-                    all_values, group_ids, group_count, self._plus
-                )
             self._messages[node] = _Message(reps, reduced)
 
     # ------------------------------------------------------------------
@@ -1169,27 +966,15 @@ class AggregateMaintainer:
     def _apply(
         self, node: int, name: str, rel_row: Row, insert: bool
     ) -> None:
-        """Apply one net relation delta row to one atom node.
-
-        With a partitioned node (sharded stored relation) the delta
-        touches only its *owning* part — the shard given by the
-        relation's routing map — so a single-tuple update is O(one
-        shard), not O(all shards).
-        """
+        """Apply one net relation delta row to one atom node."""
         proj, checks = self._atom_proj[node]
         for pos, first in checks:
             if rel_row[pos] != rel_row[first]:
                 return  # fails the atom's repeated-variable selection
         semiring = self.semiring
         cardinality = len(self.dictionary)
-        route = self._route[node]
-        slot = (
-            shard_of_code(rel_row[route[0]], route[1])
-            if route is not None
-            else 0
-        )
-        codes = self._codes[node][slot]
-        values = self._values[node][slot]
+        codes = self._codes[node]
+        values = self._values[node]
         frame_row = np.asarray(
             [rel_row[p] for p in proj], dtype=np.int64
         ).reshape(1, len(proj))
@@ -1208,12 +993,8 @@ class AggregateMaintainer:
                     frame_row[:, list(pos)], cardinality, semiring.zero
                 )
                 delta = self._times(delta, gathered)
-            self._codes[node][slot] = np.concatenate(
-                [codes, frame_row], axis=0
-            )
-            self._values[node][slot] = np.concatenate(
-                [values, weight_arr]
-            )
+            self._codes[node] = np.concatenate([codes, frame_row], axis=0)
+            self._values[node] = np.concatenate([values, weight_arr])
         else:
             if codes.shape[1]:
                 mask = np.all(codes == frame_row[0], axis=1)
@@ -1232,8 +1013,8 @@ class AggregateMaintainer:
             delta = self._negate(delta)
             keep = np.ones(len(codes), dtype=bool)
             keep[row_index] = False
-            self._codes[node][slot] = codes[keep]
-            self._values[node][slot] = values[keep]
+            self._codes[node] = codes[keep]
+            self._values[node] = values[keep]
         if self._all_zero(delta):
             return  # dead row: ⊕-neutral, nothing to propagate
         ppos = self._parent_pos[node]
@@ -1256,31 +1037,14 @@ class AggregateMaintainer:
             if parent is None:
                 return
             pos = self._child_pos[parent][child]
-            # Collect affected rows part by part (shard-order concat,
-            # so a partitioned parent never coalesces).
-            row_parts: List[np.ndarray] = []
-            value_parts: List[np.ndarray] = []
-            for codes, part_values in zip(
-                self._codes[parent], self._values[parent]
-            ):
-                sub = codes[:, list(pos)] if pos else codes[:, :0]
-                q_keys, t_keys = common_keys(sub, delta_reps, cardinality)
-                affected = np.flatnonzero(np.isin(q_keys, t_keys))
-                if len(affected):
-                    row_parts.append(codes[affected])
-                    value_parts.append(part_values[affected].copy())
-            if not row_parts:
+            codes = self._codes[parent]
+            sub = codes[:, list(pos)] if pos else codes[:, :0]
+            q_keys, t_keys = common_keys(sub, delta_reps, cardinality)
+            affected = np.flatnonzero(np.isin(q_keys, t_keys))
+            if not len(affected):
                 return
-            rows = (
-                row_parts[0]
-                if len(row_parts) == 1
-                else np.concatenate(row_parts, axis=0)
-            )
-            values = (
-                value_parts[0]
-                if len(value_parts) == 1
-                else np.concatenate(value_parts)
-            )
+            rows = codes[affected]
+            values = self._values[parent][affected]
             delta_message = _Message(delta_reps, delta_values)
             for other, opos in self._child_pos[parent].items():
                 other_sub = (

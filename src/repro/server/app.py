@@ -695,8 +695,12 @@ class QueryServer:
             if action == "page":
                 offset = request.int_param("offset", 0)
                 limit = request.int_param("limit", 100)
+                # One read-lock hold (page and len re-enter it), so
+                # rows and total describe the same database state.
                 rows, total = await self.run_blocking(
-                    lambda: (answers.page(offset, limit), len(answers))
+                    self._read_locked_call,
+                    served.tenant,
+                    lambda: (answers.page(offset, limit), len(answers)),
                 )
                 payload = {
                     "handle": handle,
@@ -810,7 +814,7 @@ class QueryServer:
             if endpoint == "handshake" and request.method == "GET":
                 await request.body.drain()
                 payload = await self.run_blocking(
-                    self._locked_feed_call, tenant, feed.handshake
+                    self._read_locked_call, tenant, feed.handshake
                 )
             elif endpoint == "pull" and request.method == "POST":
                 raw = await request.body.read_all()
@@ -823,7 +827,7 @@ class QueryServer:
                         400, "bad_pull", f"undecodable pull request: {exc}"
                     ) from None
                 payload = await self.run_blocking(
-                    self._locked_feed_call,
+                    self._read_locked_call,
                     tenant,
                     feed.pull,
                     stamps,
@@ -837,10 +841,11 @@ class QueryServer:
         )
 
     @staticmethod
-    def _locked_feed_call(tenant: Tenant, fn, *args):
-        # Replica payload assembly reads relation content + stamps;
-        # the shared side of the session lock keeps it consistent
-        # against concurrent batched updates.
+    def _read_locked_call(tenant: Tenant, fn, *args):
+        # Multi-part reads (replica payload assembly: relation content
+        # + stamps; a page: rows + total) take the shared side of the
+        # session lock once, so the parts are consistent against
+        # concurrent batched updates.
         with tenant.session._rw.read():
             return fn(*args)
 

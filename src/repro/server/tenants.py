@@ -96,7 +96,6 @@ class ServedQuery:
             "family": plan.family,
             "backend": plan.backend,
             "shard_count": plan.shard_count,
-            "workers": plan.workers,
             "order": list(plan.order) if plan.order else None,
             "access_admissible": plan.access_admissible,
             "maintained_count": plan.maintained_count,

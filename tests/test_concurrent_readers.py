@@ -16,6 +16,10 @@ against the monotone contract:
   by the counts read before and after;
 - after the stream ends and threads join, every reader's final view
   agrees exactly with the oracle.
+
+A page is one consistent read: a writer cannot commit between two rows
+of one ``page()`` call (pinned deterministically and under a toggling
+writer).
 """
 
 import threading
@@ -141,6 +145,91 @@ def test_bulk_writers_and_readers_interleave(backend):
     if failures:
         raise failures[0]
     assert answers.page(0, len(expected) + 10) == expected
+    session.close()
+
+
+PAGE_QUERY = "q(x, y, z) :- R(x, y), S(y, z)"
+
+
+def _page_session(backend):
+    # Adding R(0, 0) creates the lex-first answer (0, 0, 0), shifting
+    # every row of every page by one.
+    kwargs = {"backend": backend}
+    if backend == "sharded":
+        kwargs["shard_count"] = 4
+    return connect(
+        {
+            "R": [(i, i % 5) for i in range(1, 60)],
+            "S": [(j, j) for j in range(5)],
+        },
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_page_is_one_consistent_read(backend, monkeypatch):
+    session = _page_session(backend)
+    prepared = session.prepare(PAGE_QUERY)
+    answers = prepared.run()
+    before = answers.page(0, 20)
+    assert len(before) == 20 and before[0] != (0, 0, 0)
+
+    real_access = prepared._access
+    writers = []
+    blocked = []
+
+    def access_then_write(index):
+        row = real_access(index)
+        if not writers:
+            # After the first row of the page, a writer tries to land.
+            writer = threading.Thread(
+                target=session.add, args=("R", (0, 0)), daemon=True
+            )
+            writers.append(writer)
+            writer.start()
+            writer.join(timeout=0.3)
+            blocked.append(writer.is_alive())
+        return row
+
+    monkeypatch.setattr(prepared, "_access", access_then_write)
+    page = answers.page(0, 20)
+    # The writer waited for the whole page, which is the pre-update one.
+    assert blocked == [True]
+    assert page == before
+    writers[0].join(timeout=30)
+    assert not writers[0].is_alive()
+    assert answers.page(0, 20) == [(0, 0, 0)] + before[:19]
+    session.close()
+
+
+def test_pages_are_never_torn_under_a_toggling_writer():
+    session = _page_session("columnar")
+    answers = session.prepare(PAGE_QUERY).run()
+    without = answers.page(0, 20)
+    consistent = (without, [(0, 0, 0)] + without[:19])
+
+    stop = threading.Event()
+    failures = []
+
+    def toggler():
+        try:
+            while not stop.is_set():
+                session.add("R", (0, 0))
+                session.discard("R", (0, 0))
+        except BaseException as exc:  # surfaced after join
+            failures.append(exc)
+
+    thread = threading.Thread(target=toggler, daemon=True)
+    thread.start()
+    try:
+        pages = [answers.page(0, 20) for _ in range(40)]
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    if failures:
+        raise failures[0]
+    assert all(page in consistent for page in pages)
     session.close()
 
 

@@ -5,11 +5,9 @@ dispatching per-shard work over a thread pool changes wall-clock time
 and nothing else, because every fan-out collects its per-shard results
 in shard-index order before merging.  This suite pins that contract —
 executor mechanics (ordering, nesting, worker resolution), full query
-parity serial vs. threaded across shard counts, the shard-by-shard
-co-partitioned join path (zero build-side materialization), the
-out-of-core spill pool (answers survive eviction and reload), and the
-thread-safety of the process-global instrumentation counters the
-worker threads now bump concurrently.
+parity serial vs. threaded across shard counts, the out-of-core spill
+pool (answers survive eviction and reload), and the thread-safety of
+the process-global instrumentation counters.
 """
 
 import os
@@ -33,7 +31,6 @@ from repro.db.executor import (
     SerialExecutor,
     WORKERS_ENV,
     executor_for,
-    executor_of,
     get_default_executor,
     resolve_workers,
     set_default_executor,
@@ -47,7 +44,6 @@ from repro.db.spill import SpillPool
 from repro.engine import connect
 from repro.hypergraph.gyo import is_acyclic
 from repro.joins import generic_join
-from repro.joins.vectorized import ShardedColumnarFrame
 from repro.semiring.faq import aggregate_acyclic
 from repro.semiring.semirings import COUNTING, MIN_PLUS
 from repro.util import faultpoints
@@ -114,7 +110,6 @@ def test_default_executor_roundtrip():
         assert isinstance(get_default_executor(), SerialExecutor)
     finally:
         set_default_executor(original)
-    assert executor_of(object()) is get_default_executor()
 
 
 # ----------------------------------------------------------------------
@@ -227,94 +222,6 @@ def test_parallel_session_update_stream_parity(query_db, ops):
 
 
 # ----------------------------------------------------------------------
-# co-partitioned joins: shard i meets shard i, nothing is coalesced
-# ----------------------------------------------------------------------
-def _two_sharded(shard_count=4, workers=1):
-    db = Database(
-        backend="sharded", shard_count=shard_count, workers=workers
-    )
-    db.add_relation(
-        db.new_relation("R", 2, [(i % 31, i % 13) for i in range(800)])
-    )
-    db.add_relation(
-        db.new_relation("S", 2, [(i % 31, i % 17) for i in range(700)])
-    )
-    return db
-
-
-def test_co_partitioned_join_parity_and_zero_coalesce():
-    db = _two_sharded()
-    # Both atoms put the partition variable (the key column's variable)
-    # in position 0, so both frames are partitioned on "x".
-    left = ShardedColumnarFrame.from_sharded_atom(db["R"], ("x", "y"))
-    right = ShardedColumnarFrame.from_sharded_atom(db["S"], ("x", "z"))
-    assert left._co_partitioned(right)
-    oracle = set(left.to_plain().join(right.to_plain()).rows)
-    reset_coalesced_row_peak()
-    joined = left.join(right)
-    assert coalesced_row_peak() == 0  # no build-side materialization
-    assert set(joined.rows) == oracle
-    reset_coalesced_row_peak()
-    reduced = left.semijoin(right)
-    assert coalesced_row_peak() == 0
-    assert set(reduced.rows) == set(
-        left.to_plain().semijoin(right.to_plain()).rows
-    )
-
-
-def test_broadcast_join_matches_co_partitioned():
-    db = _two_sharded()
-    left = ShardedColumnarFrame.from_sharded_atom(db["R"], ("x", "y"))
-    right = ShardedColumnarFrame.from_sharded_atom(db["S"], ("x", "z"))
-    # Projecting away nothing but *renaming* the partition variable on
-    # one side breaks co-partitioning detection; the broadcast fallback
-    # must produce the same rows (modulo the rename).
-    renamed = right.rename({"x": "w"})
-    assert not left._co_partitioned(renamed)
-    broadcast = {
-        tuple(row) for row in left.join(right.rename({"z": "z"})).rows
-    }
-    co_part = {tuple(row) for row in left.join(right).rows}
-    assert broadcast == co_part
-
-
-def test_co_partitioned_detection_requires_shared_layout():
-    db = _two_sharded(shard_count=4)
-    other_db = _two_sharded(shard_count=4)
-    left = ShardedColumnarFrame.from_sharded_atom(db["R"], ("x", "y"))
-    right = ShardedColumnarFrame.from_sharded_atom(db["S"], ("x", "z"))
-    foreign = ShardedColumnarFrame.from_sharded_atom(
-        other_db["S"], ("x", "z")
-    )
-    assert left._co_partitioned(right)
-    assert not left._co_partitioned(foreign)  # different dictionary
-    coarse = db["S"].copy()
-    # Same dictionary but a different shard count after re-sharding.
-    resharded = ShardedColumnarRelation(
-        "S2", 2, coarse.rows(), dictionary=db["S"].dictionary,
-        shard_count=2,
-    )
-    mismatch = ShardedColumnarFrame.from_sharded_atom(
-        resharded, ("x", "z")
-    )
-    assert not left._co_partitioned(mismatch)
-
-
-def test_parallel_co_partitioned_join_parity():
-    serial = _two_sharded(workers=1)
-    threaded = _two_sharded(workers=4)
-    for db in (serial, threaded):
-        frame_l = ShardedColumnarFrame.from_sharded_atom(
-            db["R"], ("x", "y")
-        )
-        frame_r = ShardedColumnarFrame.from_sharded_atom(
-            db["S"], ("x", "z")
-        )
-        db.joined = sorted(frame_l.join(frame_r).rows)
-    assert serial.joined == threaded.joined
-
-
-# ----------------------------------------------------------------------
 # spillable shards: out-of-core code matrices
 # ----------------------------------------------------------------------
 def test_spilled_database_answers_the_full_query_suite(tmp_path):
@@ -391,18 +298,46 @@ def test_spill_files_survive_re_demote_without_rewrite(tmp_path):
 
 
 def test_session_spill_knobs(tmp_path):
-    rows = {"R": [(i % 50, i) for i in range(2000)]}
+    # A spilled sharded session runs the whole scripted read/update
+    # sequence like the python oracle, inside the residency budget.
+    rows = {
+        "R": [(i % 50, i % 13) for i in range(2000)],
+        "S": [(i % 13, i % 41) for i in range(2000)],
+    }
     session = connect(
         rows,
         backend="sharded",
         spill_dir=str(tmp_path),
         max_resident_shards=1,
     )
-    assert session.db.spill is not None
-    answers = session.execute("q(x, y) :- R(x, y)")
-    assert len(answers) == 2000
-    session.add("R", (999, 999999))
-    assert len(answers) == 2001
+    oracle = connect(rows, backend="python")
+    pool = session.db.spill
+    assert pool is not None and pool.spilled_shards() >= 4
+    query = "q(x, y, z) :- R(x, y), S(y, z)"
+    answers = session.prepare(query).run()
+    expected = oracle.prepare(query).run()
+
+    def check():
+        assert pool.resident_shards() <= 1
+        assert len(answers) == len(expected)
+        assert pool.resident_shards() <= 1
+        assert sorted(answers.page(0, 50)) == sorted(expected.page(0, 50))
+        assert pool.resident_shards() <= 1
+        assert answers.aggregate(MIN_PLUS) == expected.aggregate(MIN_PLUS)
+        assert pool.resident_shards() <= 1
+
+    check()
+    updates = (
+        ("add", ("R", (999, 5))),
+        ("discard", ("R", (0, 0))),
+        ("add_all", ("S", [(5, 1000 + i) for i in range(300)])),
+    )
+    for op, args in updates:
+        getattr(session, op)(*args)
+        getattr(oracle, op)(*args)
+        check()
+    assert sorted(answers) == sorted(expected)
+    assert pool.resident_shards() <= 1
 
 
 # ----------------------------------------------------------------------
@@ -472,25 +407,20 @@ def test_faultpoint_countdown_is_thread_safe():
 # ----------------------------------------------------------------------
 # planner surface
 # ----------------------------------------------------------------------
-def test_explain_reports_executor_and_co_partitioning():
+def test_explain_reports_shards_as_storage_layout():
     rows = {"R": [(i % 23, i % 7) for i in range(300)],
             "S": [(i % 7, i % 5) for i in range(300)]}
-    threaded = connect(rows, backend="sharded", workers=4)
-    text = threaded.prepare("q(x, y, z) :- R(x, y), S(y, z)").explain()
-    assert "threaded(4 workers)" in text
-    assert "co-partitioned" in text
-    serial = connect(rows, backend="sharded", workers=1)
-    text = serial.prepare("q(x, y, z) :- R(x, y), S(y, z)").explain()
-    assert "serial" in text
-    plain = connect(rows, backend="python", workers=4)
-    text = plain.prepare("q(x, y, z) :- R(x, y), S(y, z)").explain()
-    assert "executor" not in text  # python backend: no shard fan-out
-
-
-def test_plan_records_worker_count():
-    rows = {"R": [(i % 23, i % 7) for i in range(300)]}
-    session = connect(rows, backend="sharded", workers=3)
-    plan = session.prepare("q(x, y) :- R(x, y)").plan
-    assert plan.backend == "sharded" and plan.workers == 3
-    oracle = connect(rows, backend="python")
-    assert oracle.prepare("q(x, y) :- R(x, y)").plan.workers == 1
+    query = "q(x, y, z) :- R(x, y), S(y, z)"
+    for workers in (1, 4):
+        sharded = connect(
+            rows, backend="sharded", shard_count=4, workers=workers
+        )
+        text = sharded.prepare(query).explain()
+        assert (
+            "  shards:   4 (storage layout: hash-partitioned on the key"
+            " column; queries read the coalesced code matrix)"
+        ) in text
+        assert "executor:" not in text and "joins:" not in text
+    for backend in ("python", "columnar"):
+        text = connect(rows, backend=backend).prepare(query).explain()
+        assert "shards:" not in text and "executor:" not in text

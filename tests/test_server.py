@@ -161,6 +161,40 @@ def test_prepare_page_len_aggregate_match_oracle(backend):
         assert q.aggregate("boolean") is True
 
 
+def test_page_rows_and_total_come_from_one_read(monkeypatch):
+    rows = [(i, i) for i in range(30)]
+    with serving() as (server, client):
+        client.create_db("db")
+        client.add("db", "E", rows)
+        q = client.prepare("db", "q(x, y) :- E(x, y)")
+        served = server.server.registry.resolve_handle(q.handle)
+        session = served.tenant.session
+        real_page = served.answers.page
+        writers = []
+
+        def page_then_write(offset, limit):
+            page = real_page(offset, limit)
+            # Between the route's page read and its total read, a
+            # writer tries to land; it must wait for the response.
+            writer = threading.Thread(
+                target=session.add, args=("E", (99, 99)), daemon=True
+            )
+            writers.append(writer)
+            writer.start()
+            writer.join(timeout=0.3)
+            return page
+
+        monkeypatch.setattr(served.answers, "page", page_then_write)
+        payload = client._json(
+            "GET", f"/v1/q/{q.handle}/page?offset=0&limit=10"
+        )
+        assert [tuple(row) for row in payload["rows"]] == rows[:10]
+        assert payload["total"] == len(rows)
+        writers[0].join(timeout=30)
+        assert not writers[0].is_alive()
+        assert q.count() == len(rows) + 1
+
+
 def test_prepare_is_idempotent_per_handle():
     with serving() as (server, client):
         client.create_db("db")
