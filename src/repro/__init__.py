@@ -114,7 +114,16 @@ decoding                             breadth-first *frontier* Generic
                                      depth-first stack search);
                                      :func:`generic_join` is the same
                                      with values decoded at the
-                                     boundary
+                                     boundary.  A prepared cyclic
+                                     query pays one such join per
+                                     database version — count, pages,
+                                     iteration and aggregates share
+                                     its sorted code matrix — and
+                                     none per small update: join
+                                     queries are repaired by
+                                     :func:`generic_join_delta_codes`
+                                     over the changed tuples while
+                                     ``delta_since`` history lasts
 speed up semiring aggregation        nothing — the fused group-lookup
                                      kernel (``fused_group_lookup``)
                                      is the one FAQ path on the

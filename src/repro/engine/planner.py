@@ -26,7 +26,7 @@ of (query, order, stored backend, input size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
@@ -48,6 +48,13 @@ BOOLEAN = "boolean"
 FREE_CONNEX = "free-connex"
 ACYCLIC_MATERIALIZE = "acyclic-materialize"
 CYCLIC_MATERIALIZE = "cyclic-materialize"
+
+# What every capability of the cyclic family reads on columnar storage
+# (repro.engine.prepared._JoinAnswers).
+_SHARED_JOIN = (
+    "one worst-case-optimal join per database version, shared by "
+    "count, pages, iteration and aggregates"
+)
 
 
 @dataclass(frozen=True)
@@ -156,6 +163,20 @@ class Plan:
             updates = (
                 "session.add/discard fold delta messages into the "
                 "maintained structures (O(depth) per tuple)"
+            )
+        elif (
+            self.family == CYCLIC_MATERIALIZE
+            and self.backend in ("columnar", "sharded")
+            and c.is_join_query
+        ):
+            # A cyclic query is never q-hierarchical, so the quoted
+            # verdict is always the hard side of the dynamic dichotomy.
+            dynamic = c.verdict("dynamic")
+            updates = (
+                "repaired by delta joins: one frontier run per changed "
+                "atom over the changed tuples; rebuilt after a "
+                f"compaction barrier (dynamic: {dynamic.note} -- no "
+                f"constant-time maintenance [{dynamic.theorem}])"
             )
         else:
             updates = (
@@ -271,6 +292,10 @@ def plan_query(
         _access_route(classification, family, chosen_order, admissible),
         _aggregate_route(query, classification, family, maintained),
     )
+    if family == CYCLIC_MATERIALIZE and backend in ("columnar", "sharded"):
+        routes = tuple(
+            replace(route, algorithm=_SHARED_JOIN) for route in routes
+        )
     return Plan(
         query_text=str(query),
         family=family,

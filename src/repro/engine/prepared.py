@@ -18,7 +18,15 @@ an update stream (mutations through :meth:`repro.engine.session.
 Session.add` / ``discard``) never raises
 :class:`repro.db.interface.StaleStructureError` and never serves a
 stale answer — it repairs incrementally where the delta-segment
-machinery allows and recomputes otherwise.
+machinery allows and recomputes otherwise.  Cyclic queries follow the
+same contract with one structure (:class:`_JoinAnswers`): one
+worst-case-optimal join per database version serves count, pages,
+iteration and aggregates alike, and while every drifted relation can
+still answer ``delta_since`` a join query's answers are repaired by
+delta joins over the changed tuples instead of being joined again.
+The classifier's ``dynamic`` verdict rules out constant-time
+maintenance for them (not q-hierarchical); it does not ask for a full
+Õ(m^{ρ*}) join per single-tuple update.
 """
 
 from __future__ import annotations
@@ -26,16 +34,34 @@ from __future__ import annotations
 import operator
 import threading
 from contextlib import ExitStack
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.counting.algorithms import count_answers
+from repro.db.columnar import lookup_rows, unique_rows
 from repro.db.database import Database
-from repro.db.interface import snapshot_stamps, stale_relations
-from repro.direct_access.lex import LexDirectAccess
+from repro.db.interface import (
+    TruncatedHistoryError,
+    snapshot_stamps,
+    stale_relations,
+)
+from repro.direct_access.lex import LexDirectAccess, value_rank_table
 from repro.dynamic.acyclic_count import maintained_count
-from repro.engine.planner import BOOLEAN, FREE_CONNEX, Plan
+from repro.engine.planner import (
+    BOOLEAN,
+    CYCLIC_MATERIALIZE,
+    FREE_CONNEX,
+    Plan,
+)
 from repro.enumeration.constant_delay import ConstantDelayEnumerator
-from repro.joins.generic_join import generic_join, generic_join_boolean
+from repro.joins.generic_join import (
+    generic_join,
+    generic_join_boolean,
+    generic_join_codes,
+    generic_join_delta_codes,
+)
 from repro.joins.yannakakis import yannakakis_boolean, yannakakis_project
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.faq import (
@@ -43,11 +69,64 @@ from repro.semiring.faq import (
     aggregate_acyclic,
     aggregate_free_connex,
     aggregate_generic,
+    aggregate_units,
     AggregateMaintainer,
 )
 from repro.semiring.semirings import COUNTING, Semiring
 
 Row = Tuple[object, ...]
+
+
+class _JoinAnswers:
+    """What the cyclic family serves: one join's answers in paging order.
+
+    ``rows`` is the answer list in the plan's lexicographic value
+    order, ``codes`` the head code matrix aligned with it row for row
+    (``None`` on the python backend, which has no codes), ``stamps``
+    the relation stamps both are current for.  ``rows`` is never
+    mutated in place — a repair swaps in a new list — so an iterator
+    handed out before an update keeps reading the version it started on.
+    """
+
+    __slots__ = ("stamps", "codes", "rows")
+
+    def __init__(
+        self,
+        stamps: Dict[str, int],
+        codes: Optional[np.ndarray],
+        rows: List[Row],
+    ) -> None:
+        self.stamps = stamps
+        self.codes = codes
+        self.rows = rows
+
+
+def _bisect_rows(rows: List[Row], target: object, key: Callable) -> int:
+    """Leftmost insertion point of ``target`` among ``rows`` sorted by
+    ``key`` (``bisect_left(..., key=)`` needs Python 3.10)."""
+    lo, hi = 0, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if key(rows[mid]) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _splice_rows(
+    rows: List[Row], at: List[int], new_rows: List[Row]
+) -> List[Row]:
+    """A new list: ``new_rows[i]`` inserted before ``rows[at[i]]``
+    (``at`` ascending) — the list counterpart of ``np.insert``."""
+    out: List[Row] = []
+    done = 0
+    for position, row in zip(at, new_rows):
+        out.extend(rows[done:position])
+        out.append(row)
+        done = position
+    out.extend(rows[done:])
+    return out
 
 
 class PreparedQuery:
@@ -56,9 +135,10 @@ class PreparedQuery:
     Produced by :meth:`repro.engine.session.Session.prepare`; call
     :meth:`run` for an :class:`AnswerSet` and :meth:`explain` for the
     plan.  Answer structures (count maintainer, enumerator, direct
-    accessor, materialization, per-semiring aggregate maintainers) are
-    built on first demand and cached for the lifetime of the prepared
-    query, surviving updates through refresh/recompute.
+    accessor, materialization, per-semiring aggregate maintainers, the
+    cyclic family's shared join answers) are built on first demand and
+    cached for the lifetime of the prepared query, surviving updates
+    through refresh/recompute.
     """
 
     def __init__(
@@ -74,11 +154,18 @@ class PreparedQuery:
         self.semiring = semiring
         self._db: Database = session.db
         self.head = tuple(query.head)
+        # Sort key realizing the plan's lexicographic paging order.
+        self._page_key: Optional[Callable[[Row], object]] = None
+        if plan.order:
+            self._page_key = operator.itemgetter(
+                *(self.head.index(v) for v in plan.order)
+            )
         # Lazy serving structures; None = not built yet, False (for
         # the counter) = attempted and inapplicable.
         self._counter = None
         self._enumerator: Optional[ConstantDelayEnumerator] = None
         self._accessor: Optional[LexDirectAccess] = None
+        self._answers: Optional[_JoinAnswers] = None
         # Keyed by the semiring object itself (Semiring is a frozen
         # dataclass, hence hashable): holding the key keeps the
         # semiring alive, so a recycled id can never alias two
@@ -174,7 +261,9 @@ class PreparedQuery:
                 return self._cached(
                     "count", lambda: count_answers(query, db)
                 )
-            # Fallback families: reuse a fresh materialization when one
+            if plan.family == CYCLIC_MATERIALIZE:
+                return len(self._join_answers().rows)
+            # Acyclic fallback: reuse a fresh materialization when one
             # exists, else count without decoding — on columnar inputs
             # count_answers reads the frontier join's code matrix
             # length directly, skipping the sorted tuple list entirely.
@@ -221,29 +310,140 @@ class PreparedQuery:
                 return self._accessor.access(index)
             return self._materialized()[index]
 
+    def _slice(self, item: slice) -> List[Row]:
+        """``answers[item]``, one consistent read.
+
+        One guard hold around the whole page: no writer can commit
+        between the bounds check and a row, or between rows.  Wherever
+        a sorted list serves pages the page is one slice of it (one
+        freshness check, not one per row); direct access and Boolean
+        queries go row by row.
+        """
+        with self._serving_guard():
+            plan = self.plan
+            if plan.family == BOOLEAN or (
+                plan.family == FREE_CONNEX and plan.access_admissible
+            ):
+                return [
+                    self._access(i)
+                    for i in range(*item.indices(self._count()))
+                ]
+            return self._materialized()[item]
+
     def _materialized(self) -> List[Row]:
-        """The sorted answer list (stamp-guarded; fallback families).
+        """The sorted answer list (fallback families).
 
         Acyclic queries materialize through the output-sensitive
-        Yannakakis projection; cyclic ones through the worst-case
-        -optimal join.  Sorted by the plan's lexicographic order, so
-        paging agrees with what direct access would serve.
+        Yannakakis projection (stamp-guarded); cyclic ones read the
+        shared :class:`_JoinAnswers`.  Sorted by the plan's
+        lexicographic order, so paging agrees with what direct access
+        would serve.
+        """
+        query, db, key = self.query, self._db, self._page_key
+        with self._serving_guard():
+            if self.plan.family == CYCLIC_MATERIALIZE:
+                return self._join_answers().rows
+            return self._cached(
+                "materialized",
+                lambda: sorted(yannakakis_project(query, db).rows, key=key),
+            )
+
+    # ------------------------------------------------------------------
+    # the cyclic family: one join per database version, delta repairs
+    # ------------------------------------------------------------------
+    def _join_answers(self) -> _JoinAnswers:
+        """The cyclic family's served structure, current for the database.
+
+        Built by one worst-case-optimal join.  On stamp drift a join
+        query on columnar storage is repaired from the relations' net
+        deltas (:meth:`_repair_join_answers`); a projected query, the
+        python backend and truncated delta history rebuild instead.
+        Callers hold the serving guard.
+        """
+        answers = self._answers
+        if answers is not None:
+            drifted = stale_relations(self._db, answers.stamps)
+            if not drifted or self._repair_join_answers(answers, drifted):
+                return answers
+        self._answers = answers = self._build_join_answers()
+        return answers
+
+    def _build_join_answers(self) -> _JoinAnswers:
+        query, db = self.query, self._db
+        stamps = snapshot_stamps(db, query.relation_symbols)
+        coded = generic_join_codes(query, db)
+        if coded is None:  # python backend: no codes to order or repair
+            rows = sorted(generic_join(query, db), key=self._page_key)
+            return _JoinAnswers(stamps, None, rows)
+        codes = coded[0]
+        dictionary = db[query.atoms[0].relation].dictionary
+        # Value order on codes: rank-remap each head column, lexsort
+        # with the order's first variable as the primary key, decode
+        # in that order — no Python-level sort of the answers.
+        ranks = tuple(
+            value_rank_table(dictionary, codes[:, p])[codes[:, p]]
+            for p in (self.head.index(v) for v in reversed(self.plan.order))
+        )
+        codes = codes[np.lexsort(ranks)]
+        return _JoinAnswers(stamps, codes, dictionary.decode_rows(codes))
+
+    def _repair_join_answers(
+        self, answers: _JoinAnswers, drifted: Dict[str, int]
+    ) -> bool:
+        """Bring ``answers`` up to date from net deltas; False = rebuild.
+
+        An answer of a join query uses exactly one tuple per atom, so
+        the answers lost are those using a net-deleted tuple at some
+        atom (one ``lookup_rows`` per atom of a changed relation), and
+        the answers gained are those using a net-inserted tuple at
+        some atom (one delta join per such atom, on the current
+        database).  Gained rows are spliced in at their sort position.
+        Empty net deltas (absorbed updates) only adopt the new stamps.
         """
         query, db = self.query, self._db
-        head, order = self.head, self.plan.order
-        acyclic = self.plan.classification.acyclic
-
-        def compute() -> List[Row]:
-            if acyclic:
-                rows = list(yannakakis_project(query, db).rows)
-            else:
-                rows = list(generic_join(query, db))
-            positions = [head.index(v) for v in order]
-            rows.sort(key=lambda row: tuple(row[p] for p in positions))
-            return rows
-
-        with self._serving_guard():
-            return self._cached("materialized", compute)
+        if answers.codes is None or not query.is_join_query():
+            return False
+        inserted: Dict[str, np.ndarray] = {}
+        deleted: Dict[str, np.ndarray] = {}
+        for name, stamp in drifted.items():
+            try:
+                inserted[name], deleted[name] = db[name].delta_since(stamp)
+            except TruncatedHistoryError:
+                return False
+        dictionary = db[query.atoms[0].relation].dictionary
+        cardinality = len(dictionary)
+        codes, rows = answers.codes, answers.rows
+        position = {v: i for i, v in enumerate(self.head)}
+        keep = np.ones(len(codes), dtype=bool)
+        gained: List[np.ndarray] = []
+        for index, atom in enumerate(query.atoms):
+            gone = deleted.get(atom.relation, ())
+            if len(gone):
+                used = codes[:, [position[v] for v in atom.variables]]
+                keep &= lookup_rows(used, gone, cardinality) < 0
+            new = inserted.get(atom.relation, ())
+            if len(new):
+                gained.append(generic_join_delta_codes(query, db, index, new))
+        if not keep.all():
+            codes = codes[keep]
+            rows = list(compress(rows, keep.tolist()))
+        fresh = gained[0] if gained else ()
+        if len(gained) > 1:  # one answer may use new tuples at two atoms
+            fresh = unique_rows(np.concatenate(gained), cardinality)
+        if len(fresh):
+            key = self._page_key
+            fresh_rows = dictionary.decode_rows(fresh)
+            by_key = sorted(
+                range(len(fresh_rows)), key=lambda i: key(fresh_rows[i])
+            )
+            fresh_rows = [fresh_rows[i] for i in by_key]
+            at = [_bisect_rows(rows, key(row), key) for row in fresh_rows]
+            codes = np.insert(codes, at, fresh[by_key], axis=0)
+            rows = _splice_rows(rows, at, fresh_rows)
+        answers.codes, answers.rows = codes, rows
+        for name in drifted:
+            answers.stamps[name] = db[name].mutation_stamp
+        return True
 
     def _aggregate_maintainer(self, semiring: Semiring):
         key = semiring
@@ -299,25 +499,27 @@ class PreparedQuery:
                     lambda: aggregate_acyclic(query, db, semiring),
                 )
             if weights is not None:
-                return aggregate_generic(query, db, semiring, weights)
-            return self._cached(
-                ("aggregate", semiring),
-                lambda: aggregate_generic(query, db, semiring),
-            )
-        if weights is not None:
+                # Coded weights fold over the shared matrix; the python
+                # backend has none and joins inside aggregate_generic.
+                codes = None
+                if plan.backend != "python":
+                    codes = self._join_answers().codes
+                return aggregate_generic(
+                    query, db, semiring, weights, codes=codes
+                )
+        elif weights is not None:
             raise ValueError(
                 "per-atom weights require a join query (projection "
                 "collapses body assignments); aggregate the full query "
                 "with query.as_join_query() instead"
             )
-        if plan.family == FREE_CONNEX:
+        elif plan.family == FREE_CONNEX:
             return self._cached(
                 ("aggregate", semiring),
                 lambda: aggregate_free_connex(query, db, semiring),
             )
-        return semiring.sum(
-            semiring.one for _ in self._materialized()
-        )
+        # Unit weights over materialized answers: ⊕ of one `one` each.
+        return aggregate_units(semiring, len(self._materialized()))
 
 
 class AnswerSet:
@@ -360,16 +562,13 @@ class AnswerSet:
         return self.prepared._iterate()
 
     def __getitem__(self, item):
-        # One guard hold (it is re-entrant) around the count and every
-        # row access: a page is one consistent read — no writer can
-        # commit between the bounds check and a row, or between rows.
+        if isinstance(item, slice):
+            return self.prepared._slice(item)
+        # One guard hold (it is re-entrant) around the count and the
+        # row access: no writer can commit between the bounds check
+        # and the row.
         with self.prepared._serving_guard():
             n = self.count()
-            if isinstance(item, slice):
-                return [
-                    self.prepared._access(i)
-                    for i in range(*item.indices(n))
-                ]
             index = operator.index(item)
             if index < 0:
                 index += n

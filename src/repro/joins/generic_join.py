@@ -397,6 +397,7 @@ def _frontier_run(
     global_order: Sequence[str],
     cardinality: int,
     cap: Optional[int],
+    bound: Optional[Tuple[int, ColumnarRelation]] = None,
 ) -> Tuple[np.ndarray, bool]:
     """The breadth-first join over the full order; (matrix, truncated?).
 
@@ -404,10 +405,16 @@ def _frontier_run(
     ``global_order`` and one (distinct) row per answer of the join
     query over all variables.  ``cap`` bounds every frontier for the
     capped witness search; the flag reports whether it ever bit.
+    ``bound = (i, relation)`` reads atom ``i`` from ``relation``
+    instead of the database — the delta run of
+    :func:`generic_join_delta_codes`.
     """
+    relations = [db[a.relation] for a in query.atoms]
+    if bound is not None:
+        relations[bound[0]] = bound[1]
     indexes = [
-        _FrontierAtomIndex(db[a.relation], a.variables, global_order)
-        for a in query.atoms
+        _FrontierAtomIndex(relation, a.variables, global_order)
+        for relation, a in zip(relations, query.atoms)
     ]
     frontier = np.zeros((1, 0), dtype=np.int64)
     truncated = False
@@ -479,6 +486,47 @@ def generic_join_codes(
     cardinality = len(dictionary)
     matrix, _ = _frontier_run(query, db, global_order, cardinality, None)
     return _project_head(matrix, global_order, head, cardinality), head
+
+
+def generic_join_delta_codes(
+    query: ConjunctiveQuery,
+    db: Database,
+    atom_index: int,
+    delta: np.ndarray,
+) -> np.ndarray:
+    """The delta join: answers that use a ``delta`` tuple at one atom.
+
+    ``delta`` holds coded tuples (full arity) of atom ``atom_index``'s
+    relation; the result is the head code matrix of the answers of the
+    join query ``query`` over ``db`` whose ``atom_index``-th atom maps
+    to one of them — every other atom, including further atoms over
+    the same relation, reads the database.  The atom's variables lead
+    the order, so the first frontiers are no wider than ``delta`` and
+    the run costs what the changed tuples join with, not Õ(m^{ρ*}).
+    Summed over the atoms of a changed relation with ``delta`` its net
+    inserts, these are exactly the answers the inserts created (an
+    answer of a join query uses one tuple per atom).
+
+    Requires what :func:`generic_join_codes` requires to return codes:
+    columnar relations over one shared dictionary.
+    """
+    if not query.is_join_query():
+        raise ValueError("generic_join_delta_codes requires a join query")
+    dictionary = _shared_dictionary(query, db)
+    if dictionary is None:
+        raise ValueError("delta joins run on columnar databases only")
+    head = tuple(query.head)
+    if _empty_atom_falsifies(query, db):
+        return np.empty((0, len(head)), dtype=np.int64)
+    atom = query.atoms[atom_index]
+    changed = ColumnarRelation(atom.relation, atom.arity, dictionary=dictionary)
+    changed.add_coded_batch(delta)
+    global_order = _choose_order(query, None, db, first=atom.variables)
+    cardinality = len(dictionary)
+    matrix, _ = _frontier_run(
+        query, db, global_order, cardinality, None, (atom_index, changed)
+    )
+    return _project_head(matrix, global_order, head, cardinality)
 
 
 def generic_join(
@@ -592,7 +640,13 @@ def _choose_order(
     query: ConjunctiveQuery,
     order: Optional[Sequence[str]],
     db: Optional[Database] = None,
+    first: Sequence[str] = (),
 ) -> List[str]:
+    """The global variable order: ``order`` if given, else the heuristic.
+
+    ``first`` seeds the heuristic with variables that must lead the
+    order (the delta run puts the changed atom's variables there).
+    """
     if order is not None:
         order = list(order)
         if set(order) != set(query.variables) or len(order) != len(
@@ -610,8 +664,10 @@ def _choose_order(
     # low-cardinality variable keeps the breadth-first frontier narrow
     # on skewed inputs, where a purely structural tie-break can pick an
     # order whose frontier explodes.
+    chosen: List[str] = list(dict.fromkeys(first))
+    remaining = set(query.variables).difference(chosen)
     distinct_of: Dict[str, int] = {}
-    if db is not None:
+    if db is not None and len(remaining) > 1:  # else: no tie to break
         for atom in query.atoms:
             rel = db[atom.relation]
             counter = getattr(rel, "column_distinct_counts", None)
@@ -622,8 +678,6 @@ def _choose_order(
                 count = counts[pos]
                 if var not in distinct_of or count < distinct_of[var]:
                     distinct_of[var] = count
-    chosen: List[str] = []
-    remaining = set(query.variables)
     while remaining:
         def score(v: str) -> Tuple[int, int, int, str]:
             in_atoms = sum(1 for a in query.atoms if v in a.scope)

@@ -579,6 +579,7 @@ def aggregate_generic(
     db: Database,
     semiring: Semiring,
     weights: Optional[WeightFn] = None,
+    codes: Optional[np.ndarray] = None,
 ) -> object:
     """Aggregate any join query via worst-case-optimal enumeration.
 
@@ -591,13 +592,19 @@ def aggregate_generic(
     zero per-answer Python, zero decodes.  Arbitrary scalar weight
     functions (anything without the coded-column protocol of
     :meth:`WeightedDatabase.atom_weight_fn`) keep the decoded fold.
+
+    ``codes`` is that matrix (one row per answer, head columns, any
+    row order) when the caller already holds it current for ``db`` —
+    a prepared cyclic query's served answers — and spares the join.
     """
     if not query.is_join_query():
         raise ValueError("aggregate_generic requires a join query")
     if weights is None or hasattr(weights, "expanders"):
-        coded = generic_join_codes(query, db)
-        if coded is not None:
-            return _aggregate_codes(query, db, semiring, weights, coded[0])
+        if codes is None:
+            coded = generic_join_codes(query, db)
+            codes = None if coded is None else coded[0]
+        if codes is not None:
+            return _aggregate_codes(query, db, semiring, weights, codes)
     if weights is None:
         weights = lambda i, row: semiring.one  # noqa: E731
     head = tuple(query.head)
@@ -619,6 +626,21 @@ def aggregate_generic(
     return total
 
 
+def aggregate_units(semiring: Semiring, count: int) -> object:
+    """The unweighted aggregate of ``count`` answers: ⊕ of ``count`` ones.
+
+    One ⊕ reduce over a unit column — native kernels for the shipped
+    semirings, the ``frompyfunc`` lift for object semirings — so no
+    answer is ever visited from Python.
+    """
+    if not count:
+        return semiring.as_scalar(semiring.zero)
+    plus_ufunc, _, _ = semiring.kernels()
+    return semiring.as_scalar(
+        plus_ufunc.reduce(semiring.unit_column(count))
+    )
+
+
 def _aggregate_codes(
     query: ConjunctiveQuery,
     db: Database,
@@ -632,13 +654,9 @@ def _aggregate_codes(
     weights, defaulting to ``one``), ⊗-combined in atom order exactly
     like the scalar fold, then one ⊕ reduce.
     """
+    if weights is None or not len(codes):
+        return aggregate_units(semiring, len(codes))
     plus_ufunc, times_fn, _ = semiring.kernels()
-    if not len(codes):
-        return semiring.as_scalar(semiring.zero)
-    if weights is None:
-        return semiring.as_scalar(
-            plus_ufunc.reduce(semiring.unit_column(len(codes)))
-        )
     position = {v: i for i, v in enumerate(query.head)}
     values = semiring.unit_column(len(codes))
     cardinality = len(db[query.atoms[0].relation].dictionary)

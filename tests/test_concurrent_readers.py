@@ -22,6 +22,7 @@ of one ``page()`` call (pinned deterministically and under a toggling
 writer).
 """
 
+import sys
 import threading
 
 import pytest
@@ -230,6 +231,72 @@ def test_pages_are_never_torn_under_a_toggling_writer():
     if failures:
         raise failures[0]
     assert all(page in consistent for page in pages)
+    session.close()
+
+
+def test_repaired_cyclic_answers_are_never_torn_across_readers():
+    # The cyclic family's shared matrix + row list is repaired in
+    # place of a rebuild; READERS threads racing a toggling writer must
+    # each see count, page and aggregate of one version — with or
+    # without the triangles the toggled edge closes.
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    session = connect(
+        {"R": edges, "S": edges, "T": [(2, 0), (5, 3), (9, 7)]},
+        backend="columnar",
+    )
+    answers = session.prepare(
+        "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
+    ).run()
+    without = (len(answers), answers.page(0, 10), answers.aggregate(COUNTING))
+    session.add("T", (7, 5))
+    with_edge = (len(answers), answers.page(0, 10), answers.aggregate(COUNTING))
+    assert with_edge[0] == without[0] + 1
+    consistent = (without, with_edge)
+
+    stop = threading.Event()
+    failures = []
+
+    def toggler():
+        try:
+            while not stop.is_set():
+                session.discard("T", (7, 5))
+                session.add("T", (7, 5))
+        except BaseException as exc:  # surfaced after join
+            failures.append(exc)
+
+    def reader():
+        try:
+            for _ in range(60):
+                # page + count under one guard hold is one version.
+                with answers.prepared._serving_guard():
+                    seen = (
+                        len(answers),
+                        answers.page(0, 10),
+                        answers.aggregate(COUNTING),
+                    )
+                if seen not in consistent:
+                    failures.append(AssertionError(f"torn read: {seen}"))
+                    return
+        except BaseException as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=toggler, daemon=True)] + [
+        threading.Thread(target=reader, daemon=True) for _ in range(READERS)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads[1:]:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        threads[0].join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if failures:
+        raise failures[0]
     session.close()
 
 

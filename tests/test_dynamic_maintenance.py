@@ -13,23 +13,37 @@ wrong answers, no error.  These tests pin the fix from both sides:
   streams including delete-everything and re-insert phases.
 """
 
+import importlib
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.counting import count_answers
 from repro.db.database import Database
-from repro.db.interface import StaleStructureError
+from repro.db.interface import StaleStructureError, stale_relations
 from repro.direct_access.lex import LexDirectAccess
 from repro.dynamic import AcyclicCountMaintainer
+from repro.engine import Session
 from repro.enumeration.constant_delay import ConstantDelayEnumerator
 from repro.query import catalog
+from repro.query.atoms import Atom
+from repro.query.cq import ConjunctiveQuery
+from repro.query.parser import parse_query
 from repro.semiring.faq import (
     AggregateMaintainer,
     WeightedDatabase,
     aggregate_acyclic,
 )
-from repro.semiring.semirings import COUNTING, MIN_PLUS
+from repro.semiring.semirings import (
+    BOOLEAN,
+    COUNTING,
+    MAX_PLUS,
+    MIN_PLUS,
+    Semiring,
+)
+from tests import strategies
 
 BACKENDS = ("python", "columnar")
 
@@ -343,3 +357,418 @@ def test_unary_join_query_refresh_parity():
     db["S"].discard((4,))
     assert access.materialize() == [(3,), (5,), (7,)]
     assert maintainer.count() == 3 == count_answers(query, db)
+
+
+# ----------------------------------------------------------------------
+# cyclic answer sets: one join per database version, delta-join repairs
+# ----------------------------------------------------------------------
+# The cyclic family serves count, pages, iteration and aggregates from
+# one sorted code matrix + row list (repro.engine.prepared._JoinAnswers)
+# and repairs it from ``delta_since`` while history lasts.  Everything
+# below compares it, after every update, against the python-backend
+# session (a rebuild per version, no codes) and the brute-force oracle.
+TRIANGLE = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
+
+STORAGES = [
+    pytest.param({"backend": "columnar"}, id="columnar"),
+    pytest.param({"backend": "sharded", "shard_count": 1}, id="sharded-1"),
+    pytest.param({"backend": "sharded", "shard_count": 3}, id="sharded-3"),
+    pytest.param(
+        {"backend": "sharded", "shard_count": 3, "max_resident_shards": 1},
+        id="sharded-3-spilled",
+    ),
+]
+
+CYCLIC_CASES = [
+    pytest.param(TRIANGLE, None, id="triangle"),
+    pytest.param(
+        "q(a, b, c, d) :- R(a, b), S(b, c), T(c, d), U(d, a)",
+        None,
+        id="four-cycle",
+    ),
+    # One changed relation feeds all three atoms.
+    pytest.param(
+        "q(x, y, z) :- R(x, y), R(y, z), R(z, x)", None, id="self-join"
+    ),
+    pytest.param(
+        "q(x, y, z) :- R(x, y), S(y, z), P(z, x, x)",
+        None,
+        id="repeated-variable",
+    ),
+    pytest.param(TRIANGLE, ("z", "x", "y"), id="paging-order"),
+]
+
+
+def _row_weight(row):
+    return sum(row) % 5 + 1
+
+
+class _Mirror:
+    """One update stream on a session under test and on the reference.
+
+    The reference is the same data on ``backend="python"``: cyclic
+    queries there rebuild per version through the depth-first join and
+    a Python sort, sharing no code with the repair path.
+    """
+
+    def __init__(self, text, storage, rows, order=None, tmp_path=None):
+        self.query = parse_query(text)
+        storage = dict(storage)
+        if "max_resident_shards" in storage:
+            storage["spill_dir"] = str(tmp_path)
+        self.arity = {a.relation: a.arity for a in self.query.atoms}
+        self.present = {
+            name: set(rows.get(name, ())) for name in self.arity
+        }
+        self.sessions = []
+        for kwargs in (storage, {"backend": "python"}):
+            db = Database(**kwargs)
+            for name, arity in self.arity.items():
+                db.add_relation(
+                    db.new_relation(name, arity, sorted(self.present[name]))
+                )
+            self.sessions.append(Session(db))
+        self.answers = [
+            s.prepare(self.query, order=order).run() for s in self.sessions
+        ]
+        self.order = self.answers[0].plan.order
+        self.weighted = [WeightedDatabase(s.db) for s in self.sessions]
+        self.weights = [
+            w.atom_weight_fn(self.query, MIN_PLUS) for w in self.weighted
+        ]
+        for name, present in self.present.items():
+            self._weigh(name, present)
+
+    def _weigh(self, name, rows):
+        # Every third row carries a stored weight, the rest default to
+        # ``one`` — both sides of coded_weight_column stay exercised.
+        for row in rows:
+            if sum(row) % 3 == 0:
+                for weighted in self.weighted:
+                    weighted.set_weight(name, row, _row_weight(row))
+
+    def apply(self, op, name, payload):
+        for session in self.sessions:
+            getattr(session, op)(name, payload)
+        rows = payload if op.endswith("_all") else [payload]
+        if op.startswith("add"):
+            self.present[name].update(rows)
+            self._weigh(name, rows)
+        else:
+            self.present[name].difference_update(rows)
+
+    def check(self):
+        live, reference = self.answers
+        truth = self.query.evaluate_brute_force(self.sessions[1].db)
+        head = tuple(self.query.head)
+        positions = [head.index(v) for v in self.order]
+        expected = sorted(
+            truth, key=lambda row: tuple(row[p] for p in positions)
+        )
+        n = len(expected)
+        assert len(live) == len(reference) == n
+        assert live.page(0, n + 1) == expected
+        assert reference.page(0, n + 1) == expected
+        if n:
+            assert live[n - 1] == expected[-1]
+        iterated = list(live)
+        assert len(iterated) == n and set(iterated) == truth
+        assert live.aggregate(COUNTING) == reference.aggregate(COUNTING) == n
+        assert live.aggregate(MIN_PLUS) == reference.aggregate(MIN_PLUS)
+        if self.query.is_join_query():
+            assert live.aggregate(
+                MIN_PLUS, weights=self.weights[0]
+            ) == reference.aggregate(MIN_PLUS, weights=self.weights[1])
+
+    def run(self, stream):
+        self.check()
+        for op, name, payload in stream:
+            self.apply(op, name, payload)
+            self.check()
+
+
+def _cyclic_stream(mirror, rng, domain):
+    """A scripted mix of every update shape the repair has to survive.
+
+    Lazily generated: each step reads ``mirror.present`` as left by the
+    previous one.
+    """
+    names = sorted(mirror.arity)
+
+    def row(name, low=0, high=domain):
+        return tuple(
+            rng.randrange(low, high) for _ in range(mirror.arity[name])
+        )
+
+    def rows(name, count, low=0, high=domain):
+        return [row(name, low, high) for _ in range(count)]
+
+    for _ in range(10):  # single-tuple churn on joining values
+        name = rng.choice(names)
+        if mirror.present[name] and rng.random() < 0.5:
+            yield "discard", name, rng.choice(sorted(mirror.present[name]))
+        else:
+            yield "add", name, row(name)
+    for name in names:
+        # Fresh values: the dictionary grows, and the new values rank
+        # before (negative) and after every value ranked at build time.
+        yield "add", name, row(name, -2, 0)
+        yield "add", name, row(name, domain, domain + 2)
+    yield "add_all", names[0], rows(names[0], 5, -2, domain + 2)
+    yield "add_all", names[-1], rows(names[-1], 64, -2, domain + 2)
+    # > DELTA_COMPACT_MIN rows: a bulk rewrite, history barrier, rebuild.
+    yield "add_all", names[0], rows(names[0], 70, -2, domain + 2)
+    yield "add", names[-1], row(names[-1])
+    yield "discard", names[0], rng.choice(sorted(mirror.present[names[0]]))
+    yield (
+        "discard_all",
+        names[0],
+        rng.sample(sorted(mirror.present[names[0]]), 10),
+    )
+    # An absorbed update, then delete everything and reinsert it.
+    yield "add", names[0], min(mirror.present[names[0]])
+    saved = {name: sorted(mirror.present[name]) for name in names}
+    for name in names:
+        yield "discard_all", name, saved[name]
+    for name in names:
+        yield "add_all", name, saved[name][:40]
+    yield "add", names[-1], row(names[-1])
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("text, order", CYCLIC_CASES)
+def test_cyclic_answers_track_the_reference_over_a_stream(
+    text, order, storage, tmp_path
+):
+    rng = random.Random(f"{text}{order}")
+    query = parse_query(text)
+    domain = 6
+    rows = {
+        atom.relation: {
+            tuple(rng.randrange(domain) for _ in range(atom.arity))
+            for _ in range(20)
+        }
+        for atom in query.atoms
+    }
+    mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
+    assert mirror.answers[0].plan.family == "cyclic-materialize"
+    mirror.run(_cyclic_stream(mirror, rng, domain))
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_cyclic_answers_starting_from_empty(storage, tmp_path):
+    mirror = _Mirror(TRIANGLE, storage, {}, tmp_path=tmp_path)
+    rng = random.Random(3)
+    stream = []
+    for _ in range(30):
+        name = rng.choice("RST")
+        stream.append(("add", name, (rng.randrange(4), rng.randrange(4))))
+    mirror.run(stream)
+    assert len(mirror.answers[0]) > 0
+
+
+@pytest.mark.parametrize("backend", ("python", "columnar"))
+def test_projected_cyclic_query_and_python_backend_rebuild(backend):
+    # No repair here (projection collapses assignments; the python
+    # backend has no codes): both still answer through the one-join
+    # rebuild, weights rejected as for every projected query.
+    text = "q(x, y) :- R(x, y), S(y, z), T(z, x)"
+    rng = random.Random(11)
+    rows = {
+        name: {(rng.randrange(5), rng.randrange(5)) for _ in range(15)}
+        for name in "RST"
+    }
+    mirror = _Mirror(text, {"backend": backend}, rows)
+    assert mirror.answers[0].plan.family == "cyclic-materialize"
+    mirror.run(
+        [
+            ("add", "R", (1, 9)),
+            ("add", "S", (9, 2)),
+            ("add", "T", (2, 1)),
+            ("discard", "S", (9, 2)),
+            ("add_all", "T", [(i % 5, i % 7) for i in range(70)]),
+            ("discard_all", "R", sorted(rows["R"])[:5]),
+        ]
+    )
+    with pytest.raises(ValueError):
+        mirror.answers[0].aggregate(MIN_PLUS, weights=mirror.weights[0])
+
+
+def _count_frontier_runs(monkeypatch):
+    """Wrap the frontier join; returns its full / delta run counters."""
+    # ``repro.joins.generic_join`` the attribute is the function.
+    gj = importlib.import_module("repro.joins.generic_join")
+    runs = {"full": 0, "delta": 0}
+    real = gj._frontier_run
+
+    def counting(*args, **kwargs):
+        # A delta run passes ``bound`` (sixth); a full run does not.
+        bound = args[5] if len(args) > 5 else kwargs.get("bound")
+        runs["full" if bound is None else "delta"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gj, "_frontier_run", counting)
+    return runs
+
+
+def _big_triangle_session(storage, tmp_path):
+    # 300 rows per relation: the compaction barrier sits at
+    # max(64, 0.25 * |main|) = 75 ops, far above the streams below.
+    storage = dict(storage)
+    if "max_resident_shards" in storage:
+        storage["spill_dir"] = str(tmp_path)
+    rng = random.Random(2)
+    data = {
+        name: sorted(
+            {(rng.randrange(40), rng.randrange(40)) for _ in range(320)}
+        )[:300]
+        for name in "RST"
+    }
+    return Session(Database.from_dict(data, **storage)), data
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_one_full_join_per_barrier_none_per_small_update(
+    storage, tmp_path, monkeypatch
+):
+    session, data = _big_triangle_session(storage, tmp_path)
+    runs = _count_frontier_runs(monkeypatch)
+    answers = session.prepare(TRIANGLE).run()
+
+    def read():
+        return len(answers), answers.page(0, 50), answers.aggregate(MIN_PLUS)
+
+    read()
+    assert runs == {"full": 1, "delta": 0}  # one join serves all three
+    assert "count" not in answers.prepared._cache
+    assert not any(
+        isinstance(key, tuple) and key[0] == "aggregate"
+        for key in answers.prepared._cache
+    )
+    rng = random.Random(4)
+    for step in range(20):
+        before = runs["delta"]
+        if step % 2:
+            session.discard("R", data["R"][step])
+        else:
+            session.add("T", (rng.randrange(40), rng.randrange(40)))
+        read()
+        # At most one delta run per atom of the changed relation.
+        assert runs["delta"] - before <= 1
+    session.add_all("S", [(100 + i, i % 40) for i in range(5)])
+    read()
+    assert runs["full"] == 1 and 0 < runs["delta"] <= 21
+    delta_runs = runs["delta"]
+    session.add_all("S", [(i % 40, (7 * i) % 40) for i in range(200)])
+    read()
+    read()
+    assert runs == {"full": 2, "delta": delta_runs}  # barrier: one rebuild
+    oracle = parse_query(TRIANGLE).evaluate_brute_force(
+        session.db.to_backend("python")
+    )
+    assert set(answers) == oracle and len(answers) == len(oracle)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_absorbed_update_runs_no_join(storage, tmp_path, monkeypatch):
+    session, data = _big_triangle_session(storage, tmp_path)
+    answers = session.prepare(TRIANGLE).run()
+    before = (len(answers), answers.page(0, 50), answers.aggregate(COUNTING))
+    runs = _count_frontier_runs(monkeypatch)
+    session.add("R", data["R"][0])  # already present
+    session.add("S", (900, 901))  # an add/discard pair of one tuple
+    session.discard("S", (900, 901))
+    after = (len(answers), answers.page(0, 50), answers.aggregate(COUNTING))
+    assert after == before
+    assert runs == {"full": 0, "delta": 0}
+    # The empty net delta still adopts the new stamps.
+    assert not stale_relations(session.db, answers.prepared._answers.stamps)
+
+
+@st.composite
+def _cyclic_instances(draw):
+    """A random query made cyclic by a triangle over three of its
+    variables (self-joined or not), a database, and an update stream."""
+    base = draw(
+        strategies.conjunctive_queries(
+            max_atoms=2, self_join_free=draw(st.booleans())
+        )
+    )
+    pool = strategies.VARIABLE_POOL
+    a, b, c = draw(st.permutations(pool))[:3]
+    names = draw(
+        st.sampled_from([("E", "F", "G"), ("E", "E", "E"), ("E", "F", "E")])
+    )
+    body = base.atoms + (
+        Atom(names[0], (a, b)),
+        Atom(names[1], (b, c)),
+        Atom(names[2], (c, a)),
+    )
+    variables = sorted({v for atom in body for v in atom.scope})
+    query = ConjunctiveQuery(
+        tuple(draw(st.permutations(variables))), body, name="q_cyclic"
+    )
+    db = draw(strategies.databases_for(query, max_tuples=8))
+    arity = {atom.relation: atom.arity for atom in query.atoms}
+    value = st.integers(min_value=-1, max_value=7)
+    step = st.sampled_from(sorted(arity)).flatmap(
+        lambda name: st.tuples(
+            st.sampled_from(["add", "discard"]),
+            st.just(name),
+            st.tuples(*([value] * arity[name])),
+        )
+    )
+    return query, db, draw(st.lists(step, max_size=8))
+
+
+@given(_cyclic_instances(), st.sampled_from([1, 3]))
+def test_cyclic_repair_matches_brute_force_on_random_queries(
+    instance, shard_count
+):
+    query, db, stream = instance
+    rows = {rel.name: set(rel) for rel in db}
+    storage = {"backend": "sharded", "shard_count": shard_count}
+    mirror = _Mirror(str(query), storage, rows)
+    assume(mirror.answers[0].plan.family == "cyclic-materialize")
+    mirror.run(stream)
+
+
+# ----------------------------------------------------------------------
+# fallback aggregates: a unit-column reduce, no per-answer Python
+# ----------------------------------------------------------------------
+# An object semiring (no NumPy kernels): answer counts as tally strings.
+TALLY = Semiring(
+    name="tally",
+    plus=lambda a, b: a + b,
+    times=lambda a, b: a if b == "|" else b if a == "|" else a + b,
+    zero="",
+    one="|",
+)
+
+
+@pytest.mark.parametrize(
+    "semiring", (COUNTING, BOOLEAN, MIN_PLUS, MAX_PLUS, TALLY),
+    ids=lambda s: s.name,
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q(x, z) :- R(x, y), S(y, z)",  # acyclic-materialize
+        "q(x, y) :- R(x, y), S(y, z), T(z, x)",  # projected cyclic
+    ],
+)
+@pytest.mark.parametrize("empty", (False, True))
+def test_fallback_aggregate_equals_python_fold(text, semiring, empty):
+    rng = random.Random(8)
+    data = {
+        name: [(rng.randrange(6), rng.randrange(6)) for _ in range(25)]
+        for name in "RST"
+    }
+    if empty:
+        data["S"] = [(50, 51)]
+    python = Session(data, backend="python").prepare(text).run()
+    fold = semiring.sum(semiring.one for _ in python)
+    assert bool(len(python)) != empty
+    for backend in ("python", "columnar", "sharded"):
+        answers = Session(data, backend=backend).prepare(text).run()
+        assert answers.aggregate(semiring) == fold

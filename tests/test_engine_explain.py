@@ -2,7 +2,8 @@
 
 One snapshot per pipeline family (boolean, count, enumeration + lex
 direct access, inadmissible lex order, acyclic materialize, cyclic
-fallback), asserting the rendered plan — chosen pipelines, execution
+fallback on the python backend, the cyclic family's shared join on
+columnar storage), asserting the rendered plan — chosen pipelines, execution
 backend, and quoted theorems — is stable.  The plan is a pure function
 of (query, order, stored backend, input size), so any diff here is a
 deliberate planner change: update the snapshot *and* the CHANGES entry
@@ -116,6 +117,24 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
   aggregate via worst-case-optimal join + fold -- Õ(m^1.500) [Section 4.1.2]
   updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
 
+CYCLIC_SHARED_JOIN = """\
+plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
+  family:   cyclic-materialize
+  backend:  columnar (stored backend, m=6)
+  structure: acyclic=False free-connex=False self-join-free=True rho*=1.500
+  order:    x > y > z
+  stats:    R: rows=2 distinct=(2, 2)
+  stats:    S: rows=2 distinct=(2, 2)
+  stats:    T: rows=2 distinct=(2, 2)
+  wcoj:     breadth-first frontier arrays (all prefixes per level extended at once; zero per-row decodes); variable-order ties broken by the measured distinct counts above
+  count     via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7)]
+  iterate   via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- materialize (full evaluation) [Theorem 3.14 / 4.5]
+              note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
+  access    via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
+              note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
+  aggregate via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) [Section 4.1.2]
+  updates:  repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: not q-hierarchical: ('crossing', 'x', 'y') -- no constant-time maintenance [[15] (survey conclusion)])"""
+
 
 @pytest.mark.parametrize(
     "text, backend, order, expected",
@@ -126,7 +145,22 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
         pytest.param('q(a, b, c) :- R(a, b), S(b, c)', 'python', ('a', 'c', 'b'), LEX_ORDER_WITH_DISRUPTIVE_TRIO, id='lex_order_with_disruptive_trio'),
         pytest.param('q(x, z) :- R(x, y), S(y, z)', 'python', None, ACYCLIC_MATERIALIZE, id='acyclic_materialize'),
         pytest.param('q(x, y, z) :- R(x, y), S(y, z), T(z, x)', 'python', None, CYCLIC_FALLBACK, id='cyclic_fallback'),
+        pytest.param('q(x, y, z) :- R(x, y), S(y, z), T(z, x)', 'columnar', None, CYCLIC_SHARED_JOIN, id='cyclic_shared_join'),
     ],
 )
 def test_explain_golden(text, backend, order, expected):
     assert render(text, backend=backend, order=order) == expected
+
+
+def test_cyclic_updates_line_says_what_is_repaired():
+    # Sharded storage repairs like columnar; a projected cyclic query
+    # shares the one join but is rebuilt per version, and says so.
+    triangle = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
+    sharded = render(triangle, backend="sharded")
+    assert sharded.count("one worst-case-optimal join per database version") == 4
+    assert "repaired by delta joins" in sharded
+    assert "not q-hierarchical" in sharded
+    projected = render("q(x, y) :- R(x, y), S(y, z), T(z, x)", backend="columnar")
+    assert projected.count("one worst-case-optimal join per database version") == 4
+    assert "repaired by delta joins" not in projected
+    assert "refresh or recompute before answering" in projected

@@ -127,3 +127,52 @@ def test_answer_set_paging_equals_sorted_materialization(query_db):
         assert answers[: len(oracle) // 2] == oracle[: len(oracle) // 2]
         for index in range(0, len(oracle), max(1, len(oracle) // 5)):
             assert answers[index] == oracle[index]
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ("sharded",))
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("q(x, z) :- R(x, y), S(y, z)", None),
+        ("q(x, y, z) :- R(x, y), S(y, z), T(z, x)", ("z", "x", "y")),
+        ("q(a, b, c) :- R(a, b), S(b, c)", ("a", "c", "b")),
+    ],
+    ids=["acyclic-materialize", "cyclic", "trio-order"],
+)
+def test_materialized_page_is_one_slice(backend, text, order, monkeypatch):
+    """Where a sorted list serves pages, ``answers[i:j:k]`` is one list
+    slice under one freshness check — no per-row ``_access`` round trip
+    through the serving guard and the relation stamps."""
+    query = parse_query(text)
+    rows = [(i % 5, (i * 3) % 7 % 5) for i in range(30)]
+    session = Session({"R": rows, "S": rows[::2], "T": rows[1::2]}, backend=backend)
+    prepared = session.prepare(query, order=order)
+    answers = prepared.run()
+    positions = [query.head.index(v) for v in prepared.plan.order]
+    oracle = sorted(
+        query.evaluate_brute_force(session.db),
+        key=lambda row: tuple(row[p] for p in positions),
+    )
+    assert len(oracle) > 6
+    per_row = []
+    with monkeypatch.context() as patch:
+        patch.setattr(prepared, "_access", per_row.append)
+        for item in (
+            slice(None),
+            slice(1, 4),
+            slice(None, None, 2),
+            slice(-3, None),
+            slice(5, 1, -1),
+            slice(4, 4),
+            slice(len(oracle) - 2, len(oracle) + 50),
+            slice(1000, 2000),
+        ):
+            assert answers[item] == oracle[item]
+        assert answers.page(2, 3) == oracle[2:5]
+    assert per_row == []
+    assert answers[-1] == oracle[-1]
+    n = len(oracle)
+    with pytest.raises(
+        IndexError, match=f"index {n} out of range for {n} answers"
+    ):
+        answers[n]
