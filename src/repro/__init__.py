@@ -26,7 +26,12 @@ call one algorithm directly          the low-level entry points the engine
                                      :mod:`repro.joins`,
                                      :mod:`repro.semiring`
 maintain one aggregate under         :class:`HierarchicalCountMaintainer`
-updates, no serving facade           / :mod:`repro.dynamic`
+updates, no serving facade           / :mod:`repro.dynamic`; with
+                                     per-tuple weights :class:`repro.
+                                     semiring.AggregateMaintainer` (the
+                                     engine itself maintains only the
+                                     count: an unweighted aggregate is
+                                     its image ``n·1`` in the semiring)
 build inputs                         :class:`Database`, :func:`parse_query`,
                                      :mod:`repro.workloads`
 pick a storage backend               ``connect(backend=...)`` /
@@ -90,7 +95,7 @@ over the network                     asyncio HTTP/1.1 service:
                                      reads, streamed NDJSON ingestion
                                      with backpressure batching, and
                                      SSE ``watch`` streams of
-                                     maintained aggregate changes;
+                                     count / aggregate changes;
                                      :class:`repro.server.
                                      ServerClient` is the matching
                                      stdlib client

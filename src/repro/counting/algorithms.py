@@ -25,10 +25,9 @@ from typing import Optional
 from repro.db.database import Database
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.hypergraph.gyo import is_acyclic
-from repro.joins.fc_reduce import free_connex_reduce
 from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.query.cq import ConjunctiveQuery
-from repro.semiring.faq import aggregate_acyclic, aggregate_frames
+from repro.semiring.faq import aggregate_acyclic, aggregate_free_connex
 from repro.semiring.semirings import COUNTING
 
 
@@ -43,14 +42,7 @@ def count_free_connex(query: ConjunctiveQuery, db: Database) -> int:
 
     Boolean queries count their single empty answer when satisfiable.
     """
-    if query.is_boolean():
-        from repro.joins.yannakakis import yannakakis_boolean
-
-        return 1 if yannakakis_boolean(query, db) else 0
-    reduced = free_connex_reduce(query, db)
-    if reduced.is_empty:
-        return 0
-    return aggregate_frames(reduced.frames, reduced.tree, COUNTING)
+    return aggregate_free_connex(query, db, COUNTING)
 
 
 def count_brute_force(query: ConjunctiveQuery, db: Database) -> int:

@@ -16,7 +16,7 @@ callers stop doing it by hand::
     len(answers)                    # dichotomy-optimal counting
     answers[10:20]                  # paging via lex direct access
     next(iter(answers))             # constant-delay enumeration
-    answers.aggregate(MIN_PLUS)     # FAQ semiring aggregation
+    answers.aggregate(MIN_PLUS)     # the count's image in the semiring
     session.add("Hub", ("paris",))  # prepared queries stay live
 
 Layers:

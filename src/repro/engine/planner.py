@@ -136,11 +136,7 @@ class Plan:
             lines.append(f"  order:    {' > '.join(self.order)}")
         for stat in self.stats:
             lines.append(f"  stats:    {stat}")
-        wcoj = any(
-            "worst-case-optimal" in route.algorithm
-            for route in self.routes
-        )
-        if wcoj:
+        if not c.acyclic:  # cyclic: the worst-case-optimal join runs
             if self.backend in ("columnar", "sharded"):
                 strategy = (
                     "breadth-first frontier arrays (all prefixes per"
@@ -290,7 +286,7 @@ def plan_query(
         _count_route(query, classification, family, maintained),
         _iterate_route(classification, family),
         _access_route(classification, family, chosen_order, admissible),
-        _aggregate_route(query, classification, family, maintained),
+        _aggregate_route(query, classification),
     )
     if family == CYCLIC_MATERIALIZE and backend in ("columnar", "sharded"):
         routes = tuple(
@@ -451,39 +447,31 @@ def _access_route(
 
 
 def _aggregate_route(
-    query: ConjunctiveQuery,
-    classification: QueryClassification,
-    family: str,
-    maintained: bool,
+    query: ConjunctiveQuery, classification: QueryClassification
 ) -> PlanRoute:
-    if query.is_join_query() and classification.acyclic:
-        algorithm = "FAQ semiring message passing"
-        if maintained:
-            algorithm += ", incrementally maintained"
-        return PlanRoute(
-            capability="aggregate",
-            algorithm=algorithm,
-            cost="Õ(m)",
-            theorem="Section 4.1.2 / [59]",
+    """One route for every family: the count's verdict.
+
+    Unweighted, ⊕ over the answers of ⊗ of ones is ``n·1`` — the
+    answer count mapped into the semiring — so cost and theorem are
+    the counting dichotomy's.  Only the per-atom-weights pipeline
+    still varies with the query, and the note names it.
+    """
+    verdict = classification.verdict("counting")
+    if not query.is_join_query():
+        weighted = "undefined under projection -- use query.as_join_query()"
+    elif classification.acyclic:
+        weighted = (
+            "FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]"
         )
-    if query.is_join_query():
-        return PlanRoute(
-            capability="aggregate",
-            algorithm="worst-case-optimal join + fold",
-            cost=f"Õ(m^{classification.agm_exponent:.3f})",
-            theorem="Section 4.1.2",
-        )
-    if family == FREE_CONNEX:
-        return PlanRoute(
-            capability="aggregate",
-            algorithm="free-connex reduction + FAQ (unit weights)",
-            cost="Õ(m)",
-            theorem="Theorem 3.13 / Section 4.1.2",
+    else:
+        weighted = (
+            "worst-case-optimal join + fold, "
+            f"Õ(m^{classification.agm_exponent:.3f})"
         )
     return PlanRoute(
         capability="aggregate",
-        algorithm="fold over materialized answers (unit weights)",
-        cost="O(full-join size)",
-        theorem="Section 4.1.2",
-        note="projected non-free-connex query: aggregate = fold of 1s",
+        algorithm="count, then n·1 in the semiring (O(log n) ⊕)",
+        cost=verdict.upper_bound,
+        theorem=f"{verdict.theorem} / Section 4.1.2",
+        note=f"per-atom weights: {weighted}",
     )

@@ -4,13 +4,16 @@ A :class:`PreparedQuery` is the engine's unit of serving: one query,
 one :class:`~repro.engine.planner.Plan`, the session's database, and a
 set of lazily built answer structures shared by every
 :meth:`PreparedQuery.run` call.  The structures are exactly the
-low-level pipelines of the repo — FAQ maintainers
-(:mod:`repro.semiring.faq`, :mod:`repro.dynamic`), constant-delay
-enumerators (:mod:`repro.enumeration`), lex direct access
+low-level pipelines of the repo — the maintained count
+(:mod:`repro.dynamic`), constant-delay enumerators
+(:mod:`repro.enumeration`), lex direct access
 (:mod:`repro.direct_access`), Yannakakis and the worst-case-optimal
 join (:mod:`repro.joins`) — so every answer is byte-identical to the
 corresponding direct call; the facade only removes the dispatch
-burden.
+burden.  Aggregates own none of them: unweighted, ⊕ over the answers
+of ⊗ of ones is ``n·1``, the count's image in the semiring
+(:func:`repro.semiring.faq.aggregate_units`); per-atom weights run
+the FAQ pipelines of :mod:`repro.semiring.faq` per call.
 
 Liveness: every structure is built with ``on_stale="refresh"`` or is
 guarded by a mutation-stamp cache, so a prepared query served across
@@ -67,12 +70,10 @@ from repro.query.cq import ConjunctiveQuery
 from repro.semiring.faq import (
     WeightFn,
     aggregate_acyclic,
-    aggregate_free_connex,
     aggregate_generic,
     aggregate_units,
-    AggregateMaintainer,
 )
-from repro.semiring.semirings import COUNTING, Semiring
+from repro.semiring.semirings import Semiring
 
 Row = Tuple[object, ...]
 
@@ -135,10 +136,9 @@ class PreparedQuery:
     Produced by :meth:`repro.engine.session.Session.prepare`; call
     :meth:`run` for an :class:`AnswerSet` and :meth:`explain` for the
     plan.  Answer structures (count maintainer, enumerator, direct
-    accessor, materialization, per-semiring aggregate maintainers, the
-    cyclic family's shared join answers) are built on first demand and
-    cached for the lifetime of the prepared query, surviving updates
-    through refresh/recompute.
+    accessor, materialization, the cyclic family's shared join
+    answers) are built on first demand and cached for the lifetime of
+    the prepared query, surviving updates through refresh/recompute.
     """
 
     def __init__(
@@ -166,13 +166,10 @@ class PreparedQuery:
         self._enumerator: Optional[ConstantDelayEnumerator] = None
         self._accessor: Optional[LexDirectAccess] = None
         self._answers: Optional[_JoinAnswers] = None
-        # Keyed by the semiring object itself (Semiring is a frozen
-        # dataclass, hence hashable): holding the key keeps the
-        # semiring alive, so a recycled id can never alias two
-        # semirings onto one cache slot.
-        self._agg_maintainers: Dict[Semiring, object] = {}
-        # capability key -> (stamps, value) for stamp-guarded scalars.
-        self._cache: Dict[object, Tuple[Dict[str, int], object]] = {}
+        # "decide" / "count" / "materialized" -> (stamps, value): the
+        # stamp-guarded recomputations.  Aggregates have no entry —
+        # unweighted they are a function of the count.
+        self._cache: Dict[str, Tuple[Dict[str, int], object]] = {}
         # Concurrent readers serialize per prepared query (lazy
         # structure builds and stamp-cache refreshes are not
         # interleavable); distinct prepared queries stay concurrent.
@@ -219,7 +216,7 @@ class PreparedQuery:
     # ------------------------------------------------------------------
     # stamp-guarded recomputation
     # ------------------------------------------------------------------
-    def _cached(self, key: object, compute: Callable[[], object]):
+    def _cached(self, key: str, compute: Callable[[], object]):
         entry = self._cache.get(key)
         if entry is not None:
             stamps, value = entry
@@ -445,18 +442,6 @@ class PreparedQuery:
             answers.stamps[name] = db[name].mutation_stamp
         return True
 
-    def _aggregate_maintainer(self, semiring: Semiring):
-        key = semiring
-        if key not in self._agg_maintainers:
-            try:
-                maintainer = AggregateMaintainer(
-                    self.query, self._db, semiring
-                )
-            except ValueError:
-                maintainer = False
-            self._agg_maintainers[key] = maintainer
-        return self._agg_maintainers[key] or None
-
     def _aggregate(
         self,
         semiring: Optional[Semiring],
@@ -476,50 +461,26 @@ class PreparedQuery:
         semiring: Semiring,
         weights: Optional[WeightFn],
     ) -> object:
+        if weights is None:
+            # ⊕ over the answers of ⊗ of ones: n·1, the count's image
+            # under the one homomorphism ℕ → K.  No structure, cache
+            # entry or per-update work beyond the count's own.
+            return aggregate_units(semiring, self._count())
         query, db, plan = self.query, self._db, self.plan
-        if plan.family == BOOLEAN:
-            return semiring.one if self._decide() else semiring.zero
-        if query.is_join_query():
-            if plan.classification.acyclic:
-                if weights is not None:
-                    return aggregate_acyclic(query, db, semiring, weights)
-                if plan.maintained_count and semiring is COUNTING:
-                    # Share the count maintainer instead of building a
-                    # second, identical COUNTING message-passing
-                    # structure that every update would also pay for.
-                    counter = self._get_counter()
-                    if counter is not None:
-                        return counter.count()
-                if plan.backend in ("columnar", "sharded"):
-                    maintainer = self._aggregate_maintainer(semiring)
-                    if maintainer is not None:
-                        return maintainer.value()
-                return self._cached(
-                    ("aggregate", semiring),
-                    lambda: aggregate_acyclic(query, db, semiring),
-                )
-            if weights is not None:
-                # Coded weights fold over the shared matrix; the python
-                # backend has none and joins inside aggregate_generic.
-                codes = None
-                if plan.backend != "python":
-                    codes = self._join_answers().codes
-                return aggregate_generic(
-                    query, db, semiring, weights, codes=codes
-                )
-        elif weights is not None:
+        if not query.is_join_query():
             raise ValueError(
                 "per-atom weights require a join query (projection "
                 "collapses body assignments); aggregate the full query "
                 "with query.as_join_query() instead"
             )
-        elif plan.family == FREE_CONNEX:
-            return self._cached(
-                ("aggregate", semiring),
-                lambda: aggregate_free_connex(query, db, semiring),
-            )
-        # Unit weights over materialized answers: ⊕ of one `one` each.
-        return aggregate_units(semiring, len(self._materialized()))
+        if plan.classification.acyclic:
+            return aggregate_acyclic(query, db, semiring, weights)
+        # Coded weights fold over the shared matrix; the python
+        # backend has none and joins inside aggregate_generic.
+        codes = None
+        if plan.backend != "python":
+            codes = self._join_answers().codes
+        return aggregate_generic(query, db, semiring, weights, codes=codes)
 
 
 class AnswerSet:
@@ -531,7 +492,8 @@ class AnswerSet:
     - ``answers[i]`` / ``answers[i:j]`` — paging in the plan's
       lexicographic order, backed by direct access when admissible and
       by the sorted materialization otherwise;
-    - :meth:`aggregate` — semiring aggregation (FAQ);
+    - :meth:`aggregate` — semiring aggregation: the count's image
+      ``n·1`` unweighted, FAQ with per-atom weights;
     - :meth:`explain` — the serving plan.
 
     The view holds no answers of its own: every read consults the
@@ -602,8 +564,10 @@ class AnswerSet:
     ) -> object:
         """⊕-aggregate over the answers (⊗ of atom weights when given).
 
-        Defaults to the semiring the query was prepared with.  Weights
-        (``weights(node, row)``) are supported for join queries only.
+        Defaults to the semiring the query was prepared with.  Without
+        weights the value is ``aggregate_units(semiring, len(self))``.
+        Weights (``weights(node, row)``) are supported for join
+        queries only.
         """
         return self.prepared._aggregate(semiring, weights)
 

@@ -50,7 +50,6 @@ from repro.db.columnar import (
     Dictionary,
     atom_codes,
     common_keys,
-    group_rows,
     match_pairs,
     unique_rows,
 )
@@ -332,22 +331,6 @@ class ColumnarFrame:
         return ColumnarFrame(
             variables, taken, self.dictionary, _distinct=True
         )
-
-    def group_by(
-        self, variables: Sequence[str]
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Group rows by their projection onto ``variables``.
-
-        Returns ``(representatives, group_ids, group_count)`` as in
-        :func:`repro.db.columnar.group_rows`: the distinct key rows (as
-        a code matrix over ``variables``), a dense group id per frame
-        row, and the group count.  This is the grouping primitive the
-        vectorized semiring aggregation and direct-access builders
-        reduce over.
-        """
-        pos = list(self.positions(variables))
-        sub = self._codes[:, pos] if pos else self._codes[:, :0]
-        return group_rows(sub, len(self.dictionary))
 
     def to_tuples(
         self, variables: Optional[Sequence[str]] = None

@@ -37,7 +37,12 @@ locate affected parent rows, and a deleted tuple's own row) instead
 of a full recompute.  Deletions fold as ⊕-negated deltas, so they need the
 semiring to be a ring in ⊕ (``np_negate``, e.g. counting); otherwise,
 and whenever a relation's delta history is gone (compaction / bulk
-rewrite), the maintainer falls back to a full rebuild.
+rewrite), the maintainer falls back to a full rebuild.  The engine
+facade builds exactly one, the counting instance behind
+:func:`repro.dynamic.acyclic_count.maintained_count`; every unweighted
+aggregate it serves is that count's image ``n·1``
+(:func:`aggregate_units`).  Maintainers over other semirings or a
+:class:`WeightedDatabase` are for direct callers.
 
 Cyclic join queries fall back to :func:`aggregate_generic`: enumerate
 the full join with the worst-case-optimal join (Õ(m^{ρ*})) and fold.
@@ -391,8 +396,9 @@ def aggregate_free_connex(
     Per-atom weights make no sense for projected queries (several body
     assignments collapse onto one answer); use
     :func:`aggregate_acyclic` on join queries for weighted aggregation.
-    The engine facade (:mod:`repro.engine`) routes
-    ``AnswerSet.aggregate`` here for projected free-connex queries.
+    The engine facade (:mod:`repro.engine`) reaches this only through
+    :func:`~repro.counting.algorithms.count_free_connex`: an unweighted
+    ``AnswerSet.aggregate`` is :func:`aggregate_units` of that count.
     """
     if query.is_boolean():
         from repro.joins.yannakakis import yannakakis_boolean
@@ -629,16 +635,25 @@ def aggregate_generic(
 def aggregate_units(semiring: Semiring, count: int) -> object:
     """The unweighted aggregate of ``count`` answers: ⊕ of ``count`` ones.
 
-    One ⊕ reduce over a unit column — native kernels for the shipped
-    semirings, the ``frompyfunc`` lift for object semirings — so no
-    answer is ever visited from Python.
+    ``n·1`` by binary expansion (double, add ``one`` per set bit) with
+    the semiring's own kernels on one-element columns: O(log count) ⊕
+    and nothing count-sized allocated, so a maintained count that was
+    never materialized maps into the semiring as cheaply as a small
+    one.  Needs only associativity of ⊕.
     """
-    if not count:
+    if count <= 0:
         return semiring.as_scalar(semiring.zero)
     plus_ufunc, _, _ = semiring.kernels()
-    return semiring.as_scalar(
-        plus_ufunc.reduce(semiring.unit_column(count))
-    )
+    one = semiring.unit_column(1)
+    if one.dtype.kind == "i" and count > np.iinfo(one.dtype).max:
+        # A python-backend bigint count: stay exact past the kernel's width.
+        one = one.astype(object)
+    total = one
+    for bit in bin(count)[3:]:  # the bits below the leading one
+        total = plus_ufunc(total, total)
+        if bit == "1":
+            total = plus_ufunc(total, one)
+    return semiring.as_scalar(total[0])
 
 
 def _aggregate_codes(

@@ -8,7 +8,7 @@ coercion here keeps every experiment reproducible run-to-run.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 SeedLike = Union[int, random.Random, None]
 
@@ -82,19 +82,3 @@ def shuffled(rng: random.Random, items: Iterable) -> list:
     out = list(items)
     rng.shuffle(out)
     return out
-
-
-def random_subset(
-    rng: random.Random, items: Iterable, size: Optional[int] = None
-) -> list:
-    """Return a uniformly random subset of ``items``.
-
-    When ``size`` is given, the subset has exactly that many elements;
-    otherwise each element is kept independently with probability 1/2.
-    """
-    pool = list(items)
-    if size is not None:
-        if size > len(pool):
-            raise ValueError("subset size exceeds population")
-        return rng.sample(pool, size)
-    return [x for x in pool if rng.random() < 0.5]

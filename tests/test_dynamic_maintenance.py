@@ -35,6 +35,7 @@ from repro.semiring.faq import (
     AggregateMaintainer,
     WeightedDatabase,
     aggregate_acyclic,
+    aggregate_units,
 )
 from repro.semiring.semirings import (
     BOOLEAN,
@@ -44,6 +45,7 @@ from repro.semiring.semirings import (
     Semiring,
 )
 from tests import strategies
+from tests.test_engine import FAMILY_QUERIES
 
 BACKENDS = ("python", "columnar")
 
@@ -641,6 +643,8 @@ def test_one_full_join_per_barrier_none_per_small_update(
     read()
     assert runs == {"full": 1, "delta": 0}  # one join serves all three
     assert "count" not in answers.prepared._cache
+    # Holds for every family (test_aggregates_leave_no_cache_entry):
+    # an unweighted aggregate is a function of the count.
     assert not any(
         isinstance(key, tuple) and key[0] == "aggregate"
         for key in answers.prepared._cache
@@ -734,7 +738,7 @@ def test_cyclic_repair_matches_brute_force_on_random_queries(
 
 
 # ----------------------------------------------------------------------
-# fallback aggregates: a unit-column reduce, no per-answer Python
+# unweighted aggregates: the count's image n·1 in the semiring
 # ----------------------------------------------------------------------
 # An object semiring (no NumPy kernels): answer counts as tally strings.
 TALLY = Semiring(
@@ -744,19 +748,21 @@ TALLY = Semiring(
     zero="",
     one="|",
 )
+SEMIRINGS = (COUNTING, BOOLEAN, MIN_PLUS, MAX_PLUS, TALLY)
+
+# One query per family, each reading R and S (T too when cyclic).
+UNIT_QUERIES = [
+    "q(x, z) :- R(x, y), S(y, z)",  # acyclic-materialize
+    "q(x, y) :- R(x, y), S(y, z), T(z, x)",  # projected cyclic
+    "q(x, y, z) :- R(x, y), S(y, z)",  # join-chain (maintained count)
+    "q(x) :- R(x, y), S(y, z)",  # projected free-connex
+    "q(x, y) :- R(x, y), S(x, z)",  # star
+    "q() :- R(x, y), S(y, z)",  # Boolean
+]
 
 
-@pytest.mark.parametrize(
-    "semiring", (COUNTING, BOOLEAN, MIN_PLUS, MAX_PLUS, TALLY),
-    ids=lambda s: s.name,
-)
-@pytest.mark.parametrize(
-    "text",
-    [
-        "q(x, z) :- R(x, y), S(y, z)",  # acyclic-materialize
-        "q(x, y) :- R(x, y), S(y, z), T(z, x)",  # projected cyclic
-    ],
-)
+@pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
+@pytest.mark.parametrize("text", UNIT_QUERIES)
 @pytest.mark.parametrize("empty", (False, True))
 def test_fallback_aggregate_equals_python_fold(text, semiring, empty):
     rng = random.Random(8)
@@ -772,3 +778,93 @@ def test_fallback_aggregate_equals_python_fold(text, semiring, empty):
     for backend in ("python", "columnar", "sharded"):
         answers = Session(data, backend=backend).prepare(text).run()
         assert answers.aggregate(semiring) == fold
+
+
+@pytest.mark.parametrize(
+    "storage",
+    [pytest.param({"backend": "python"}, id="python")] + STORAGES[:3],
+)
+@pytest.mark.parametrize("text", UNIT_QUERIES)
+def test_unit_aggregates_track_the_fold_over_a_stream(text, storage):
+    query = parse_query(text)
+    rng = random.Random(13)
+
+    def rows(count):
+        return [(rng.randrange(7), rng.randrange(7)) for _ in range(count)]
+
+    data = {name: rows(20) for name in "RST"}
+    session = Session(Database.from_dict(data, **storage))
+    answers = session.prepare(query).run()
+    for _ in range(30):
+        name = rng.choice("RST")
+        op = rng.choice(["add", "discard", "small batch", "big batch"])
+        if op == "add":
+            session.add(name, rows(1)[0])
+        elif op == "discard":
+            session.discard(name, rng.choice(sorted(session.db[name])))
+        else:  # below / above the 64-row history barrier
+            session.add_all(name, rows(5 if op == "small batch" else 70))
+        truth = query.evaluate_brute_force(session.db)
+        for semiring in SEMIRINGS:
+            value = answers.aggregate(semiring)
+            assert value == semiring.sum(semiring.one for _ in truth)
+            assert value == aggregate_units(semiring, len(answers))
+
+
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
+def test_aggregate_builds_no_structure(backend, monkeypatch):
+    """Reading aggregates in any semiring builds nothing beside the
+    count maintainer and adds no per-update work — deletes included,
+    although min / max have no ⊕-inverse to fold them with."""
+    built = []
+    real = AggregateMaintainer.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AggregateMaintainer, "__init__", recording)
+    rng = random.Random(5)
+    data = {
+        name: sorted(
+            {(rng.randrange(9), rng.randrange(9)) for _ in range(60)}
+        )
+        for name in "RS"
+    }
+    session = Session(data, backend=backend)
+    prepared = session.prepare(FAMILY_QUERIES["join-chain"])
+    assert prepared.plan.maintained_count
+    answers = prepared.run()
+
+    def read():
+        n = len(answers)
+        assert len(answers.page(0, 10)) == min(n, 10)
+        for semiring in SEMIRINGS:
+            assert answers.aggregate(semiring) == aggregate_units(semiring, n)
+
+    read()
+    for step in range(20):
+        if step % 2:
+            session.discard("R", data["R"][step])
+        else:
+            session.add("S", (rng.randrange(9), 100 + step))
+        read()
+    assert len(built) == 1  # the count maintainer, and nothing else
+    assert prepared._counter.rebuilds == 0
+
+
+@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
+def test_aggregates_leave_no_cache_entry(family, backend):
+    rng = random.Random(6)
+    data = {
+        name: [(rng.randrange(6), rng.randrange(6)) for _ in range(25)]
+        for name in "RST"
+    }
+    prepared = Session(data, backend=backend).prepare(FAMILY_QUERIES[family])
+    answers = prepared.run()
+    assert len(answers.page(0, 5)) == min(len(answers), 5)
+    assert len(list(answers)) == len(answers)
+    for semiring in SEMIRINGS:
+        answers.aggregate(semiring)
+    assert set(prepared._cache) <= {"decide", "count", "materialized"}

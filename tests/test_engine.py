@@ -295,15 +295,12 @@ def test_aggregate_cache_not_aliased_across_transient_semirings():
     assert all(results)
 
 
-def test_counting_aggregate_shares_the_count_maintainer():
-    """aggregate(COUNTING) on a maintained plan must reuse the count
-    maintainer, not build a second identical structure."""
-    text = FAMILY_QUERIES["join-chain"]
-    db = _database_for(text, "columnar", seed=3)
-    prepared = Session(db).prepare(text)
-    assert prepared.plan.maintained_count
-    answers = prepared.run()
-    assert len(answers) == answers.aggregate(COUNTING)
-    assert COUNTING not in prepared._agg_maintainers
-    assert answers.aggregate(MIN_PLUS) is not None  # separate semiring
-    assert MIN_PLUS in prepared._agg_maintainers
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_weights_on_a_boolean_query_raise_like_any_projection(backend):
+    """Regression: the Boolean shortcut returned the bare ``one`` without
+    ever calling the weight function."""
+    db = _database_for(FAMILY_QUERIES["boolean"], backend)
+    answers = Session(db).execute(FAMILY_QUERIES["boolean"])
+    assert answers.aggregate(MIN_PLUS) == 0
+    with pytest.raises(ValueError, match="require a join query"):
+        answers.aggregate(MIN_PLUS, weights=lambda node, row: 1)

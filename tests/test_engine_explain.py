@@ -50,7 +50,8 @@ plan for q(x) :- R(x, y), S(y, z)
   count     via free-connex FAQ message passing -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
-  aggregate via free-connex reduction + FAQ (unit weights) -- Õ(m) [Theorem 3.13 / Section 4.1.2]
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
+              note: per-atom weights: undefined under projection -- use query.as_join_query()
   updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
 
 ENUM_AND_LEX_DIRECT_ACCESS = """\
@@ -64,7 +65,8 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   count     via FAQ message passing (counting semiring), incrementally maintained -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
   access    via lex direct access on (a > b > c) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
-  aggregate via FAQ semiring message passing, incrementally maintained -- Õ(m) [Section 4.1.2 / [59]]
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
+              note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
   updates:  session.add/discard fold delta messages into the maintained structures (O(depth) per tuple)"""
 
 LEX_ORDER_WITH_DISRUPTIVE_TRIO = """\
@@ -79,7 +81,8 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
   access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
               note: order (a > c > b) admits no layered join tree (disruptive trio); pages are served from the sorted materialization
-  aggregate via FAQ semiring message passing -- Õ(m) [Section 4.1.2 / [59]]
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
+              note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
   updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
 
 ACYCLIC_MATERIALIZE = """\
@@ -95,8 +98,8 @@ plan for q(x, z) :- R(x, y), S(y, z)
               note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
   access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
-  aggregate via fold over materialized answers (unit weights) -- O(full-join size) [Section 4.1.2]
-              note: projected non-free-connex query: aggregate = fold of 1s
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6 / Section 4.1.2]
+              note: per-atom weights: undefined under projection -- use query.as_join_query()
   updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
 
 CYCLIC_FALLBACK = """\
@@ -114,7 +117,8 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
               note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
   access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
-  aggregate via worst-case-optimal join + fold -- Õ(m^1.500) [Section 4.1.2]
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7) / Section 4.1.2]
+              note: per-atom weights: worst-case-optimal join + fold, Õ(m^1.500)
   updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
 
 CYCLIC_SHARED_JOIN = """\
@@ -132,7 +136,8 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
               note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
   access    via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
-  aggregate via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) [Section 4.1.2]
+  aggregate via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7) / Section 4.1.2]
+              note: per-atom weights: worst-case-optimal join + fold, Õ(m^1.500)
   updates:  repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: not q-hierarchical: ('crossing', 'x', 'y') -- no constant-time maintenance [[15] (survey conclusion)])"""
 
 

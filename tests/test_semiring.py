@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,10 +15,12 @@ from repro.semiring import (
     COUNTING,
     MAX_PLUS,
     MIN_PLUS,
+    Semiring,
     WeightedDatabase,
     aggregate_acyclic,
     aggregate_generic,
 )
+from repro.semiring.faq import aggregate_units
 from repro.workloads import random_database
 
 SEMIRINGS = [BOOLEAN, COUNTING, MIN_PLUS, MAX_PLUS]
@@ -166,3 +169,35 @@ def test_weight_fn_handles_repeated_variables():
         query, db, MIN_PLUS, weighted.atom_weight_fn(query, MIN_PLUS)
     )
     assert got == 10  # the (1,1),(1,5) answer
+
+
+def test_unit_aggregate_folds_by_doubling():
+    # n·1 in O(log n) ⊕ with nothing n-sized allocated: a maintained
+    # count that was never materialized flows in here.
+    calls = []
+
+    def plus(a, b):
+        calls.append(1)
+        return (a[0] + b[0], max(a[1], b[1]))
+
+    pair = Semiring(
+        name="pair",
+        plus=plus,
+        times=lambda a, b: (a[0] * b[0], a[1] + b[1]),
+        zero=(0, -math.inf),
+        one=(1, 0),
+    )
+    assert aggregate_units(pair, 10**6) == (10**6, 0)
+    assert len(calls) <= 2 * math.ceil(math.log2(10**6))
+    assert aggregate_units(pair, 10**12) == (10**12, 0)
+    assert aggregate_units(pair, 0) == aggregate_units(pair, -3) == pair.zero
+    for semiring in SEMIRINGS:
+        for n in (0, 1, 2, 3, 7, 100, 12_345):
+            fold = semiring.sum(semiring.one for _ in range(n))
+            value = aggregate_units(semiring, n)
+            assert value == fold
+            assert not isinstance(value, np.generic)
+    # int64 kernel up to its last value, Python ints past it (the
+    # python backend counts in bigints).
+    for n in (2**63 - 1, 2**63, 2**70 + 5):
+        assert aggregate_units(COUNTING, n) == n
