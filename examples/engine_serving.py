@@ -5,12 +5,11 @@ handles a stream of page requests (a UI scrolling through results
 sorted by a lexicographic order) while single-tuple inserts and
 deletes keep arriving.  The session serves the database converted to
 the columnar backend (``connect()`` creates columnar databases by
-default; an existing ``Database`` keeps its own backend), where
-
-- counts are maintained incrementally (delta messages folded up the
-  join tree, :mod:`repro.dynamic`),
-- the direct-access stores self-repair by splicing delta rows into
-  their sorted blocks (:mod:`repro.direct_access.lex`),
+default; an existing ``Database`` keeps its own backend), where one
+counted layered join tree (:mod:`repro.direct_access.lex`) serves every
+request: the count is its root total, a page is one block read of it,
+and it self-repairs by splicing each delta row into its sorted block
+and repairing the ancestor counts level by level,
 
 so no request ever sees a stale answer or pays a full rebuild-per-read
 (the ``rebuild-per-query`` oracle this replaces is ~15-30x slower at

@@ -41,7 +41,8 @@ def main() -> None:
     total = len(answers)
     print("count:", total)
 
-    # Constant-delay enumeration (Theorem 3.17): stream the first few.
+    # Enumeration within Theorem 3.17's bound: ordered block reads of
+    # the same counted tree; stream the first few.
     print("first five answers:", answers.first(5))
 
     # Direct access (Theorem 3.24 / Corollary 3.22): jump straight to

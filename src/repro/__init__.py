@@ -19,19 +19,19 @@ picking algorithms                   engine classifies, plans, and stays
 see *why* a pipeline was chosen      :meth:`PreparedQuery.explain` (the
 (theorems, costs, backend)           plan) or :func:`classify` (the full
                                      dichotomy report)
-call one algorithm directly          the low-level entry points the engine
-(benchmarks, experiments)            wraps: :func:`count_answers`,
-                                     :class:`ConstantDelayEnumerator`,
-                                     :class:`LexDirectAccess`,
-                                     :mod:`repro.joins`,
+call one algorithm directly          :func:`count_answers`,
+(benchmarks, experiments)            :class:`ConstantDelayEnumerator`,
+                                     :class:`LexDirectAccess` (what the
+                                     engine serves a free-connex query
+                                     from), :mod:`repro.joins`,
                                      :mod:`repro.semiring`
 maintain one aggregate under         :class:`HierarchicalCountMaintainer`
 updates, no serving facade           / :mod:`repro.dynamic`; with
                                      per-tuple weights :class:`repro.
                                      semiring.AggregateMaintainer` (the
-                                     engine itself maintains only the
-                                     count: an unweighted aggregate is
-                                     its image ``n·1`` in the semiring)
+                                     engine maintains only its counted
+                                     tree: an unweighted aggregate is
+                                     the image ``n·1`` of its total)
 build inputs                         :class:`Database`, :func:`parse_query`,
                                      :mod:`repro.workloads`
 pick a storage backend               ``connect(backend=...)`` /

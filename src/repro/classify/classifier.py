@@ -71,7 +71,7 @@ def classify(
 
     good_order: Optional[Tuple[str, ...]] = None
     if acyclic and query.is_join_query():
-        good_order = trio_free_order(query)
+        good_order = trio_free_order(a.scope for a in query.atoms)
 
     return QueryClassification(
         query_name=query.name,

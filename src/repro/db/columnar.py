@@ -236,8 +236,10 @@ class Dictionary:
         global _DECODED_ROWS
         with _DECODED_LOCK:
             _DECODED_ROWS += len(codes)
-        values = self._values
-        return [tuple(values[c] for c in row) for row in codes.tolist()]
+        if not codes.shape[1]:
+            return [()] * len(codes)
+        lookup = self._values.__getitem__  # column-wise: one map per column
+        return list(zip(*(map(lookup, col) for col in codes.T.tolist())))
 
 
 # ----------------------------------------------------------------------

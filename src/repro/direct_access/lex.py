@@ -26,8 +26,10 @@ dictionary codes are first-seen, not sorted, so the own columns are
 remapped through a rank table before sorting); and the prefix sums are
 one ``np.cumsum``.  No row is decoded during preprocessing —
 ``access(i)`` descends over codes via ``np.searchsorted`` and decodes
-only the single returned answer.  Subtree counts use int64 (exact
-below 2^63; the Python store keeps bigints).
+only the single returned answer; ``access_range`` sends an index array
+down the same tree and decodes the block once.  Subtree counts use
+int64 and raise :class:`OverflowError` where they would wrap (the root
+product, and the Python store, keep bigints).
 
 **Staleness and maintenance.**  The stores snapshot the database: the
 constructor records every relation's ``mutation_stamp`` and ``access``
@@ -55,10 +57,10 @@ When no layered tree exists (a disruptive trio), the ``strict=False``
 fallback materializes and sorts the whole result — the superlinear
 preprocessing that Lemma 3.23 proves necessary.
 
-This is the low-level entry point; the engine facade
-(:mod:`repro.engine`) plans it behind ``AnswerSet.__getitem__`` when
-the order is admissible — see ``examples/quickstart.py`` (facade) vs
-``examples/ranked_paging.py`` (direct low-level use).
+This is the low-level entry point, and the one structure the engine
+facade (:mod:`repro.engine`) holds for a free-connex query: ``count()``
+behind ``len``, ``access_range`` behind pages and iteration — see
+``examples/quickstart.py`` vs ``examples/ranked_paging.py`` (direct).
 """
 
 from __future__ import annotations
@@ -96,6 +98,16 @@ from repro.joins.vectorized import columnar_family
 from repro.query.cq import ConjunctiveQuery
 
 Row = Tuple[object, ...]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_OVERFLOW = "answer count exceeds int64 on columnar storage"
+
+
+def _scale_counts(counts: np.ndarray, factors: np.ndarray) -> None:
+    """``counts *= factors`` on non-negative int64, never wrapping."""
+    if np.any(counts > _INT64_MAX // np.maximum(factors, 1)):
+        raise OverflowError(_OVERFLOW)
+    counts *= factors
 
 
 def value_rank_table(dictionary, codes: np.ndarray) -> np.ndarray:
@@ -200,6 +212,10 @@ class _ColumnarNodeStore:
         self.cum0 = np.concatenate(
             ([0], np.cumsum(self.counts, dtype=np.int64))
         )
+        # A wrapped sum of non-negative int64 first shows as a
+        # negative entry.
+        if self.cum0.min() < 0:
+            raise OverflowError(_OVERFLOW)
 
     def totals_array(self) -> np.ndarray:
         """Per-block totals, aligned with ``rep_keys``/``rep_matrix``."""
@@ -520,10 +536,9 @@ class LexDirectAccess:
                     sub, child_store.rep_matrix, cardinality
                 )
                 found = index >= 0
-                counts *= np.where(
-                    found,
-                    totals[np.where(found, index, 0)],
-                    0,
+                _scale_counts(
+                    counts,
+                    np.where(found, totals[np.where(found, index, 0)], 0),
                 )
             if drop_dead:
                 keep = counts > 0
@@ -597,17 +612,23 @@ class LexDirectAccess:
         drifted = stale_relations(self._db, self._stamps)
         if not drifted:
             return
+        try:
+            self._repair(drifted)
+        except OverflowError:
+            # Half-repaired stores must not look fresh: forget the
+            # stamps, so the next read rebuilds.
+            self._maintain = False
+            self._stamps = dict.fromkeys(self._stamps)
+            raise
+
+    def _repair(self, drifted: Dict[str, int]) -> None:
         if not (self._maintain and self.mode == "layered"):
             self._build()
             return
         plan: List[Tuple[str, np.ndarray, np.ndarray]] = []
         for name, stamp in drifted.items():
-            delta_since = getattr(self._db[name], "delta_since", None)
-            if delta_since is None:
-                self._build()
-                return
             try:
-                inserted, deleted = delta_since(stamp)
+                inserted, deleted = self._db[name].delta_since(stamp)
             except TruncatedHistoryError:
                 self._build()
                 return
@@ -766,8 +787,9 @@ class LexDirectAccess:
                     )
                     found = index >= 0
                     totals = other_store.totals_array()
-                    new_counts *= np.where(
-                        found, totals[np.where(found, index, 0)], 0
+                    _scale_counts(
+                        new_counts,
+                        np.where(found, totals[np.where(found, index, 0)], 0),
                     )
                 else:
                     new_counts[:] = 0
@@ -788,9 +810,14 @@ class LexDirectAccess:
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
+    def count(self) -> int:
+        """The number of answers, the tree's root total: a Python int,
+        exact past 2^63 (where ``len()`` cannot carry it)."""
         self._check_fresh()
         return self._count
+
+    def __len__(self) -> int:
+        return self.count()
 
     def access(self, index: int) -> Row:
         """The answer at ``index`` (0-based) in the lexicographic order."""
@@ -870,6 +897,77 @@ class LexDirectAccess:
             child_index = residual // radix
             residual = residual % radix
             self._select(child, child_index, assignment, head_pos)
+
+    # ------------------------------------------------------------------
+    # block access
+    # ------------------------------------------------------------------
+    def access_range(self, start: int, stop: int, step: int = 1) -> List[Row]:
+        """``[access(i) for i in range(start, stop, step)]``, as one read.
+
+        :class:`IndexError` if any index is outside ``[0, n)``.  On
+        columnar stores the index array descends the tree together —
+        one ``searchsorted`` per node, one decode — so the Õ(log m) per
+        answer is amortised over the block.
+        """
+        self._check_fresh()
+        indices = range(start, stop, step)
+        if not indices:
+            return []
+        low, high = sorted((indices[0], indices[-1]))
+        if low < 0 or high >= self._count:
+            raise IndexError(
+                f"range({start}, {stop}, {step}) out of range for "
+                f"{self._count} answers"
+            )
+        if self.store_backend != "columnar" or self._count > _INT64_MAX:
+            # Python stores (the materialized mode's list included) and
+            # a root product past int64 (exact only in the scalar
+            # descent's bigints) go index by index.
+            return [self.access(i) for i in indices]
+        out = np.empty((len(indices), len(self.head)), dtype=np.int64)
+        head_pos = {v: i for i, v in enumerate(self.head)}
+        self._descend_range(
+            VIRTUAL_ROOT, np.arange(start, stop, step), out, head_pos
+        )
+        return self._dictionary.decode_rows(out)
+
+    def _descend_range(
+        self,
+        node: int,
+        residual: np.ndarray,
+        out: np.ndarray,
+        head_pos: Dict[str, int],
+    ) -> None:
+        """:meth:`_descend_children` / :meth:`_select` for an index array.
+
+        ``residual[k]`` is request ``k``'s index within the product of
+        ``node``'s child blocks under the separator codes already in
+        ``out[k]``.  It splits mixed-radix, last child first (siblings
+        read only the parent's columns, so their order is free); every
+        divisor is a block total of a selected, hence non-zero, row.
+        """
+        cardinality = len(self._dictionary)
+        for child in reversed(self._layered.children[node]):
+            store: _ColumnarNodeStore = self._stores[child]
+            separator = [head_pos[v] for v in self._node_separator(child)]
+            # The representatives are lex-sorted on raw codes (build
+            # and _patch), so packed or joint-ranked keys are monotone:
+            # a plain searchsorted finds each request's block.
+            keys, rep_keys = common_keys(
+                out[:, separator], store.rep_matrix, cardinality
+            )
+            block = np.searchsorted(rep_keys, keys)
+            first = store.cum0[store.starts[block]]
+            residual, index = np.divmod(
+                residual, store.cum0[store.ends[block]] - first
+            )
+            # Last row with exclusive prefix sum <= target: never a 0-count row.
+            slot = np.searchsorted(store.cum0, first + index, "right") - 1
+            variables = self._reduced.frames[child].variables
+            out[:, [head_pos[v] for v in variables]] = store.codes[slot]
+            self._descend_range(
+                child, first + index - store.cum0[slot], out, head_pos
+            )
 
     # ------------------------------------------------------------------
     # conveniences

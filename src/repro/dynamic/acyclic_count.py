@@ -65,13 +65,13 @@ def maintained_count(
 ) -> Optional[AcyclicCountMaintainer]:
     """An :class:`AcyclicCountMaintainer` when one is admissible, else None.
 
-    Encapsulates the applicability check the engine planner
-    (:mod:`repro.engine`) needs: incremental count maintenance requires
-    an acyclic *join* query over a columnar database whose relations
-    share one dictionary.  Projected, cyclic, or python-backed inputs
-    return ``None`` and the caller serves counts by (stamp-cached)
-    recomputation instead — still live under updates, just not
-    incremental.
+    Encapsulates the applicability check: incremental count
+    maintenance requires an acyclic *join* query over a columnar
+    database whose relations share one dictionary.  Projected, cyclic,
+    or python-backed inputs return ``None`` and the caller counts by
+    recomputation instead.  (The engine does not call this: a prepared
+    free-connex query reads its count off the root of the counted
+    layered tree it pages from, :mod:`repro.direct_access.lex`.)
     """
     if not query.is_join_query():
         return None

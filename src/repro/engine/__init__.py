@@ -15,7 +15,7 @@ callers stop doing it by hand::
     answers = prepared.run()        # uniform lazy AnswerSet
     len(answers)                    # dichotomy-optimal counting
     answers[10:20]                  # paging via lex direct access
-    next(iter(answers))             # constant-delay enumeration
+    next(iter(answers))             # ordered block reads, Õ(1) amortised
     answers.aggregate(MIN_PLUS)     # the count's image in the semiring
     session.add("Hub", ("paris",))  # prepared queries stay live
 

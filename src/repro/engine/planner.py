@@ -2,10 +2,11 @@
 
 The paper's dichotomies decide, from a query's *structure* alone, which
 evaluation pipeline meets its best possible bounds — Yannakakis for
-Boolean acyclic queries (Theorem 3.1), FAQ message passing for
-free-connex counting (Theorem 3.13), constant-delay enumeration
-(Theorem 3.17), lexicographic direct access over a layered join tree
-(Theorem 3.24 / Corollary 3.22), and worst-case-optimal joins as the
+Boolean acyclic queries (Theorem 3.1); for free-connex queries one
+counted layered join tree (Theorem 3.24 / Corollary 3.22) whose root
+total is the count (Theorem 3.13's bound) and whose ordered block
+reads are the enumeration (Theorem 3.17's, the Õ(log m) per answer
+inside the Õ(1) delay it quotes); and worst-case-optimal joins as the
 cyclic fallback (Theorem 3.7).  :func:`plan_query` turns one
 :func:`repro.classify.classify` pass into an executable :class:`Plan`:
 one route per serving capability (``decide`` / ``count`` / ``iterate``
@@ -19,7 +20,10 @@ and a session executes on the one database it stores — so
 The planner never reads tuples: order admissibility is decided from
 the reduced bag family
 (:func:`repro.hypergraph.freeconnex.free_variable_bags` fed to
-:func:`repro.direct_access.layered.find_layered_tree`), so the plan —
+:func:`repro.direct_access.layered.find_layered_tree`), and when the
+head as written is not admissible an admissible order is constructed
+from the same bags (:func:`repro.hypergraph.trios.trio_free_order`) —
+a free-connex query always has one — so the plan —
 and :meth:`Plan.render`, the ``explain()`` text — is a pure function
 of (query, order, stored backend, input size).
 """
@@ -27,7 +31,6 @@ of (query, order, stored backend, input size).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.classify.classifier import classify
@@ -37,11 +40,6 @@ from repro.direct_access.layered import find_layered_tree
 from repro.hypergraph.freeconnex import free_variable_bags
 from repro.hypergraph.trios import trio_free_order
 from repro.query.cq import ConjunctiveQuery
-
-# Exhaustive layered-order search is capped at this many head
-# variables (4! = 24 admissibility checks); larger heads fall back to
-# the head order plus the trio-free candidate.
-_MAX_ORDER_SEARCH = 4
 
 # Plan families — which serving shape the query admits.
 BOOLEAN = "boolean"
@@ -93,7 +91,11 @@ class Plan:
     backend_reason: str
     order: Optional[Tuple[str, ...]]
     access_admissible: bool
-    maintained_count: bool
+    # The order the free-connex family's counted layered tree is built
+    # on: ``order`` when that is admissible, else the planner's own
+    # admissible order (count and iteration keep the tree; only pages
+    # in ``order`` sort).  None off the free-connex family.
+    tree_order: Optional[Tuple[str, ...]]
     classification: QueryClassification
     routes: Tuple[PlanRoute, ...]
     # 1 = unsharded; > 1 only when backend == "sharded".  A storage
@@ -104,6 +106,16 @@ class Plan:
     # shard-size histograms.  They break Generic Join variable-order
     # ties and explain() cites them next to the theorem citations.
     stats: Tuple[str, ...] = ()
+
+    @property
+    def maintained(self) -> bool:
+        """Does the tree patch under small updates instead of rebuilding?
+        (``LexDirectAccess``: a join query, node = atom, on coded storage.)"""
+        return (
+            self.tree_order is not None
+            and self.classification.is_join_query
+            and self.backend in ("columnar", "sharded")
+        )
 
     def route(self, capability: str) -> PlanRoute:
         """Look up one capability's route by name."""
@@ -155,10 +167,11 @@ class Plan:
             lines.append(f"  wcoj:     {strategy}")
         for route in self.routes:
             lines.append(route.render())
-        if self.maintained_count:
+        if self.maintained:
             updates = (
-                "session.add/discard fold delta messages into the "
-                "maintained structures (O(depth) per tuple)"
+                "session.add/discard patch the counted layered tree: one "
+                "sorted-block splice per delta row, ancestor counts "
+                "repaired level by level"
             )
         elif (
             self.family == CYCLIC_MATERIALIZE
@@ -187,31 +200,21 @@ def _choose_order(
     query: ConjunctiveQuery,
     bags: Optional[Dict[int, FrozenSet[str]]],
 ) -> Tuple[Tuple[str, ...], bool]:
-    """A lexicographic order for the head, preferring admissible ones.
+    """An admissible lexicographic order for the head, by construction.
 
-    Candidates: the head as written, the trio-free order of the query
-    (join queries; [27] ties trio-freeness to layered-tree existence),
-    then — for small heads — every permutation.  Returns the first
-    order admitting a layered join tree over the reduced bags, or
-    ``(head, False)`` when none does (access then materializes).
+    The head as written when it admits a layered join tree over the
+    reduced bags, else the bag family's trio-free order ([27] ties
+    trio-freeness to layered-tree existence; acyclic bags always have
+    one).  ``(head, False)`` off the free-connex family.
     """
     head = tuple(query.head)
     if bags is None:
         return head, False
-    candidates = [head]
-    if query.is_join_query():
-        trio_free = trio_free_order(query)
-        if trio_free is not None:
-            candidates.append(tuple(trio_free))
-    if len(head) <= _MAX_ORDER_SEARCH:
-        candidates.extend(permutations(head))
-    seen = set()
-    for candidate in candidates:
-        if candidate in seen:
-            continue
-        seen.add(candidate)
-        if find_layered_tree(bags, candidate) is not None:
-            return candidate, True
+    if find_layered_tree(bags, head) is not None:
+        return head, True
+    order = trio_free_order(bags.values())
+    if order is not None and find_layered_tree(bags, order) is not None:
+        return order, True
     return head, False
 
 
@@ -228,7 +231,7 @@ def plan_query(
     ``size``/``stored_backend`` describe the database the plan will
     execute on (``Plan.backend`` is ``stored_backend``); ``order``
     fixes the lexicographic access order (default: the planner
-    searches for an admissible one).  For a sharded database
+    constructs an admissible one).  For a sharded database
     ``stored_shard_count`` is its partitioning (default: the size
     heuristic :func:`repro.db.interface.preferred_shard_count`, which
     is what ``Database.to_backend("sharded")`` partitions with);
@@ -270,6 +273,13 @@ def plan_query(
         )
     else:
         chosen_order, admissible = _choose_order(query, bags)
+    tree_order = None
+    if bags is not None:
+        # A requested order with a disruptive trio costs only direct
+        # access: count and iteration keep a tree on the planner's own.
+        tree_order = (
+            chosen_order if admissible else _choose_order(query, bags)[0]
+        )
 
     if classification.free_connex:
         family = FREE_CONNEX
@@ -277,14 +287,9 @@ def plan_query(
         family = ACYCLIC_MATERIALIZE
     else:
         family = CYCLIC_MATERIALIZE
-    maintained = (
-        family == FREE_CONNEX
-        and query.is_join_query()
-        and backend in ("columnar", "sharded")
-    )
     routes = (
-        _count_route(query, classification, family, maintained),
-        _iterate_route(classification, family),
+        _count_route(classification, family),
+        _iterate_route(classification, family, tree_order),
         _access_route(classification, family, chosen_order, admissible),
         _aggregate_route(query, classification),
     )
@@ -299,7 +304,7 @@ def plan_query(
         backend_reason=reason,
         order=chosen_order,
         access_admissible=admissible,
-        maintained_count=maintained,
+        tree_order=tree_order,
         classification=classification,
         routes=routes,
         shard_count=shard_count,
@@ -340,7 +345,7 @@ def _plan_boolean(
         backend_reason=reason,
         order=None,
         access_admissible=False,
-        maintained_count=False,
+        tree_order=None,
         classification=classification,
         routes=(decide, count),
         shard_count=shard_count,
@@ -349,23 +354,13 @@ def _plan_boolean(
 
 
 def _count_route(
-    query: ConjunctiveQuery,
-    classification: QueryClassification,
-    family: str,
-    maintained: bool,
+    classification: QueryClassification, family: str
 ) -> PlanRoute:
     verdict = classification.verdict("counting")
     if family == FREE_CONNEX:
-        if maintained:
-            algorithm = (
-                "FAQ message passing (counting semiring), "
-                "incrementally maintained"
-            )
-        else:
-            algorithm = "free-connex FAQ message passing"
         return PlanRoute(
             capability="count",
-            algorithm=algorithm,
+            algorithm="root total of the counted layered tree",
             cost=verdict.upper_bound,
             theorem=verdict.theorem,
         )
@@ -379,15 +374,21 @@ def _count_route(
 
 
 def _iterate_route(
-    classification: QueryClassification, family: str
+    classification: QueryClassification,
+    family: str,
+    tree_order: Optional[Tuple[str, ...]],
 ) -> PlanRoute:
     verdict = classification.verdict("enumeration")
     if family == FREE_CONNEX:
         return PlanRoute(
             capability="iterate",
-            algorithm="constant-delay enumeration",
+            algorithm=(
+                "ordered block reads of the counted layered tree "
+                f"({' > '.join(tree_order)})"
+            ),
             cost=verdict.upper_bound,
-            theorem=verdict.theorem,
+            theorem=f"{verdict.theorem} (via Theorem 3.24)",
+            note="O(log m) per answer, amortised over a block",
         )
     return PlanRoute(
         capability="iterate",

@@ -2,16 +2,18 @@
 
 A :class:`PreparedQuery` is the engine's unit of serving: one query,
 one :class:`~repro.engine.planner.Plan`, the session's database, and a
-set of lazily built answer structures shared by every
-:meth:`PreparedQuery.run` call.  The structures are exactly the
-low-level pipelines of the repo — the maintained count
-(:mod:`repro.dynamic`), constant-delay enumerators
-(:mod:`repro.enumeration`), lex direct access
-(:mod:`repro.direct_access`), Yannakakis and the worst-case-optimal
-join (:mod:`repro.joins`) — so every answer is byte-identical to the
-corresponding direct call; the facade only removes the dispatch
-burden.  Aggregates own none of them: unweighted, ⊕ over the answers
-of ⊗ of ones is ``n·1``, the count's image in the semiring
+lazily built answer structure shared by every
+:meth:`PreparedQuery.run` call.  A free-connex query holds one counted
+layered join tree (:class:`repro.direct_access.lex.LexDirectAccess` on
+``plan.tree_order``): its root total is the count, pages and iteration
+are block reads of it (``access_range``), ``answers[i]`` is one descent
+— the paper's three free-connex upper bounds (Theorems 3.13, 3.17,
+3.24) are one preprocessing pass seen three ways.  A cyclic query
+holds one :class:`_JoinAnswers`; the acyclic-materialize family (and
+pages of a free-connex query in an inadmissible order) read a
+stamp-guarded sorted Yannakakis projection.  Aggregates own no
+structure: unweighted, ⊕ over the answers of ⊗ of ones is ``n·1``, the
+count's image in the semiring
 (:func:`repro.semiring.faq.aggregate_units`); per-atom weights run
 the FAQ pipelines of :mod:`repro.semiring.faq` per call.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 import operator
 import threading
 from contextlib import ExitStack
-from itertools import compress
+from itertools import compress, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -51,14 +53,12 @@ from repro.db.interface import (
     stale_relations,
 )
 from repro.direct_access.lex import LexDirectAccess, value_rank_table
-from repro.dynamic.acyclic_count import maintained_count
 from repro.engine.planner import (
     BOOLEAN,
     CYCLIC_MATERIALIZE,
     FREE_CONNEX,
     Plan,
 )
-from repro.enumeration.constant_delay import ConstantDelayEnumerator
 from repro.joins.generic_join import (
     generic_join,
     generic_join_boolean,
@@ -135,10 +135,10 @@ class PreparedQuery:
 
     Produced by :meth:`repro.engine.session.Session.prepare`; call
     :meth:`run` for an :class:`AnswerSet` and :meth:`explain` for the
-    plan.  Answer structures (count maintainer, enumerator, direct
-    accessor, materialization, the cyclic family's shared join
-    answers) are built on first demand and cached for the lifetime of
-    the prepared query, surviving updates through refresh/recompute.
+    plan.  The answer structure (the free-connex family's counted
+    tree, the cyclic family's shared join answers, or the sorted
+    materialization) is built on first demand and kept for the lifetime
+    of the prepared query, surviving updates through refresh/recompute.
     """
 
     def __init__(
@@ -160,14 +160,13 @@ class PreparedQuery:
             self._page_key = operator.itemgetter(
                 *(self.head.index(v) for v in plan.order)
             )
-        # Lazy serving structures; None = not built yet, False (for
-        # the counter) = attempted and inapplicable.
-        self._counter = None
-        self._enumerator: Optional[ConstantDelayEnumerator] = None
+        # Lazy serving structures; None = not built yet.
         self._accessor: Optional[LexDirectAccess] = None
         self._answers: Optional[_JoinAnswers] = None
         # "decide" / "count" / "materialized" -> (stamps, value): the
-        # stamp-guarded recomputations.  Aggregates have no entry —
+        # stamp-guarded recomputations (Boolean and acyclic-materialize
+        # families, free-connex pages in an inadmissible order).
+        # Aggregates have no entry —
         # unweighted they are a function of the count.
         self._cache: Dict[str, Tuple[Dict[str, int], object]] = {}
         # Concurrent readers serialize per prepared query (lazy
@@ -238,11 +237,17 @@ class PreparedQuery:
             compute = lambda: generic_join_boolean(query, db)  # noqa: E731
         return self._cached("decide", compute)
 
-    def _get_counter(self):
-        if self._counter is None:
-            made = maintained_count(self.query, self._db)
-            self._counter = made if made is not None else False
-        return self._counter or None
+    def _tree(self) -> LexDirectAccess:
+        """The free-connex family's one structure: counted, on
+        ``plan.tree_order``, self-repairing.  Callers hold the guard."""
+        if self._accessor is None:
+            self._accessor = LexDirectAccess(
+                self.query,
+                self._db,
+                order=self.plan.tree_order,
+                on_stale="refresh",
+            )
+        return self._accessor
 
     def _count(self) -> int:
         with self._serving_guard():
@@ -250,14 +255,7 @@ class PreparedQuery:
             if plan.family == BOOLEAN:
                 return 1 if self._decide() else 0
             if plan.family == FREE_CONNEX:
-                if plan.maintained_count:
-                    counter = self._get_counter()
-                    if counter is not None:
-                        return counter.count()
-                query, db = self.query, self._db
-                return self._cached(
-                    "count", lambda: count_answers(query, db)
-                )
+                return self._tree().count()
             if plan.family == CYCLIC_MATERIALIZE:
                 return len(self._join_answers().rows)
             # Acyclic fallback: reuse a fresh materialization when one
@@ -275,56 +273,48 @@ class PreparedQuery:
             )
 
     def _iterate(self) -> Iterator[Row]:
-        # The returned iterator itself runs outside the serving guard
-        # (constant-delay enumeration is lazy); iteration concurrent
-        # with updates is the one read shape left to the caller to
-        # serialize.  Paging (`_access`) is the guarded alternative.
-        with self._serving_guard():
-            plan = self.plan
-            if plan.family == BOOLEAN:
-                return iter([()] if self._decide() else [])
-            if plan.family == FREE_CONNEX:
-                if self._enumerator is None:
-                    self._enumerator = ConstantDelayEnumerator(
-                        self.query, self._db, on_stale="refresh"
-                    )
-                return iter(self._enumerator)
-            return iter(self._materialized())
+        if self.plan.family == FREE_CONNEX:
+            return self._iterate_tree()
+        # A materialized list is never mutated in place, so the
+        # iterator keeps reading the version it started on.
+        return iter(self._materialized())
+
+    def _iterate_tree(self) -> Iterator[Row]:
+        """The tree's answers in order, as block reads doubling from 128
+        rows to 4 096: each one guarded, consistent read like a page,
+        no lock held in between (an update landing there shifts later
+        positions as it does for a client paging by offset)."""
+        start, size = 0, 128
+        while True:
+            with self._serving_guard():
+                tree = self._tree()
+                stop = min(start + size, tree.count())
+                rows = tree.access_range(start, stop)
+            if not rows:
+                return
+            yield from rows
+            start, size = stop, min(2 * size, 4096)
 
     def _access(self, index: int) -> Row:
         with self._serving_guard():
             plan = self.plan
-            if plan.family == BOOLEAN:
-                return ()
             if plan.family == FREE_CONNEX and plan.access_admissible:
-                if self._accessor is None:
-                    self._accessor = LexDirectAccess(
-                        self.query,
-                        self._db,
-                        order=plan.order,
-                        on_stale="refresh",
-                    )
-                return self._accessor.access(index)
+                return self._tree().access(index)
             return self._materialized()[index]
 
     def _slice(self, item: slice) -> List[Row]:
         """``answers[item]``, one consistent read.
 
         One guard hold around the whole page: no writer can commit
-        between the bounds check and a row, or between rows.  Wherever
-        a sorted list serves pages the page is one slice of it (one
-        freshness check, not one per row); direct access and Boolean
-        queries go row by row.
+        between the bounds check and a row, or between rows.  A page is
+        one block read of the counted tree (one vectorised descent, one
+        decode) or one slice of the sorted list — never a per-row loop.
         """
         with self._serving_guard():
             plan = self.plan
-            if plan.family == BOOLEAN or (
-                plan.family == FREE_CONNEX and plan.access_admissible
-            ):
-                return [
-                    self._access(i)
-                    for i in range(*item.indices(self._count()))
-                ]
+            if plan.family == FREE_CONNEX and plan.access_admissible:
+                tree = self._tree()
+                return tree.access_range(*item.indices(tree.count()))
             return self._materialized()[item]
 
     def _materialized(self) -> List[Row]:
@@ -332,12 +322,14 @@ class PreparedQuery:
 
         Acyclic queries materialize through the output-sensitive
         Yannakakis projection (stamp-guarded); cyclic ones read the
-        shared :class:`_JoinAnswers`.  Sorted by the plan's
-        lexicographic order, so paging agrees with what direct access
-        would serve.
+        shared :class:`_JoinAnswers`; a Boolean query's is ``[()]`` or
+        empty.  Sorted by the plan's lexicographic order, so paging
+        agrees with what direct access would serve.
         """
         query, db, key = self.query, self._db, self._page_key
         with self._serving_guard():
+            if self.plan.family == BOOLEAN:
+                return [()] * self._count()
             if self.plan.family == CYCLIC_MATERIALIZE:
                 return self._join_answers().rows
             return self._cached(
@@ -486,9 +478,15 @@ class PreparedQuery:
 class AnswerSet:
     """A uniform, lazy, *live* view over a prepared query's answers.
 
-    - ``len(answers)`` / :meth:`count` — the dichotomy-optimal count;
-    - iteration — constant-delay enumeration when the query admits it
-      (enumeration order is the enumerator's, not the lex order);
+    - ``len(answers)`` / :meth:`count` — the dichotomy-optimal count
+      (:meth:`count` is exact past 2^63, where ``len()`` cannot go);
+    - iteration — on a free-connex query, ordered block reads of the
+      counted tree: it follows ``plan.tree_order``, so
+      ``list(answers) == answers[:]`` whenever the paging order is
+      admissible.  An iterator is a sequence of consistent blocks and
+      holds no lock between them: an update landing between two blocks
+      shifts later positions exactly as it does for a client paging by
+      offset.  Other families stream the sorted materialization;
     - ``answers[i]`` / ``answers[i:j]`` — paging in the plan's
       lexicographic order, backed by direct access when admissible and
       by the sorted materialization otherwise;
@@ -542,14 +540,7 @@ class AnswerSet:
 
     def first(self, k: int) -> List[Row]:
         """The first ``k`` answers in enumeration order."""
-        if k <= 0:
-            return []
-        out: List[Row] = []
-        for answer in self:
-            out.append(answer)
-            if len(out) == k:
-                break
-        return out
+        return list(islice(self, max(k, 0)))
 
     def page(self, offset: int, size: int) -> List[Row]:
         """``size`` answers starting at ``offset``, in lex order."""

@@ -30,23 +30,20 @@ constructor records every relation's ``mutation_stamp`` and iteration
 compares them first.  On drift the default (``on_stale="error"``)
 raises :class:`repro.db.interface.StaleStructureError` instead of
 silently streaming pre-mutation answers.  With ``on_stale="refresh"``
-(columnar join queries) the blocks are built per *atom* over the
-unreduced frames and a drifted relation rebuilds only its own node's
-blocks — block families are independent across nodes, so nothing else
-is touched.  Skipping the full reducer means a partial assignment can
-hit a dead end (the walk just backtracks), trading the constant-delay
-guarantee for cheap maintenance; answers remain exactly ``q(D)``.
-Non-join or non-columnar inputs refresh by full rebuild.
+the fully reduced blocks are rebuilt, so every enumerator this module
+builds is dead-end-free and the delay bound holds after any update.
+(Cheap maintenance lives in the counted layered tree of
+:mod:`repro.direct_access.lex`, whose zero-count rows vanish in the
+prefix sums instead of becoming dead ends.)
 
 For non-free-connex queries, ``strict=False`` switches to a
 materialize-first fallback whose preprocessing is the full evaluation —
 the superlinear behaviour that Theorem 3.16 proves necessary.
 
-This is the low-level entry point; the engine facade
-(:mod:`repro.engine`) constructs it automatically when a prepared
-query's plan admits constant-delay iteration — see
-``examples/quickstart.py`` (facade) vs ``examples/ranked_paging.py``
-(direct low-level use).
+This is the low-level algorithm the paper names; the engine facade
+(:mod:`repro.engine`) serves iteration as ordered block reads of its
+counted layered tree instead and does not construct it — see
+``examples/ranked_paging.py`` for direct low-level use.
 """
 
 from __future__ import annotations
@@ -63,11 +60,9 @@ from repro.db.interface import (
     stale_relations,
 )
 from repro.hypergraph.freeconnex import is_free_connex
-from repro.hypergraph.gyo import join_tree
 from repro.joins.fc_reduce import ReducedJoinQuery, free_connex_reduce
 from repro.joins.generic_join import generic_join
-from repro.joins.semijoin import atom_frames
-from repro.joins.vectorized import ColumnarFrame, columnar_family
+from repro.joins.vectorized import columnar_family
 from repro.query.cq import ConjunctiveQuery
 
 Row = Tuple[object, ...]
@@ -88,8 +83,7 @@ class ConstantDelayEnumerator:
     on_stale:
         ``"error"`` (default) raises :class:`StaleStructureError` when
         iterating after an underlying relation mutated; ``"refresh"``
-        repairs the blocks first (per-node rebuild for columnar join
-        queries, full rebuild otherwise — module docstring).
+        rebuilds the fully reduced blocks first (module docstring).
 
     The constructor *is* the preprocessing phase; iteration is the
     enumeration phase.  ``store_backend`` reports which preprocessing
@@ -129,15 +123,8 @@ class ConstantDelayEnumerator:
         self._materialized: Optional[List[Row]] = None
         self._reduced: Optional[ReducedJoinQuery] = None
         self._dictionary = None
-        self._maintain = False
         if is_free_connex(query):
             self.mode = "free-connex"
-            if (
-                self.on_stale == "refresh"
-                and query.is_join_query()
-                and self._try_build_maintained()
-            ):
-                return
             self._reduced = free_connex_reduce(query, db)
             self._build_indexes()
         elif self.strict:
@@ -150,32 +137,6 @@ class ConstantDelayEnumerator:
         else:
             self.mode = "materialized"
             self._materialized = sorted(generic_join(query, db))
-
-    def _try_build_maintained(self) -> bool:
-        """Per-atom blocks over unreduced columnar frames.
-
-        Node = atom, so a drifted relation maps to a known set of
-        nodes whose blocks can be rebuilt in isolation.  Returns False
-        (caller takes the classic reduced build) when the frames are
-        not an all-columnar family.
-        """
-        query, db = self.query, self._db
-        frames = dict(enumerate(atom_frames(query, db)))
-        dictionary = columnar_family(frames.values())
-        if dictionary is None:
-            return False
-        self._reduced = ReducedJoinQuery(
-            head=self.head,
-            frames=frames,
-            tree=join_tree(query.hypergraph()),
-        )
-        self._maintain = True
-        self._atom_nodes: Dict[str, List[int]] = {}
-        for node, atom in enumerate(query.atoms):
-            self._atom_nodes.setdefault(atom.relation, []).append(node)
-        self._build_indexes()
-        assert self.store_backend == "columnar"
-        return True
 
     # ------------------------------------------------------------------
     # staleness
@@ -195,29 +156,9 @@ class ConstantDelayEnumerator:
         )
 
     def refresh(self) -> None:
-        """Bring the blocks up to date with the database.
-
-        Maintained structures rebuild only the drifted relations'
-        nodes (block families are per-node and independent); anything
-        else rebuilds wholesale.
-        """
-        drifted = stale_relations(self._db, self._stamps)
-        if not drifted:
-            return
-        if not self._maintain:
+        """Rebuild the reduced blocks if any relation drifted."""
+        if stale_relations(self._db, self._stamps):
             self._build()
-            return
-        reduced = self._reduced
-        assert reduced is not None
-        for name in drifted:
-            for node in self._atom_nodes.get(name, ()):
-                atom = self.query.atoms[node]
-                frame = ColumnarFrame.from_atom(
-                    self._db[name], atom.variables
-                )
-                reduced.frames[node] = frame
-                self._build_node_blocks(node)
-            self._stamps[name] = self._db[name].mutation_stamp
 
     # ------------------------------------------------------------------
     # preprocessing internals
@@ -293,9 +234,7 @@ class ConstantDelayEnumerator:
         export (the ROADMAP's enumeration export gap).  Block-internal
         order is code order — deterministic, but backend-specific
         (value order would require comparing decoded values, which
-        this phase promises not to do).  Blocks are per-node, which is
-        what lets the maintained refresh rebuild one drifted node in
-        isolation.
+        this phase promises not to do).
         """
         reduced = self._reduced
         assert reduced is not None
@@ -379,9 +318,7 @@ class ConstantDelayEnumerator:
 
         Each answer is decoded individually at yield time — a
         constant-per-answer cost, preserving the delay contract while
-        the preprocessing stays decode-free.  (Maintained structures
-        skip the full reducer, so a branch can dead-end and backtrack;
-        the answer set is unaffected.)
+        the preprocessing stays decode-free.
         """
         reduced = self._reduced
         assert reduced is not None

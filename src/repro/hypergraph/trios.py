@@ -16,13 +16,22 @@ access for ``⪯`` iff it is acyclic and has no disruptive trio for ``⪯``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.query.cq import ConjunctiveQuery
 
 
-def _share_atom(query: ConjunctiveQuery, a: str, b: str) -> bool:
-    return any(a in atom.scope and b in atom.scope for atom in query.atoms)
+def _first_trio(
+    adjacency: Dict[str, Set[str]], order: Sequence[str]
+) -> Optional[Tuple[str, str, str]]:
+    for k, y3 in enumerate(order):
+        neighbors = [y for y in order[:k] if y in adjacency[y3]]
+        for i, y1 in enumerate(neighbors):
+            for y2 in neighbors[i + 1 :]:
+                if y2 not in adjacency[y1]:
+                    return (y1, y2, y3)
+    return None
 
 
 def find_disruptive_trio(
@@ -41,16 +50,7 @@ def find_disruptive_trio(
         raise ValueError(
             "order must be a permutation of the query's variables"
         )
-    position = {v: i for i, v in enumerate(order)}
-    variables = sorted(query.variables, key=position.get)
-    for k, y3 in enumerate(variables):
-        earlier = variables[:k]
-        neighbors = [y for y in earlier if _share_atom(query, y, y3)]
-        for i, y1 in enumerate(neighbors):
-            for y2 in neighbors[i + 1 :]:
-                if not _share_atom(query, y1, y2):
-                    return (y1, y2, y3)
-    return None
+    return _first_trio(query.hypergraph().primal_graph(), order)
 
 
 def has_disruptive_trio(
@@ -60,40 +60,32 @@ def has_disruptive_trio(
     return find_disruptive_trio(query, order) is not None
 
 
-def trio_free_order(query: ConjunctiveQuery) -> Optional[Tuple[str, ...]]:
-    """Some variable order without a disruptive trio, if one exists.
+def trio_free_order(
+    scopes: Iterable[FrozenSet[str]],
+) -> Optional[Tuple[str, ...]]:
+    """A variable order without a disruptive trio over ``scopes``, if any.
 
-    Greedy search: repeatedly append a variable whose earlier neighbors
-    are pairwise adjacent (mirroring the connection between trio-free
-    orders and perfect elimination orders of the primal graph, reversed).
-    Falls back to exhaustive search for small queries when the greedy
-    pass fails, and returns ``None`` when no order works.
+    Maximum-cardinality search on the primal graph: the next variable
+    is the one with the most already-placed neighbours (ties by name).
+    On a chordal graph every variable's earlier neighbours then form a
+    clique (the order is a reversed perfect elimination order), which
+    is exactly "no disruptive trio"; if the result has a trio the graph
+    is not chordal and no order exists.  Exact, no search.
+
+    The classifier feeds it the atoms' scopes, the engine planner the
+    reduced bag family of a free-connex query
+    (:func:`repro.hypergraph.freeconnex.free_variable_bags`).
     """
-    from itertools import permutations
-
-    variables = sorted(query.variables)
-    chosen: list = []
-    remaining = set(variables)
+    scopes = list(scopes)
+    adjacency = Hypergraph(
+        frozenset().union(*scopes), scopes
+    ).primal_graph()
+    order: list = []
+    placed: Set[str] = set()
+    remaining = sorted(adjacency)
     while remaining:
-        placed = False
-        for v in sorted(remaining):
-            neighbors = [u for u in chosen if _share_atom(query, u, v)]
-            ok = all(
-                _share_atom(query, a, b)
-                for i, a in enumerate(neighbors)
-                for b in neighbors[i + 1 :]
-            )
-            if ok:
-                chosen.append(v)
-                remaining.discard(v)
-                placed = True
-                break
-        if not placed:
-            break
-    if not remaining:
-        return tuple(chosen)
-    if len(variables) <= 8:
-        for perm in permutations(variables):
-            if find_disruptive_trio(query, perm) is None:
-                return perm
-    return None
+        chosen = max(remaining, key=lambda v: len(adjacency[v] & placed))
+        remaining.remove(chosen)
+        order.append(chosen)
+        placed.add(chosen)
+    return None if _first_trio(adjacency, order) else tuple(order)

@@ -21,8 +21,7 @@ computation).
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -88,15 +87,6 @@ def agm_bound(hypergraph: Hypergraph, m: int) -> float:
     if m == 0:
         return 0.0
     return float(m) ** agm_exponent(hypergraph)
-
-
-def _is_independent(
-    hypergraph: Hypergraph, chosen: Tuple[str, ...]
-) -> bool:
-    for a, b in combinations(chosen, 2):
-        if any(a in e and b in e for e in hypergraph.edges):
-            return False
-    return True
 
 
 def max_independent_set(

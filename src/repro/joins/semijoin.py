@@ -109,18 +109,6 @@ def full_reducer_pass(
     return reduced
 
 
-def reduce_query(
-    query: ConjunctiveQuery, db: Database, tree: JoinTree
-) -> Dict[int, Frame]:
-    """Atom frames after full reduction over ``tree``.
-
-    Tree node ids must be atom indices (as produced by
-    ``join_tree(query.hypergraph())``).
-    """
-    frames = dict(enumerate(atom_frames(query, db)))
-    return full_reducer_pass(frames, tree)
-
-
 def is_globally_consistent(
     frames: Dict[int, Frame], tree: JoinTree
 ) -> bool:

@@ -342,10 +342,6 @@ class ColumnarFrame:
             self.dictionary.decode_rows(self.project(variables)._codes)
         )
 
-    def to_frame(self) -> Frame:
-        """The equivalent Python-backend :class:`Frame` (decoded)."""
-        return Frame(self.variables, self.rows)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarFrame({self.variables}, {len(self._codes)} rows)"
 

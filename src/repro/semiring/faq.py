@@ -38,11 +38,11 @@ of a full recompute.  Deletions fold as ⊕-negated deltas, so they need the
 semiring to be a ring in ⊕ (``np_negate``, e.g. counting); otherwise,
 and whenever a relation's delta history is gone (compaction / bulk
 rewrite), the maintainer falls back to a full rebuild.  The engine
-facade builds exactly one, the counting instance behind
-:func:`repro.dynamic.acyclic_count.maintained_count`; every unweighted
-aggregate it serves is that count's image ``n·1``
-(:func:`aggregate_units`).  Maintainers over other semirings or a
-:class:`WeightedDatabase` are for direct callers.
+facade builds none: every unweighted aggregate it serves is the image
+``n·1`` (:func:`aggregate_units`) of the count it reads off its
+counted layered tree.  Maintainers — the counting instance behind
+:func:`repro.dynamic.acyclic_count.maintained_count`, other semirings,
+a :class:`WeightedDatabase` — are for direct callers.
 
 Cyclic join queries fall back to :func:`aggregate_generic`: enumerate
 the full join with the worst-case-optimal join (Õ(m^{ρ*})) and fold.
@@ -396,9 +396,9 @@ def aggregate_free_connex(
     Per-atom weights make no sense for projected queries (several body
     assignments collapse onto one answer); use
     :func:`aggregate_acyclic` on join queries for weighted aggregation.
-    The engine facade (:mod:`repro.engine`) reaches this only through
-    :func:`~repro.counting.algorithms.count_free_connex`: an unweighted
-    ``AnswerSet.aggregate`` is :func:`aggregate_units` of that count.
+    The engine facade (:mod:`repro.engine`) does not reach this: an
+    unweighted ``AnswerSet.aggregate`` is :func:`aggregate_units` of
+    the count.
     """
     if query.is_boolean():
         from repro.joins.yannakakis import yannakakis_boolean

@@ -98,7 +98,7 @@ class ServedQuery:
             "shard_count": plan.shard_count,
             "order": list(plan.order) if plan.order else None,
             "access_admissible": plan.access_admissible,
-            "maintained_count": plan.maintained_count,
+            "maintained": plan.maintained,
             "explain": self.prepared.explain(),
         }
 

@@ -27,6 +27,7 @@ import threading
 
 import pytest
 
+from repro.direct_access import LexDirectAccess
 from repro.engine import connect
 from repro.semiring import COUNTING
 
@@ -175,14 +176,15 @@ def test_page_is_one_consistent_read(backend, monkeypatch):
     before = answers.page(0, 20)
     assert len(before) == 20 and before[0] != (0, 0, 0)
 
-    real_access = prepared._access
+    real_access_range = LexDirectAccess.access_range
     writers = []
     blocked = []
 
-    def access_then_write(index):
-        row = real_access(index)
+    def access_range_then_write(tree, *bounds):
+        rows = real_access_range(tree, *bounds)
         if not writers:
-            # After the first row of the page, a writer tries to land.
+            # With the page's rows computed but the page not yet
+            # returned (the guard still held), a writer tries to land.
             writer = threading.Thread(
                 target=session.add, args=("R", (0, 0)), daemon=True
             )
@@ -190,9 +192,11 @@ def test_page_is_one_consistent_read(backend, monkeypatch):
             writer.start()
             writer.join(timeout=0.3)
             blocked.append(writer.is_alive())
-        return row
+        return rows
 
-    monkeypatch.setattr(prepared, "_access", access_then_write)
+    monkeypatch.setattr(
+        LexDirectAccess, "access_range", access_range_then_write
+    )
     page = answers.page(0, 20)
     # The writer waited for the whole page, which is the pre-update one.
     assert blocked == [True]

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.db.database import Database
 from repro.db.relation import Relation
@@ -15,6 +16,7 @@ from repro.direct_access import (
 )
 from repro.direct_access.layered import find_layered_tree
 from repro.direct_access.sum_order import covering_atom_index, uncovered_pair
+from repro.engine import plan_query
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.hypergraph.trios import has_disruptive_trio
 from repro.query import catalog, parse_query
@@ -180,6 +182,133 @@ def test_lex_access_property(query_db):
         assume(False)  # no layered tree for this order
         return
     assert accessor.materialize() == sorted_answers(query, db, order)
+
+
+# ---------------------------------------------------------------------
+# block reads: access_range(a, b, s) == [access(i) for i in range(a, b, s)]
+# ---------------------------------------------------------------------
+
+def assert_range_parity(accessor, ranges=()):
+    n = accessor.count()
+    reference = [accessor.access(i) for i in range(n)]
+    fixed = [
+        (0, n, 1),  # everything: crosses every node-block boundary
+        (n - 1, -1, -1),
+        (0, n, 3),
+        (n - 1, -1, -2),
+        (n // 2, n // 2, 1),  # empty
+        (n, 0, 1),  # empty although both ends are off
+        (5, 2, 1),
+    ]
+    for start, stop, step in fixed + list(ranges):
+        indices = range(start, stop, step)
+        if indices and not (
+            0 <= indices[0] < n and 0 <= indices[-1] < n
+        ):
+            with pytest.raises(IndexError):
+                accessor.access_range(start, stop, step)
+        else:
+            assert accessor.access_range(start, stop, step) == [
+                reference[i] for i in indices
+            ], (start, stop, step)
+    for bad in ((0, n + 1, 1), (-1, n, 1), (n, n + 1, 1), (n, -1, -1)):
+        with pytest.raises(IndexError):
+            accessor.access_range(*bad)
+    return reference
+
+
+@given(queries_with_databases(max_atoms=3, max_tuples=10), st.data())
+def test_access_range_matches_access(query_db, data):
+    query, db = query_db
+    assume(query.head)
+    assume(is_free_connex(query))
+    # The planner's order is admissible by construction, so strict
+    # construction below doubles as a check of that claim.
+    order = plan_query(query, size=0).tree_order
+    expected = sorted_answers(query, db, order)
+    bound = len(expected) + 2
+    ranges = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(-2, bound),
+                st.integers(-2, bound),
+                st.sampled_from([1, 2, 3, 7, -1, -2, -5]),
+            ),
+            max_size=4,
+        )
+    )
+    for backend in ("python", "columnar", "sharded"):
+        stored = db.to_backend(backend)
+        # "refresh" builds the patchable unreduced stores on coded
+        # join queries, "error" the fully reduced ones.
+        for on_stale in ("error", "refresh"):
+            accessor = LexDirectAccess(
+                query, stored, order=order, on_stale=on_stale
+            )
+            assert assert_range_parity(accessor, ranges) == expected
+
+
+@pytest.mark.parametrize("backend", ["columnar", "sharded"])
+def test_access_range_on_a_patched_store_with_zero_count_rows(backend):
+    query = parse_query("q(a, b, c) :- R(a, b), S(b, c)")
+    r_rows = [(a, a % 4) for a in range(12)]
+    s_rows = [(b, c) for b in range(4) for c in range(3)]
+    db = Database.from_dict({"R": r_rows, "S": s_rows}, backend=backend)
+    accessor = LexDirectAccess(query, db, on_stale="refresh")
+    full = assert_range_parity(accessor)
+    assert full == sorted_answers(query, db, query.head)
+    # Delete one side of the join key b=2: the R rows on it stay in the
+    # store with subtree count 0 and no S block to descend into.
+    for row in s_rows:
+        if row[0] == 2:
+            db["S"].discard(row)
+    without = assert_range_parity(accessor)
+    assert without == [row for row in full if row[1] != 2]
+    # ... and a first row, a last row and a whole first block of them.
+    for row in [(0, 0), (11, 3)] + [(4 * k, 0) for k in range(1, 3)]:
+        db["R"].discard(row)
+        db["S"].discard((row[1], 0))
+    assert assert_range_parity(accessor) == sorted_answers(
+        query, db, query.head
+    )
+    for row in s_rows:
+        db["S"].add(row)
+    db["R"].add((0, 0))
+    assert assert_range_parity(accessor) == sorted_answers(
+        query, db, query.head
+    )
+    assert accessor.rebuilds == 0
+
+
+def test_access_range_wide_separator_past_64_bit_packing():
+    # A 5-column separator over > 8192 codes cannot be packed into one
+    # int64 key: block lookup falls back to joint ranks, which must be
+    # as monotone over the lex-sorted representatives as packed keys.
+    query = parse_query(
+        "q(a, b, c, d, e, f, g) :- R(a, b, c, d, e, f), S(b, c, d, e, f, g)"
+    )
+    r_rows = [(i, i % 3, i % 5, i % 7, i % 2, i % 11) for i in range(9000)]
+    s_rows = [
+        (i % 3, i % 5, i % 7, i % 2, i % 11, 9000 + i % 4)
+        for i in range(0, 9000, 7)
+    ]
+    db = Database.from_dict({"R": r_rows, "S": s_rows}, backend="columnar")
+    accessor = LexDirectAccess(query, db, on_stale="refresh")
+    n = accessor.count()
+    assert n > 2000
+    assert accessor.access_range(0, n, 37) == [
+        accessor.access(i) for i in range(0, n, 37)
+    ]
+
+
+def test_access_range_materialized_mode():
+    query = catalog.path_query(2)
+    db = random_database(query, 40, 5, seed=95)
+    accessor = LexDirectAccess(
+        query, db, order=("v1", "v3", "v2"), strict=False
+    )
+    assert accessor.mode == "materialized"
+    assert_range_parity(accessor)
 
 
 # ---------------------------------------------------------------------

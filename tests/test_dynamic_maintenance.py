@@ -410,7 +410,9 @@ class _Mirror:
 
     The reference is the same data on ``backend="python"``: cyclic
     queries there rebuild per version through the depth-first join and
-    a Python sort, sharing no code with the repair path.
+    a Python sort, sharing no code with the repair path; free-connex
+    ones rebuild the counted tree's Python stores per version and read
+    them index by index, sharing none with patching or block reads.
     """
 
     def __init__(self, text, storage, rows, order=None, tmp_path=None):
@@ -463,18 +465,27 @@ class _Mirror:
         live, reference = self.answers
         truth = self.query.evaluate_brute_force(self.sessions[1].db)
         head = tuple(self.query.head)
-        positions = [head.index(v) for v in self.order]
-        expected = sorted(
-            truth, key=lambda row: tuple(row[p] for p in positions)
-        )
+
+        def in_order(order):
+            positions = [head.index(v) for v in order]
+            return sorted(
+                truth, key=lambda row: tuple(row[p] for p in positions)
+            )
+
+        expected = in_order(self.order)
         n = len(expected)
         assert len(live) == len(reference) == n
         assert live.page(0, n + 1) == expected
         assert reference.page(0, n + 1) == expected
         if n:
             assert live[n - 1] == expected[-1]
-        iterated = list(live)
-        assert len(iterated) == n and set(iterated) == truth
+        for cut in (slice(1, n, 3), slice(None, None, -1), slice(n, 0, -2)):
+            assert live[cut] == expected[cut]
+        # Iteration follows the tree's order on the free-connex family
+        # (the paging order unless that one has a disruptive trio) and
+        # the sorted materialization's everywhere else.
+        iterated = in_order(live.plan.tree_order or self.order)
+        assert list(live) == list(reference) == iterated
         assert live.aggregate(COUNTING) == reference.aggregate(COUNTING) == n
         assert live.aggregate(MIN_PLUS) == reference.aggregate(MIN_PLUS)
         if self.query.is_join_query():
@@ -554,6 +565,55 @@ def test_cyclic_answers_track_the_reference_over_a_stream(
     }
     mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
     assert mirror.answers[0].plan.family == "cyclic-materialize"
+    mirror.run(_cyclic_stream(mirror, rng, domain))
+
+
+JOIN_CHAIN = "q(a, b, c) :- R(a, b), S(b, c)"
+
+FREE_CONNEX_CASES = [
+    pytest.param(JOIN_CHAIN, None, id="join-chain"),
+    pytest.param(
+        "q(x, y) :- R(x, y), S(y, z), T(z, w)", None, id="projected"
+    ),
+    pytest.param("q(a, b, c) :- R(a, b), T(a, c)", None, id="star"),
+    # One changed relation feeds both nodes of the tree.
+    pytest.param("q(x, y, z) :- R(x, y), R(y, z)", None, id="self-join"),
+    pytest.param(
+        "q(x, y) :- R(x, y), P(y, x, x)", None, id="repeated-variable"
+    ),
+    # Two root children: the count is a product, an index splits
+    # mixed-radix at the virtual root.
+    pytest.param(
+        "q(a, b, c, d) :- R(a, b), S(c, d)", None, id="cross-product"
+    ),
+    pytest.param(
+        "q(a, c) :- R(a, b), S(c, d)", None, id="projected-cross-product"
+    ),
+    pytest.param(JOIN_CHAIN, ("c", "b", "a"), id="reversed-order"),
+    # A disruptive trio: pages sort, count and iteration keep the tree.
+    pytest.param(JOIN_CHAIN, ("a", "c", "b"), id="inadmissible-order"),
+]
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("text, order", FREE_CONNEX_CASES)
+def test_free_connex_answers_track_the_reference_over_a_stream(
+    text, order, storage, tmp_path
+):
+    rng = random.Random(f"{text}{order}")
+    query = parse_query(text)
+    domain = 6
+    rows = {
+        atom.relation: {
+            tuple(rng.randrange(domain) for _ in range(atom.arity))
+            for _ in range(20)
+        }
+        for atom in query.atoms
+    }
+    mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
+    plan = mirror.answers[0].plan
+    assert plan.family == "free-connex"
+    assert plan.access_admissible == (order != ("a", "c", "b"))
     mirror.run(_cyclic_stream(mirror, rng, domain))
 
 
@@ -813,17 +873,18 @@ def test_unit_aggregates_track_the_fold_over_a_stream(text, storage):
 
 @pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_aggregate_builds_no_structure(backend, monkeypatch):
-    """Reading aggregates in any semiring builds nothing beside the
-    count maintainer and adds no per-update work — deletes included,
-    although min / max have no ⊕-inverse to fold them with."""
+    """Counts, pages, iteration and aggregates in any semiring build
+    nothing beside the one counted tree and add no per-update work of
+    their own — deletes included, although min / max have no ⊕-inverse
+    to fold them with."""
     built = []
-    real = AggregateMaintainer.__init__
+    for cls in (AggregateMaintainer, ConstantDelayEnumerator):
 
-    def recording(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+        def recording(self, *args, _real=cls.__init__, **kwargs):
+            built.append(self)
+            _real(self, *args, **kwargs)
 
-    monkeypatch.setattr(AggregateMaintainer, "__init__", recording)
+        monkeypatch.setattr(cls, "__init__", recording)
     rng = random.Random(5)
     data = {
         name: sorted(
@@ -833,12 +894,13 @@ def test_aggregate_builds_no_structure(backend, monkeypatch):
     }
     session = Session(data, backend=backend)
     prepared = session.prepare(FAMILY_QUERIES["join-chain"])
-    assert prepared.plan.maintained_count
+    assert prepared.plan.maintained
     answers = prepared.run()
 
     def read():
         n = len(answers)
         assert len(answers.page(0, 10)) == min(n, 10)
+        assert answers.first(10) == answers.page(0, 10)
         for semiring in SEMIRINGS:
             assert answers.aggregate(semiring) == aggregate_units(semiring, n)
 
@@ -849,8 +911,9 @@ def test_aggregate_builds_no_structure(backend, monkeypatch):
         else:
             session.add("S", (rng.randrange(9), 100 + step))
         read()
-    assert len(built) == 1  # the count maintainer, and nothing else
-    assert prepared._counter.rebuilds == 0
+    assert built == []  # no maintainer, no enumerator: the tree alone
+    assert prepared._accessor.rebuilds == 0
+    assert prepared._cache == {}
 
 
 @pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))

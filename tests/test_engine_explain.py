@@ -47,8 +47,9 @@ plan for q(x) :- R(x, y), S(y, z)
   order:    x
   stats:    R: rows=2 distinct=(2, 2)
   stats:    S: rows=2 distinct=(2, 2)
-  count     via free-connex FAQ message passing -- Õ(m) (free-connex counting) [Theorem 3.13]
-  iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
+  count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
+  iterate   via ordered block reads of the counted layered tree (x) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
+              note: O(log m) per answer, amortised over a block
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: undefined under projection -- use query.as_join_query()
@@ -62,12 +63,13 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   order:    a > b > c
   stats:    R: rows=2 distinct=(2, 2)
   stats:    S: rows=2 distinct=(2, 2)
-  count     via FAQ message passing (counting semiring), incrementally maintained -- Õ(m) (free-connex counting) [Theorem 3.13]
-  iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
+  count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
+  iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
+              note: O(log m) per answer, amortised over a block
   access    via lex direct access on (a > b > c) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
-  updates:  session.add/discard fold delta messages into the maintained structures (O(depth) per tuple)"""
+  updates:  session.add/discard patch the counted layered tree: one sorted-block splice per delta row, ancestor counts repaired level by level"""
 
 LEX_ORDER_WITH_DISRUPTIVE_TRIO = """\
 plan for q(a, b, c) :- R(a, b), S(b, c)
@@ -77,8 +79,9 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   order:    a > c > b
   stats:    R: rows=2
   stats:    S: rows=2
-  count     via free-connex FAQ message passing -- Õ(m) (free-connex counting) [Theorem 3.13]
-  iterate   via constant-delay enumeration -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17]
+  count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
+  iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
+              note: O(log m) per answer, amortised over a block
   access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
               note: order (a > c > b) admits no layered join tree (disruptive trio); pages are served from the sorted materialization
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]

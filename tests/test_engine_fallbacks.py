@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings
 
+from repro.direct_access.layered import find_layered_tree
 from repro.engine import Session
 from repro.engine.planner import (
     ACYCLIC_MATERIALIZE,
@@ -19,6 +20,7 @@ from repro.engine.planner import (
     FREE_CONNEX,
     plan_query,
 )
+from repro.hypergraph.freeconnex import free_variable_bags
 from repro.hypergraph.gyo import is_acyclic
 from repro.query.parser import parse_query
 from tests.strategies import queries_with_databases
@@ -58,10 +60,23 @@ def test_disruptive_trio_order_drops_direct_access_only():
     assert plan.family == FREE_CONNEX
     assert not plan.access_admissible
     assert "disruptive trio" in plan.route("access").note
-    assert plan.route("iterate").algorithm == "constant-delay enumeration"
-    # The planner left alone picks an admissible order instead.
+    # Count and iteration keep the tree, on the planner's own order.
+    assert plan.tree_order != plan.order
+    assert find_layered_tree(free_variable_bags(query), plan.tree_order)
+    assert plan.route("iterate").algorithm == (
+        "ordered block reads of the counted layered tree "
+        f"({' > '.join(plan.tree_order)})"
+    )
+    assert plan.route("count").algorithm == (
+        "root total of the counted layered tree"
+    )
+    # The planner left alone picks an admissible order instead, and
+    # the request changed nothing but the access route.
     free = plan_query(query, size=10)
-    assert free.access_admissible
+    assert free.access_admissible and free.tree_order == free.order
+    assert [r for r in free.routes if r.capability != "access"] == [
+        r for r in plan.routes if r.capability != "access"
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -6,10 +6,13 @@ examples.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from repro.engine import plan_query
 from repro.hypergraph.freeconnex import (
     free_connex_join_tree,
+    free_variable_bags,
     head_path_violation,
     is_free_connex,
     is_free_connex_hypergraph,
@@ -28,8 +31,10 @@ from repro.hypergraph.trios import (
     trio_free_order,
 )
 from repro.query import catalog, parse_query
+from repro.query.atoms import Atom
+from repro.query.cq import ConjunctiveQuery
 
-from tests.strategies import conjunctive_queries
+from tests.strategies import acyclic_hypergraph_edges, conjunctive_queries
 
 
 # ---------------------------------------------------------------------
@@ -151,7 +156,7 @@ def test_trio_free_order_exists_for_acyclic_join_queries():
         catalog.star_query_full(3),
         catalog.semijoin_reducible_query(),
     ):
-        order = trio_free_order(query)
+        order = trio_free_order(a.scope for a in query.atoms)
         assert order is not None
         assert not has_disruptive_trio(query, order)
 
@@ -159,7 +164,47 @@ def test_trio_free_order_exists_for_acyclic_join_queries():
 def test_clique_query_any_order_trio_free():
     # All variables pairwise share an atom: no trio can exist.
     q = catalog.clique_query(3)
-    assert trio_free_order(q) is not None
+    assert trio_free_order(a.scope for a in q.atoms) is not None
+
+
+def assert_admissible_by_construction(query):
+    plan = plan_query(query, size=0)
+    assert plan.access_admissible
+    assert plan.tree_order == plan.order
+    # Trio-free on the reduced bags: the bag family read as a join query.
+    bags = free_variable_bags(query)
+    as_join = ConjunctiveQuery(
+        plan.order,
+        tuple(
+            Atom(f"B{node}", tuple(sorted(bag)))
+            for node, bag in bags.items()
+        ),
+    )
+    assert not has_disruptive_trio(as_join, plan.order)
+
+
+def test_every_free_connex_head_gets_an_admissible_order_fixed_case():
+    # Six head variables, none of the two candidate orders the parent
+    # tried admissible, and 6! permutations above its search cap.
+    assert_admissible_by_construction(
+        parse_query(
+            "q(b, a, e, g, d, c) :- R0(d, e), R2(d, a, b), R3(a), R4(d, c, g)"
+        )
+    )
+
+
+@given(acyclic_hypergraph_edges(), st.data())
+def test_every_free_connex_head_gets_an_admissible_order(edges, data):
+    atoms = tuple(
+        Atom(f"R{i}", tuple(sorted(edge))) for i, edge in enumerate(edges)
+    )
+    variables = sorted(set().union(*edges))
+    head = data.draw(
+        st.lists(st.sampled_from(variables), min_size=1, unique=True)
+    )
+    query = ConjunctiveQuery(tuple(head), atoms)
+    assume(is_free_connex(query))
+    assert_admissible_by_construction(query)
 
 
 # ---------------------------------------------------------------------
