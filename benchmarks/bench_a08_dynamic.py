@@ -22,26 +22,39 @@ matrix is repaired by delta joins
 (:func:`repro.joins.generic_join.generic_join_delta_codes`), against a
 from-scratch ``generic_join`` + sort at every query point.
 
+The acyclic-materialize row covers the family with nothing to repair:
+the projected 3-chain (acyclic, not free-connex — the hard side of
+Theorems 3.12 / 3.16) served through a ``Session`` reads ``len`` and a
+page from one sorted Yannakakis projection per database version.  Its
+``open`` / ``per_update`` seconds are recorded, not compared: both
+sides of a comparison would be the same algorithm.  The count-only row
+is the same family's other side — a sparse projected 2-path read by
+``len`` alone, which must cost one producer run and no sort or decode —
+against ``count_answers(method="brute")``, the code-matrix count the
+engine used before it shared one structure with pages.
+
 Asserted: answers identical throughout, and the incremental path
-``>= 5x`` faster than rebuild-per-query on all three workloads (measured
-headroom is far larger for counting).  Timings are appended to
-``benchmarks/BENCH_backends.json`` for the perf trajectory.
+``>= 5x`` faster than rebuild-per-query on the first three workloads
+(measured headroom is far larger for counting).  Timings are appended
+to ``benchmarks/BENCH_backends.json`` for the perf trajectory.
 
 Set ``BENCH_SMOKE=1`` to run tiny sizes and skip the speedup
 assertions (CI uses this to keep the update path exercised on
 3.10–3.12 without paying benchmark runtimes).
 """
 
+import importlib
 import os
 import random
 import time
 
 from repro.counting import count_answers
+from repro.db.columnar import decoded_row_count, reset_decoded_row_count
 from repro.db.database import Database
 from repro.direct_access import LexDirectAccess
 from repro.dynamic import AcyclicCountMaintainer
 from repro.engine import Session
-from repro.joins import generic_join
+from repro.joins import generic_join, yannakakis_project
 from repro.query import catalog
 from repro.query.parser import parse_query
 from repro.workloads import random_star_db
@@ -306,3 +319,181 @@ def test_a8_dynamic_cyclic(benchmark, experiment_report):
     )
     if not SMOKE:
         assert speedup >= MIN_SPEEDUP
+
+
+CHAIN = parse_query("q(x, w) :- R(x, y), S(y, z), T(z, w)")
+# Dense enough that the output (≈ domain²) dwarfs the input.
+CHAIN_M = 600 if SMOKE else 20_000
+CHAIN_DOMAIN = 40 if SMOKE else 500
+CHAIN_UPDATES = 10 if SMOKE else 6
+
+
+def test_a8_dynamic_acyclic_materialize(
+    benchmark, experiment_report, monkeypatch
+):
+    rng = random.Random(41)
+    data = {
+        name: sorted(
+            {
+                (rng.randrange(CHAIN_DOMAIN), rng.randrange(CHAIN_DOMAIN))
+                for _ in range(CHAIN_M)
+            }
+        )
+        for name in ("R", "S", "T")
+    }
+    # Every update changes its relation: one new version each.
+    present = {name: set(rows) for name, rows in data.items()}
+    updates = []
+    for step in range(CHAIN_UPDATES):
+        name = rng.choice(("R", "S", "T"))
+        if step % 3 == 2:
+            row = rng.choice(sorted(present[name]))
+            present[name].discard(row)
+        else:
+            row = (CHAIN_DOMAIN + step, rng.randrange(CHAIN_DOMAIN))
+            present[name].add(row)
+        updates.append((name, row, step % 3 == 2))
+    offsets = [rng.randrange(200) for _ in updates]
+
+    # The engine's producer runs, counted where its one builder
+    # (``OrderedAnswers``) sees the projection; the oracle below calls
+    # the public function and is not counted.
+    lex = importlib.import_module("repro.direct_access.lex")
+    producer_runs = []
+
+    def counted(*args, **kwargs):
+        producer_runs.append(args[0])
+        return yannakakis_project(*args, **kwargs)
+
+    monkeypatch.setattr(lex, "yannakakis_project", counted)
+
+    def run():
+        session = Session(Database.from_dict(data, backend="columnar"))
+        answers = session.prepare(CHAIN).run()
+        start = time.perf_counter()
+        opened = (len(answers), answers.page(0, 20))
+        open_seconds = time.perf_counter() - start
+        served = [opened]
+        start = time.perf_counter()
+        for (name, row, delete), offset in zip(updates, offsets):
+            (session.discard if delete else session.add)(name, row)
+            served.append((len(answers), answers.page(offset, 20)))
+        update_seconds = (time.perf_counter() - start) / len(updates)
+
+        # From scratch on its own copy: the projection's row set
+        # through a Python sort (the engine orders codes, not rows).
+        db = Database.from_dict(data, backend="columnar")
+        oracle = []
+        for name, row, delete in [(None, None, None)] + updates:
+            if name is not None:
+                (db[name].discard if delete else db[name].add)(row)
+            oracle.append(sorted(yannakakis_project(CHAIN, db).rows))
+        expected = [
+            (len(rows), rows[offset : offset + 20])
+            for rows, offset in zip(oracle, [0] + offsets)
+        ]
+        return served, expected, open_seconds, update_seconds
+
+    served, expected, open_seconds, update_seconds = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    experiment_report.row(
+        f"projected 3-chain under {CHAIN_UPDATES} updates, "
+        f"m={3 * CHAIN_M}, {served[0][0]} answers",
+        "identical answers, one projection per version",
+        f"{len(producer_runs)} projections for {1 + len(updates)} versions "
+        f"(open {fmt_seconds(open_seconds)}, "
+        f"per update {fmt_seconds(update_seconds)})",
+    )
+    emit_perf_trajectory(
+        "backends",
+        [
+            {
+                "workload": "dynamic_acyclic_materialize",
+                "backend": phase,
+                "m": 3 * CHAIN_M,
+                "seconds": seconds,
+            }
+            for phase, seconds in (
+                ("open", open_seconds),
+                ("per_update", update_seconds),
+            )
+        ],
+    )
+    assert served == expected
+    assert len(producer_runs) == 1 + len(updates)
+
+
+PATH = parse_query("q(x, z) :- R(x, y), S(y, z)")
+# Sparse: about as many answers as the full join has rows.
+PATH_M = 400 if SMOKE else 20_000
+PATH_DOMAIN = 80 if SMOKE else 4_000
+PATH_UPDATES = 5
+
+
+def test_a8_dynamic_acyclic_count_only(benchmark, experiment_report):
+    rng = random.Random(43)
+    data = {
+        name: sorted(
+            {
+                (rng.randrange(PATH_DOMAIN), rng.randrange(PATH_DOMAIN))
+                for _ in range(PATH_M)
+            }
+        )
+        for name in ("R", "S")
+    }
+    updates = [
+        ("R", (PATH_DOMAIN + step, rng.randrange(PATH_DOMAIN)))
+        for step in range(PATH_UPDATES)
+    ]
+
+    def run():
+        session = Session(Database.from_dict(data, backend="columnar"))
+        answers = session.prepare(PATH).run()
+        reset_decoded_row_count()
+        start = time.perf_counter()
+        counts = [len(answers)]
+        for name, row in updates:
+            session.add(name, row)
+            counts.append(len(answers))
+        seconds = (time.perf_counter() - start) / len(counts)
+        decoded = decoded_row_count()
+
+        db = Database.from_dict(data, backend="columnar")
+        start = time.perf_counter()
+        reference = [count_answers(PATH, db, method="brute")]
+        for name, row in updates:
+            db[name].add(row)
+            reference.append(count_answers(PATH, db, method="brute"))
+        reference_seconds = (time.perf_counter() - start) / len(reference)
+        return counts, reference, decoded, seconds, reference_seconds
+
+    counts, reference, decoded, seconds, reference_seconds = (
+        benchmark.pedantic(run, rounds=1, iterations=1)
+    )
+    experiment_report.row(
+        f"projected 2-path, len only, {1 + PATH_UPDATES} versions, "
+        f"m={2 * PATH_M}, {counts[0]} answers",
+        "identical counts, no row decoded",
+        f"{decoded} rows decoded; per version {fmt_seconds(seconds)} "
+        f"(code-matrix count {fmt_seconds(reference_seconds)})",
+    )
+    emit_perf_trajectory(
+        "backends",
+        [
+            {
+                "workload": "dynamic_acyclic_count_only",
+                "backend": side,
+                "m": 2 * PATH_M,
+                "seconds": value,
+            }
+            for side, value in (
+                ("len", seconds),
+                ("count_answers_brute", reference_seconds),
+            )
+        ],
+    )
+    assert counts == reference
+    assert decoded == 0
+    if not SMOKE:
+        assert seconds <= 2 * reference_seconds

@@ -20,10 +20,11 @@ see *why* a pipeline was chosen      :meth:`PreparedQuery.explain` (the
 (theorems, costs, backend)           plan) or :func:`classify` (the full
                                      dichotomy report)
 call one algorithm directly          :func:`count_answers`,
-(benchmarks, experiments)            :class:`ConstantDelayEnumerator`,
-                                     :class:`LexDirectAccess` (what the
-                                     engine serves a free-connex query
-                                     from), :mod:`repro.joins`,
+(benchmarks, experiments)            :class:`ConstantDelayEnumerator`
+                                     (the engine calls neither),
+                                     :class:`LexDirectAccess` (what it
+                                     serves a free-connex query from),
+                                     :mod:`repro.joins`,
                                      :mod:`repro.semiring`
 maintain one aggregate under         :class:`HierarchicalCountMaintainer`
 updates, no serving facade           / :mod:`repro.dynamic`; with

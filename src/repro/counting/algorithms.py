@@ -13,9 +13,9 @@ segment reduces) with zero per-row decodes — the easy side of the
 dichotomy then runs at hardware speed (``bench_a07``), while the hard
 side still pays its superlinear enumeration.
 
-:func:`count_answers` is the low-level dispatcher; the engine facade
-(:mod:`repro.engine`) calls it (or an incremental maintainer) behind
-``AnswerSet.count()``.
+:func:`count_answers` is the low-level dispatcher for benchmarks and
+experiments; the engine facade (:mod:`repro.engine`) does not call it —
+``AnswerSet.count()`` is the size of the structure it already serves.
 """
 
 from __future__ import annotations

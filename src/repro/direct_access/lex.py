@@ -65,6 +65,7 @@ behind ``len``, ``access_range`` behind pages and iteration — see
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,11 +91,13 @@ from repro.direct_access.layered import (
     find_layered_tree,
 )
 from repro.hypergraph.freeconnex import is_free_connex
+from repro.hypergraph.gyo import is_acyclic
 from repro.hypergraph.jointree import JoinTree
 from repro.joins.fc_reduce import ReducedJoinQuery, free_connex_reduce
-from repro.joins.generic_join import generic_join
+from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.joins.semijoin import atom_frames
-from repro.joins.vectorized import columnar_family
+from repro.joins.vectorized import columnar_family, relation_family
+from repro.joins.yannakakis import yannakakis_project
 from repro.query.cq import ConjunctiveQuery
 
 Row = Tuple[object, ...]
@@ -136,6 +139,69 @@ def value_rank_table(dictionary, codes: np.ndarray) -> np.ndarray:
         len(by_value), dtype=np.int64
     )
     return table
+
+
+class OrderedAnswers:
+    """Every answer of ``query``: counted as produced, sorted by
+    ``order`` on the first read of the rows.
+
+    The ordered materialization Lemma 3.23 proves necessary off the
+    layered-tree orders, produced by the query class's own algorithm:
+    the Yannakakis projection when the query is acyclic, Generic Join
+    otherwise.  On coded storage (columnar relations over one
+    dictionary) ``codes`` is the head code matrix, one row per answer,
+    and ``len()`` reads its length — nothing is sorted or decoded for a
+    count.  :meth:`sorted_rows` orders it without a Python-level sort
+    (each head column rank-remapped by :func:`value_rank_table`, one
+    ``np.lexsort`` with the order's first variable as the primary key)
+    and decodes it once; from then on ``codes`` and ``rows`` are
+    aligned row for row.  Python stores have no codes: ``codes`` is
+    ``None`` and ``rows`` is sorted at once.  ``stamps`` are the
+    relation stamps the answers are current for.
+    """
+
+    __slots__ = ("stamps", "codes", "rows", "_dictionary", "_positions")
+
+    def __init__(
+        self, query: ConjunctiveQuery, db: Database, order: Sequence[str]
+    ) -> None:
+        self.stamps = snapshot_stamps(db, query.relation_symbols)
+        head = tuple(query.head)
+        self._positions = [head.index(v) for v in order]
+        self._dictionary = relation_family(
+            db[atom.relation] for atom in query.atoms
+        )
+        acyclic = is_acyclic(query.hypergraph())
+        self.codes: Optional[np.ndarray] = None
+        self.rows: Optional[List[Row]] = None
+        if self._dictionary is None:
+            rows = (
+                yannakakis_project(query, db).rows
+                if acyclic
+                else generic_join(query, db)
+            )
+            self.rows = sorted(
+                rows, key=operator.itemgetter(*self._positions)
+            )
+        elif acyclic:
+            self.codes = yannakakis_project(query, db).codes()
+        else:
+            self.codes = generic_join_codes(query, db)[0]
+
+    def __len__(self) -> int:
+        return len(self.rows if self.codes is None else self.codes)
+
+    def sorted_rows(self) -> List[Row]:
+        """The answers in ``order``; never mutated in place."""
+        if self.rows is None:
+            codes = self.codes
+            ranks = tuple(
+                value_rank_table(self._dictionary, codes[:, p])[codes[:, p]]
+                for p in reversed(self._positions)
+            )
+            self.codes = codes = codes[np.lexsort(ranks)]
+            self.rows = self._dictionary.decode_rows(codes)
+        return self.rows
 
 
 class _NodeStore:
@@ -330,7 +396,10 @@ class LexDirectAccess:
                     "materializing fallback"
                 )
             self.mode = "materialized"
-            self._materialize(db)
+            self._materialized = OrderedAnswers(
+                query, db, self.order
+            ).sorted_rows()
+            self._count = len(self._materialized)
             return
         self._layered = layered
         self._reduced = reduced
@@ -404,13 +473,6 @@ class LexDirectAccess:
                 positions[child] = list(frame.positions(child_sep))
             self._child_sep_pos[node] = positions
         return True
-
-    def _materialize(self, db: Database) -> None:
-        key_positions = [self.head.index(v) for v in self.order]
-        answers = list(generic_join(self.query, db))
-        answers.sort(key=lambda row: tuple(row[p] for p in key_positions))
-        self._materialized = answers
-        self._count = len(answers)
 
     def _node_separator(self, node: int) -> Tuple[str, ...]:
         """Variables shared with the parent, in frame-column order."""

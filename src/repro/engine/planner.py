@@ -30,7 +30,7 @@ of (query, order, stored backend, input size).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.classify.classifier import classify
@@ -47,12 +47,18 @@ FREE_CONNEX = "free-connex"
 ACYCLIC_MATERIALIZE = "acyclic-materialize"
 CYCLIC_MATERIALIZE = "cyclic-materialize"
 
-# What every capability of the cyclic family reads on columnar storage
-# (repro.engine.prepared._JoinAnswers).
-_SHARED_JOIN = (
-    "one worst-case-optimal join per database version, shared by "
-    "count, pages, iteration and aggregates"
-)
+
+def _sorted_answers(
+    classification: QueryClassification,
+    readers: str = "shared by count, pages, iteration and aggregates",
+) -> str:
+    """What every read off the counted tree reads
+    (repro.direct_access.lex.OrderedAnswers): the output of the query
+    class's own algorithm, run once per database version."""
+    producer = "worst-case-optimal join"
+    if classification.acyclic:
+        producer = "Yannakakis projection"
+    return f"one {producer} per database version, {readers}"
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,7 @@ class Plan:
     # The order the free-connex family's counted layered tree is built
     # on: ``order`` when that is admissible, else the planner's own
     # admissible order (count and iteration keep the tree; only pages
-    # in ``order`` sort).  None off the free-connex family.
+    # in ``order`` read a sorted list).  None off the free-connex family.
     tree_order: Optional[Tuple[str, ...]]
     classification: QueryClassification
     routes: Tuple[PlanRoute, ...]
@@ -113,6 +119,19 @@ class Plan:
         (``LexDirectAccess``: a join query, node = atom, on coded storage.)"""
         return (
             self.tree_order is not None
+            and self.classification.is_join_query
+            and self.backend in ("columnar", "sharded")
+        )
+
+    @property
+    def repaired(self) -> bool:
+        """Are the answers off the tree repaired by delta joins instead of
+        produced again?  (``OrderedAnswers``: a join query on coded storage;
+        relations over several dictionaries have no code matrix and are
+        rebuilt regardless.)"""
+        return (
+            self.order is not None
+            and not self.access_admissible
             and self.classification.is_join_query
             and self.backend in ("columnar", "sharded")
         )
@@ -167,32 +186,33 @@ class Plan:
             lines.append(f"  wcoj:     {strategy}")
         for route in self.routes:
             lines.append(route.render())
+        # One clause per structure the plan holds that repairs in place:
+        # the counted tree, and the sorted answers of every non-Boolean
+        # read the tree does not serve.
+        updates = []
         if self.maintained:
-            updates = (
+            updates.append(
                 "session.add/discard patch the counted layered tree: one "
                 "sorted-block splice per delta row, ancestor counts "
                 "repaired level by level"
             )
-        elif (
-            self.family == CYCLIC_MATERIALIZE
-            and self.backend in ("columnar", "sharded")
-            and c.is_join_query
-        ):
-            # A cyclic query is never q-hierarchical, so the quoted
-            # verdict is always the hard side of the dynamic dichotomy.
+        if self.repaired:
             dynamic = c.verdict("dynamic")
-            updates = (
-                "repaired by delta joins: one frontier run per changed "
-                "atom over the changed tuples; rebuilt after a "
-                f"compaction barrier (dynamic: {dynamic.note} -- no "
-                f"constant-time maintenance [{dynamic.theorem}])"
+            verdict = dynamic.note
+            if not dynamic.tractable:
+                verdict += " -- no constant-time maintenance"
+            updates.append(
+                "sorted answers repaired by delta joins: one frontier run "
+                "per changed atom over the changed tuples; rebuilt after a "
+                f"compaction barrier (dynamic: {verdict} "
+                f"[{dynamic.theorem}])"
             )
-        else:
-            updates = (
-                "session.add/discard bump mutation stamps; served "
-                "structures refresh or recompute before answering"
+        if not updates:
+            updates.append(
+                "session.add/discard bump mutation stamps; what is served "
+                "is rebuilt once per database version, before answering"
             )
-        lines.append(f"  updates:  {updates}")
+        lines.append(f"  updates:  {'; '.join(updates)}")
         return "\n".join(lines)
 
 
@@ -291,12 +311,8 @@ def plan_query(
         _count_route(classification, family),
         _iterate_route(classification, family, tree_order),
         _access_route(classification, family, chosen_order, admissible),
-        _aggregate_route(query, classification),
+        _aggregate_route(query, classification, family),
     )
-    if family == CYCLIC_MATERIALIZE and backend in ("columnar", "sharded"):
-        routes = tuple(
-            replace(route, algorithm=_SHARED_JOIN) for route in routes
-        )
     return Plan(
         query_text=str(query),
         family=family,
@@ -366,7 +382,7 @@ def _count_route(
         )
     return PlanRoute(
         capability="count",
-        algorithm="materialize and count",
+        algorithm=_sorted_answers(classification),
         cost=verdict.upper_bound,
         theorem=verdict.theorem,
         note=verdict.note,
@@ -392,7 +408,7 @@ def _iterate_route(
         )
     return PlanRoute(
         capability="iterate",
-        algorithm="materialize, then stream in order",
+        algorithm=_sorted_answers(classification),
         cost=verdict.upper_bound,
         theorem=verdict.theorem,
         note=(
@@ -426,18 +442,20 @@ def _access_route(
     if family == FREE_CONNEX:
         return PlanRoute(
             capability="access",
-            algorithm="materialize and sort",
+            algorithm=_sorted_answers(
+                classification, f"sorted on ({rendered})"
+            ),
             cost=sort_cost,
             theorem="Theorem 3.24 / Lemma 3.23",
             note=(
                 f"order ({rendered}) admits no layered join tree "
-                "(disruptive trio); pages are served from the sorted "
-                "materialization"
+                "(disruptive trio); pages read the sorted answers, count "
+                "and iteration keep the tree"
             ),
         )
     return PlanRoute(
         capability="access",
-        algorithm="materialize and sort",
+        algorithm=_sorted_answers(classification),
         cost=sort_cost,
         theorem=theorem,
         note=(
@@ -448,14 +466,15 @@ def _access_route(
 
 
 def _aggregate_route(
-    query: ConjunctiveQuery, classification: QueryClassification
+    query: ConjunctiveQuery, classification: QueryClassification, family: str
 ) -> PlanRoute:
     """One route for every family: the count's verdict.
 
     Unweighted, ⊕ over the answers of ⊗ of ones is ``n·1`` — the
     answer count mapped into the semiring — so cost and theorem are
-    the counting dichotomy's.  Only the per-atom-weights pipeline
-    still varies with the query, and the note names it.
+    the counting dichotomy's (off the tree, the shared answers' length).
+    Only the per-atom-weights pipeline still varies with the query, and
+    the note names it.
     """
     verdict = classification.verdict("counting")
     if not query.is_join_query():
@@ -471,7 +490,11 @@ def _aggregate_route(
         )
     return PlanRoute(
         capability="aggregate",
-        algorithm="count, then n·1 in the semiring (O(log n) ⊕)",
+        algorithm=(
+            "count, then n·1 in the semiring (O(log n) ⊕)"
+            if family == FREE_CONNEX
+            else _sorted_answers(classification)
+        ),
         cost=verdict.upper_bound,
         theorem=f"{verdict.theorem} / Section 4.1.2",
         note=f"per-atom weights: {weighted}",

@@ -8,30 +8,31 @@ layered join tree (:class:`repro.direct_access.lex.LexDirectAccess` on
 ``plan.tree_order``): its root total is the count, pages and iteration
 are block reads of it (``access_range``), ``answers[i]`` is one descent
 — the paper's three free-connex upper bounds (Theorems 3.13, 3.17,
-3.24) are one preprocessing pass seen three ways.  A cyclic query
-holds one :class:`_JoinAnswers`; the acyclic-materialize family (and
-pages of a free-connex query in an inadmissible order) read a
-stamp-guarded sorted Yannakakis projection.  Aggregates own no
-structure: unweighted, ⊕ over the answers of ⊗ of ones is ``n·1``, the
-count's image in the semiring
+3.24) are one preprocessing pass seen three ways.  Every read the tree
+does not serve — the cyclic and acyclic-materialize families, pages of
+a free-connex query in an inadmissible order — is one
+:class:`~repro.direct_access.lex.OrderedAnswers`, the output of the
+query class's own algorithm: counted as produced, sorted when rows are
+first read.
+Aggregates own no structure: unweighted, ⊕ over the answers of ⊗ of
+ones is ``n·1``, the count's image in the semiring
 (:func:`repro.semiring.faq.aggregate_units`); per-atom weights run
 the FAQ pipelines of :mod:`repro.semiring.faq` per call.
 
-Liveness: every structure is built with ``on_stale="refresh"`` or is
-guarded by a mutation-stamp cache, so a prepared query served across
-an update stream (mutations through :meth:`repro.engine.session.
-Session.add` / ``discard``) never raises
+Liveness: every structure is built with ``on_stale="refresh"`` or
+carries the relation stamps it is current for, so a prepared query
+served across an update stream (mutations through
+:meth:`repro.engine.session.Session.add` / ``discard``) never raises
 :class:`repro.db.interface.StaleStructureError` and never serves a
 stale answer — it repairs incrementally where the delta-segment
-machinery allows and recomputes otherwise.  Cyclic queries follow the
-same contract with one structure (:class:`_JoinAnswers`): one
-worst-case-optimal join per database version serves count, pages,
-iteration and aggregates alike, and while every drifted relation can
-still answer ``delta_since`` a join query's answers are repaired by
-delta joins over the changed tuples instead of being joined again.
-The classifier's ``dynamic`` verdict rules out constant-time
-maintenance for them (not q-hierarchical); it does not ask for a full
-Õ(m^{ρ*}) join per single-tuple update.
+machinery allows and rebuilds otherwise.  An :class:`OrderedAnswers` is
+built by one producer run per database version, which serves count,
+pages, iteration and aggregates alike, and while every drifted
+relation can still answer ``delta_since`` a join query's answers are
+repaired by delta joins over the changed tuples instead of being
+produced again.  The classifier's ``dynamic`` verdict rules out
+constant-time maintenance for a cyclic query (not q-hierarchical); it
+does not ask for a full Õ(m^{ρ*}) join per single-tuple update.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.counting.algorithms import count_answers
 from repro.db.columnar import lookup_rows, unique_rows
 from repro.db.database import Database
 from repro.db.interface import (
@@ -52,20 +52,13 @@ from repro.db.interface import (
     snapshot_stamps,
     stale_relations,
 )
-from repro.direct_access.lex import LexDirectAccess, value_rank_table
-from repro.engine.planner import (
-    BOOLEAN,
-    CYCLIC_MATERIALIZE,
-    FREE_CONNEX,
-    Plan,
-)
+from repro.direct_access.lex import LexDirectAccess, OrderedAnswers
+from repro.engine.planner import BOOLEAN, FREE_CONNEX, Plan
 from repro.joins.generic_join import (
-    generic_join,
     generic_join_boolean,
-    generic_join_codes,
     generic_join_delta_codes,
 )
-from repro.joins.yannakakis import yannakakis_boolean, yannakakis_project
+from repro.joins.yannakakis import yannakakis_boolean
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.faq import (
     WeightFn,
@@ -76,30 +69,6 @@ from repro.semiring.faq import (
 from repro.semiring.semirings import Semiring
 
 Row = Tuple[object, ...]
-
-
-class _JoinAnswers:
-    """What the cyclic family serves: one join's answers in paging order.
-
-    ``rows`` is the answer list in the plan's lexicographic value
-    order, ``codes`` the head code matrix aligned with it row for row
-    (``None`` on the python backend, which has no codes), ``stamps``
-    the relation stamps both are current for.  ``rows`` is never
-    mutated in place — a repair swaps in a new list — so an iterator
-    handed out before an update keeps reading the version it started on.
-    """
-
-    __slots__ = ("stamps", "codes", "rows")
-
-    def __init__(
-        self,
-        stamps: Dict[str, int],
-        codes: Optional[np.ndarray],
-        rows: List[Row],
-    ) -> None:
-        self.stamps = stamps
-        self.codes = codes
-        self.rows = rows
 
 
 def _bisect_rows(rows: List[Row], target: object, key: Callable) -> int:
@@ -136,9 +105,9 @@ class PreparedQuery:
     Produced by :meth:`repro.engine.session.Session.prepare`; call
     :meth:`run` for an :class:`AnswerSet` and :meth:`explain` for the
     plan.  The answer structure (the free-connex family's counted
-    tree, the cyclic family's shared join answers, or the sorted
-    materialization) is built on first demand and kept for the lifetime
-    of the prepared query, surviving updates through refresh/recompute.
+    tree, every other read's shared :class:`OrderedAnswers`) is built on
+    first demand and kept for the lifetime of the prepared query,
+    surviving updates through repair/rebuild.
     """
 
     def __init__(
@@ -162,16 +131,12 @@ class PreparedQuery:
             )
         # Lazy serving structures; None = not built yet.
         self._accessor: Optional[LexDirectAccess] = None
-        self._answers: Optional[_JoinAnswers] = None
-        # "decide" / "count" / "materialized" -> (stamps, value): the
-        # stamp-guarded recomputations (Boolean and acyclic-materialize
-        # families, free-connex pages in an inadmissible order).
-        # Aggregates have no entry —
-        # unweighted they are a function of the count.
-        self._cache: Dict[str, Tuple[Dict[str, int], object]] = {}
+        self._answers: Optional[OrderedAnswers] = None
+        # The Boolean family's verdict and the stamps it is current for.
+        self._decided: Optional[Tuple[Dict[str, int], bool]] = None
         # Concurrent readers serialize per prepared query (lazy
-        # structure builds and stamp-cache refreshes are not
-        # interleavable); distinct prepared queries stay concurrent.
+        # structure builds and repairs are not interleavable);
+        # distinct prepared queries stay concurrent.
         self._build_lock = threading.RLock()
 
     def _serving_guard(self) -> ExitStack:
@@ -180,8 +145,8 @@ class PreparedQuery:
         Every read entry point takes this: the shared session lock
         keeps reads out of half-applied updates (writers are
         exclusive, see :class:`repro.util.locks.ReadWriteLock`), and
-        the build lock makes lazy structure construction and cache
-        refresh single-threaded per prepared query.  Both sides are
+        the build lock makes lazy structure construction and repair
+        single-threaded per prepared query.  Both sides are
         re-entrant, so nested reads (``__getitem__`` → ``count``) are
         free.
         """
@@ -213,29 +178,17 @@ class PreparedQuery:
         return self._count()
 
     # ------------------------------------------------------------------
-    # stamp-guarded recomputation
-    # ------------------------------------------------------------------
-    def _cached(self, key: str, compute: Callable[[], object]):
-        entry = self._cache.get(key)
-        if entry is not None:
-            stamps, value = entry
-            if not stale_relations(self._db, stamps):
-                return value
-        stamps = snapshot_stamps(self._db, self.query.relation_symbols)
-        value = compute()
-        self._cache[key] = (stamps, value)
-        return value
-
-    # ------------------------------------------------------------------
     # capability backends
     # ------------------------------------------------------------------
     def _decide(self) -> bool:
+        """Is the body satisfiable?  Decided once per database version."""
         query, db = self.query, self._db
-        if self.plan.classification.acyclic:
-            compute = lambda: yannakakis_boolean(query, db)  # noqa: E731
-        else:
-            compute = lambda: generic_join_boolean(query, db)  # noqa: E731
-        return self._cached("decide", compute)
+        if self._decided is None or stale_relations(db, self._decided[0]):
+            stamps = snapshot_stamps(db, query.relation_symbols)
+            acyclic = self.plan.classification.acyclic
+            decide = yannakakis_boolean if acyclic else generic_join_boolean
+            self._decided = (stamps, decide(query, db))
+        return self._decided[1]
 
     def _tree(self) -> LexDirectAccess:
         """The free-connex family's one structure: counted, on
@@ -256,21 +209,7 @@ class PreparedQuery:
                 return 1 if self._decide() else 0
             if plan.family == FREE_CONNEX:
                 return self._tree().count()
-            if plan.family == CYCLIC_MATERIALIZE:
-                return len(self._join_answers().rows)
-            # Acyclic fallback: reuse a fresh materialization when one
-            # exists, else count without decoding — on columnar inputs
-            # count_answers reads the frontier join's code matrix
-            # length directly, skipping the sorted tuple list entirely.
-            entry = self._cache.get("materialized")
-            if entry is not None and not stale_relations(
-                self._db, entry[0]
-            ):
-                return len(entry[1])
-            query, db = self.query, self._db
-            return self._cached(
-                "count", lambda: count_answers(query, db, method="brute")
-            )
+            return len(self._join_answers())
 
     def _iterate(self) -> Iterator[Row]:
         if self.plan.family == FREE_CONNEX:
@@ -318,66 +257,39 @@ class PreparedQuery:
             return self._materialized()[item]
 
     def _materialized(self) -> List[Row]:
-        """The sorted answer list (fallback families).
+        """The sorted answer list (everything off the tree).
 
-        Acyclic queries materialize through the output-sensitive
-        Yannakakis projection (stamp-guarded); cyclic ones read the
-        shared :class:`_JoinAnswers`; a Boolean query's is ``[()]`` or
-        empty.  Sorted by the plan's lexicographic order, so paging
-        agrees with what direct access would serve.
+        The shared :class:`OrderedAnswers`' rows — sorted by the plan's
+        lexicographic order, so paging agrees with what direct access
+        would serve; a Boolean query's is ``[()]`` or empty.
         """
-        query, db, key = self.query, self._db, self._page_key
         with self._serving_guard():
             if self.plan.family == BOOLEAN:
                 return [()] * self._count()
-            if self.plan.family == CYCLIC_MATERIALIZE:
-                return self._join_answers().rows
-            return self._cached(
-                "materialized",
-                lambda: sorted(yannakakis_project(query, db).rows, key=key),
-            )
+            return self._join_answers().sorted_rows()
 
     # ------------------------------------------------------------------
-    # the cyclic family: one join per database version, delta repairs
+    # off the tree: one producer run per database version, delta repairs
     # ------------------------------------------------------------------
-    def _join_answers(self) -> _JoinAnswers:
-        """The cyclic family's served structure, current for the database.
+    def _join_answers(self) -> OrderedAnswers:
+        """The answers off the tree, current for the database.
 
-        Built by one worst-case-optimal join.  On stamp drift a join
-        query on columnar storage is repaired from the relations' net
-        deltas (:meth:`_repair_join_answers`); a projected query, the
-        python backend and truncated delta history rebuild instead.
-        Callers hold the serving guard.
+        Built by one producer run.  On stamp drift a join query on
+        coded storage is repaired from the relations' net deltas
+        (:meth:`_repair_join_answers`); a projected query, the python
+        backend and truncated delta history rebuild instead.  Callers
+        hold the serving guard.
         """
         answers = self._answers
         if answers is not None:
             drifted = stale_relations(self._db, answers.stamps)
             if not drifted or self._repair_join_answers(answers, drifted):
                 return answers
-        self._answers = answers = self._build_join_answers()
-        return answers
-
-    def _build_join_answers(self) -> _JoinAnswers:
-        query, db = self.query, self._db
-        stamps = snapshot_stamps(db, query.relation_symbols)
-        coded = generic_join_codes(query, db)
-        if coded is None:  # python backend: no codes to order or repair
-            rows = sorted(generic_join(query, db), key=self._page_key)
-            return _JoinAnswers(stamps, None, rows)
-        codes = coded[0]
-        dictionary = db[query.atoms[0].relation].dictionary
-        # Value order on codes: rank-remap each head column, lexsort
-        # with the order's first variable as the primary key, decode
-        # in that order — no Python-level sort of the answers.
-        ranks = tuple(
-            value_rank_table(dictionary, codes[:, p])[codes[:, p]]
-            for p in (self.head.index(v) for v in reversed(self.plan.order))
-        )
-        codes = codes[np.lexsort(ranks)]
-        return _JoinAnswers(stamps, codes, dictionary.decode_rows(codes))
+        self._answers = OrderedAnswers(self.query, self._db, self.plan.order)
+        return self._answers
 
     def _repair_join_answers(
-        self, answers: _JoinAnswers, drifted: Dict[str, int]
+        self, answers: OrderedAnswers, drifted: Dict[str, int]
     ) -> bool:
         """Bring ``answers`` up to date from net deltas; False = rebuild.
 
@@ -390,7 +302,7 @@ class PreparedQuery:
         Empty net deltas (absorbed updates) only adopt the new stamps.
         """
         query, db = self.query, self._db
-        if answers.codes is None or not query.is_join_query():
+        if not self.plan.repaired or answers.codes is None:
             return False
         inserted: Dict[str, np.ndarray] = {}
         deleted: Dict[str, np.ndarray] = {}
@@ -401,7 +313,7 @@ class PreparedQuery:
                 return False
         dictionary = db[query.atoms[0].relation].dictionary
         cardinality = len(dictionary)
-        codes, rows = answers.codes, answers.rows
+        rows, codes = answers.sorted_rows(), answers.codes
         position = {v: i for i, v in enumerate(self.head)}
         keep = np.ones(len(codes), dtype=bool)
         gained: List[np.ndarray] = []
@@ -486,10 +398,10 @@ class AnswerSet:
       admissible.  An iterator is a sequence of consistent blocks and
       holds no lock between them: an update landing between two blocks
       shifts later positions exactly as it does for a client paging by
-      offset.  Other families stream the sorted materialization;
+      offset.  Other families stream the shared sorted answers;
     - ``answers[i]`` / ``answers[i:j]`` — paging in the plan's
       lexicographic order, backed by direct access when admissible and
-      by the sorted materialization otherwise;
+      by the shared sorted answers otherwise;
     - :meth:`aggregate` — semiring aggregation: the count's image
       ``n·1`` unweighted, FAQ with per-atom weights;
     - :meth:`explain` — the serving plan.

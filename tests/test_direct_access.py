@@ -130,6 +130,28 @@ def test_lex_access_fallback_matches():
     )
 
 
+@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        # Acyclic, not free-connex: the Yannakakis projection produces.
+        ("q(x, z) :- R(x, y), S(y, z)", ("z", "x")),
+        # Cyclic: Generic Join does.
+        ("q(x, y, z) :- R(x, y), S(y, z), T(z, x)", ("y", "z", "x")),
+    ],
+    ids=["acyclic", "cyclic"],
+)
+def test_lex_access_fallback_parity_across_backends(text, order, backend):
+    query = parse_query(text)
+    db = random_database(query, 40, 5, seed=97).to_backend(backend)
+    accessor = LexDirectAccess(query, db, order=order, strict=False)
+    assert accessor.mode == "materialized"
+    expected = sorted_answers(query, db, order)
+    assert len(expected) > 3
+    assert accessor.materialize() == expected
+    assert_range_parity(accessor)
+
+
 def test_lex_access_empty_result():
     query = parse_query("q(x, y) :- R(x, y), S(y)")
     db = Database()

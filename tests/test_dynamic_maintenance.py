@@ -14,6 +14,7 @@ wrong answers, no error.  These tests pin the fix from both sides:
 """
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.counting import count_answers
+from repro.db.columnar import decoded_row_count, reset_decoded_row_count
 from repro.db.database import Database
 from repro.db.interface import StaleStructureError, stale_relations
 from repro.direct_access.lex import LexDirectAccess
@@ -365,7 +367,7 @@ def test_unary_join_query_refresh_parity():
 # cyclic answer sets: one join per database version, delta-join repairs
 # ----------------------------------------------------------------------
 # The cyclic family serves count, pages, iteration and aggregates from
-# one sorted code matrix + row list (repro.engine.prepared._JoinAnswers)
+# one code matrix + row list (repro.direct_access.lex.OrderedAnswers)
 # and repairs it from ``delta_since`` while history lasts.  Everything
 # below compares it, after every update, against the python-backend
 # session (a rebuild per version, no codes) and the brute-force oracle.
@@ -410,9 +412,12 @@ class _Mirror:
 
     The reference is the same data on ``backend="python"``: cyclic
     queries there rebuild per version through the depth-first join and
-    a Python sort, sharing no code with the repair path; free-connex
-    ones rebuild the counted tree's Python stores per version and read
-    them index by index, sharing none with patching or block reads.
+    a Python sort, sharing no code with the repair path; acyclic
+    non-free-connex ones through the Yannakakis projection over Python
+    frames and the same sort, where coded storage lexsorts a code
+    matrix; free-connex ones rebuild the counted tree's Python stores
+    per version and read them index by index, sharing none with
+    patching or block reads.
     """
 
     def __init__(self, text, storage, rows, order=None, tmp_path=None):
@@ -548,24 +553,32 @@ def _cyclic_stream(mirror, rng, domain):
     yield "add", names[-1], row(names[-1])
 
 
+_DOMAIN = 6
+
+
+def _random_mirror(text, order, storage, tmp_path):
+    """A mirror over 20 random rows per relation, and the rng that drew
+    them (seeded by the case, so every storage sees one stream)."""
+    rng = random.Random(f"{text}{order}")
+    rows = {
+        atom.relation: {
+            tuple(rng.randrange(_DOMAIN) for _ in range(atom.arity))
+            for _ in range(20)
+        }
+        for atom in parse_query(text).atoms
+    }
+    mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
+    return mirror, rng
+
+
 @pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("text, order", CYCLIC_CASES)
 def test_cyclic_answers_track_the_reference_over_a_stream(
     text, order, storage, tmp_path
 ):
-    rng = random.Random(f"{text}{order}")
-    query = parse_query(text)
-    domain = 6
-    rows = {
-        atom.relation: {
-            tuple(rng.randrange(domain) for _ in range(atom.arity))
-            for _ in range(20)
-        }
-        for atom in query.atoms
-    }
-    mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
+    mirror, rng = _random_mirror(text, order, storage, tmp_path)
     assert mirror.answers[0].plan.family == "cyclic-materialize"
-    mirror.run(_cyclic_stream(mirror, rng, domain))
+    mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
 
 
 JOIN_CHAIN = "q(a, b, c) :- R(a, b), S(b, c)"
@@ -600,26 +613,49 @@ FREE_CONNEX_CASES = [
 def test_free_connex_answers_track_the_reference_over_a_stream(
     text, order, storage, tmp_path
 ):
-    rng = random.Random(f"{text}{order}")
-    query = parse_query(text)
-    domain = 6
-    rows = {
-        atom.relation: {
-            tuple(rng.randrange(domain) for _ in range(atom.arity))
-            for _ in range(20)
-        }
-        for atom in query.atoms
-    }
-    mirror = _Mirror(text, storage, rows, order=order, tmp_path=tmp_path)
+    mirror, rng = _random_mirror(text, order, storage, tmp_path)
     plan = mirror.answers[0].plan
     assert plan.family == "free-connex"
     assert plan.access_admissible == (order != ("a", "c", "b"))
-    mirror.run(_cyclic_stream(mirror, rng, domain))
+    mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
+
+
+PROJECTED_CHAIN = "q(x, w) :- R(x, y), S(y, z), T(z, w)"
+
+# Acyclic, not free-connex: the sorted answers come from the Yannakakis
+# projection and are rebuilt per version (projection collapses body
+# assignments, so no delta repair).
+ACYCLIC_CASES = [
+    pytest.param("q(x, z) :- R(x, y), S(y, z)", None, id="projected-path"),
+    pytest.param(PROJECTED_CHAIN, None, id="projected-chain"),
+    pytest.param("q(x, x2) :- R(x, y), R(x2, y)", None, id="self-join"),
+    pytest.param(
+        "q(x, z) :- R(x, y), S(y, z), P(z, z)", None, id="repeated-variable"
+    ),
+    pytest.param(
+        "q(x, z, w) :- R(x, y), S(y, z), U(w)", None, id="cross-product"
+    ),
+    pytest.param(
+        "q(x, z) :- R(x, y), S(y, z)", ("z", "x"), id="paging-order"
+    ),
+]
 
 
 @pytest.mark.parametrize("storage", STORAGES)
-def test_cyclic_answers_starting_from_empty(storage, tmp_path):
-    mirror = _Mirror(TRIANGLE, storage, {}, tmp_path=tmp_path)
+@pytest.mark.parametrize("text, order", ACYCLIC_CASES)
+def test_acyclic_materialize_answers_track_the_reference_over_a_stream(
+    text, order, storage, tmp_path
+):
+    mirror, rng = _random_mirror(text, order, storage, tmp_path)
+    assert mirror.answers[0].plan.family == "acyclic-materialize"
+    mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("text", (TRIANGLE, PROJECTED_CHAIN))
+def test_materialized_answers_starting_from_empty(text, storage, tmp_path):
+    mirror = _Mirror(text, storage, {}, tmp_path=tmp_path)
+    assert mirror.answers[0].plan.family.endswith("-materialize")
     rng = random.Random(3)
     stream = []
     for _ in range(30):
@@ -656,6 +692,19 @@ def test_projected_cyclic_query_and_python_backend_rebuild(backend):
         mirror.answers[0].aggregate(MIN_PLUS, weights=mirror.weights[0])
 
 
+def _structures(prepared):
+    """The lazy serving state a prepared query has built so far."""
+    fixed = {
+        "session", "query", "plan", "semiring", "_db", "head", "_page_key",
+        "_build_lock",
+    }  # fmt: skip
+    return {
+        name
+        for name, value in vars(prepared).items()
+        if name not in fixed and value is not None
+    }
+
+
 def _count_frontier_runs(monkeypatch):
     """Wrap the frontier join; returns its full / delta run counters."""
     # ``repro.joins.generic_join`` the attribute is the function.
@@ -671,6 +720,140 @@ def _count_frontier_runs(monkeypatch):
 
     monkeypatch.setattr(gj, "_frontier_run", counting)
     return runs
+
+
+def _count_projection_runs(monkeypatch):
+    """Wrap the Yannakakis projection where the sorted answers' one
+    builder (``OrderedAnswers``) sees it; returns the run counter."""
+    lex = importlib.import_module("repro.direct_access.lex")
+    runs = {"full": 0}
+    real = lex.yannakakis_project
+
+    def counting(*args, **kwargs):
+        runs["full"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lex, "yannakakis_project", counting)
+    return runs
+
+
+_READS = {
+    "len": len,
+    "page": lambda answers: answers.page(0, 5),
+    "list": list,
+    "index": lambda answers: answers[0],
+    "aggregate": lambda answers: answers.aggregate(MIN_PLUS),
+}
+
+
+@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize(
+    "text", ("q(x, z) :- R(x, y), S(y, z)", PROJECTED_CHAIN)
+)
+def test_one_projection_per_version_in_any_reading_order(
+    text, backend, monkeypatch
+):
+    """Every capability of an acyclic non-free-connex query reads the
+    one sorted Yannakakis projection: whichever is read first builds
+    it, and none counts through a worst-case-optimal join."""
+    rng = random.Random(9)
+    data = {
+        name: sorted({(rng.randrange(6), rng.randrange(6)) for _ in range(20)})
+        for name in "RST"
+    }
+    session = Session(data, backend=backend)
+    answers = session.prepare(text).run()
+    projections = _count_projection_runs(monkeypatch)
+    joins = _count_frontier_runs(monkeypatch)
+    for version, reading_order in enumerate(itertools.permutations(_READS)):
+        session.add("R", (version % 6, 100 + version))  # a new version
+        seen = {name: _READS[name](answers) for name in reading_order}
+        assert projections["full"] == version + 1, reading_order
+        assert seen["len"] == len(seen["list"]) > 0
+        assert seen["page"] == seen["list"][:5]
+        assert seen["index"] == seen["list"][0]
+    assert joins == {"full": 0, "delta": 0}
+
+
+@pytest.mark.parametrize(
+    "text", (PROJECTED_CHAIN, "q(x, y) :- R(x, y), S(y, z), T(z, x)")
+)
+def test_count_only_reads_neither_sort_nor_decode(text):
+    """``len`` and the unweighted aggregate are the code matrix's length:
+    rows are ordered and decoded by the first page, once, not before.
+    (A repair needs sort positions and orders first; these rebuild.)"""
+    rng = random.Random(12)
+    data = {
+        name: sorted({(rng.randrange(6), rng.randrange(6)) for _ in range(20)})
+        for name in "RST"
+    }
+    session = Session(data, backend="columnar")
+    answers = session.prepare(text).run()
+    for version in range(3):
+        session.add("R", (version, 100 + version))
+        reset_decoded_row_count()
+        count = len(answers)
+        answers.aggregate(MIN_PLUS)
+        assert decoded_row_count() == 0
+        assert count == len(answers.query.evaluate_brute_force(session.db))
+    reset_decoded_row_count()
+    page = answers.page(0, 5)
+    assert answers.page(0, 5) == page == list(answers)[:5]
+    assert decoded_row_count() == count
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_trio_order_pages_are_repaired_not_resorted(
+    storage, tmp_path, monkeypatch
+):
+    """A free-connex *join* query paged in an order with a disruptive
+    trio keeps its sorted answers across small updates like the cyclic
+    family: delta joins, no second projection, one rebuild per barrier."""
+    storage = dict(storage)
+    if "max_resident_shards" in storage:
+        storage["spill_dir"] = str(tmp_path)
+    rng = random.Random(10)
+    data = {
+        name: sorted({(rng.randrange(9), rng.randrange(9)) for _ in range(40)})
+        for name in "RS"
+    }
+    session = Session(Database.from_dict(data, **storage))
+    query = parse_query(JOIN_CHAIN)
+    answers = session.prepare(query, order=("a", "c", "b")).run()
+    projections = _count_projection_runs(monkeypatch)
+    joins = _count_frontier_runs(monkeypatch)
+
+    def read():
+        truth = query.evaluate_brute_force(session.db)
+        expected = sorted(truth, key=lambda row: (row[0], row[2], row[1]))
+        assert len(answers) == len(expected)
+        assert answers[:] == expected
+        assert answers[len(expected) - 1] == expected[-1]
+
+    read()
+    assert projections == {"full": 1} and joins == {"full": 0, "delta": 0}
+    for step in range(10):
+        before = joins["delta"]
+        if step % 2:
+            session.discard("R", data["R"][step])
+        else:
+            session.add("S", (rng.randrange(9), 20 + step))
+        read()
+        # R and S each feed one atom: at most one delta run per update.
+        assert joins["delta"] - before <= 1
+    delta_runs = joins["delta"]
+    assert 0 < delta_runs <= 10
+    session.add("R", data["R"][0])  # already present
+    session.add("S", (900, 901))  # an add/discard pair of one tuple
+    session.discard("S", (900, 901))
+    read()
+    assert projections == {"full": 1}
+    assert joins == {"full": 0, "delta": delta_runs}
+    session.add_all("S", [(i % 9, 50 + i) for i in range(70)])  # barrier
+    read()
+    read()
+    assert projections == {"full": 2}
+    assert joins == {"full": 0, "delta": delta_runs}
 
 
 def _big_triangle_session(storage, tmp_path):
@@ -702,13 +885,9 @@ def test_one_full_join_per_barrier_none_per_small_update(
 
     read()
     assert runs == {"full": 1, "delta": 0}  # one join serves all three
-    assert "count" not in answers.prepared._cache
-    # Holds for every family (test_aggregates_leave_no_cache_entry):
+    # Holds for every family (test_every_read_shares_two_structures):
     # an unweighted aggregate is a function of the count.
-    assert not any(
-        isinstance(key, tuple) and key[0] == "aggregate"
-        for key in answers.prepared._cache
-    )
+    assert _structures(answers.prepared) == {"_answers"}
     rng = random.Random(4)
     for step in range(20):
         before = runs["delta"]
@@ -913,12 +1092,12 @@ def test_aggregate_builds_no_structure(backend, monkeypatch):
         read()
     assert built == []  # no maintainer, no enumerator: the tree alone
     assert prepared._accessor.rebuilds == 0
-    assert prepared._cache == {}
+    assert _structures(prepared) == {"_accessor"}
 
 
 @pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
-def test_aggregates_leave_no_cache_entry(family, backend):
+def test_every_read_shares_two_structures(family, backend):
     rng = random.Random(6)
     data = {
         name: [(rng.randrange(6), rng.randrange(6)) for _ in range(25)]
@@ -928,6 +1107,15 @@ def test_aggregates_leave_no_cache_entry(family, backend):
     answers = prepared.run()
     assert len(answers.page(0, 5)) == min(len(answers), 5)
     assert len(list(answers)) == len(answers)
+    if len(answers):
+        assert answers[0] == answers.page(0, 1)[0]
     for semiring in SEMIRINGS:
         answers.aggregate(semiring)
-    assert set(prepared._cache) <= {"decide", "count", "materialized"}
+    # After every capability was read: the counted tree or the sorted
+    # answers (a Boolean query holds its verdict), nothing per
+    # capability, no stamp cache.
+    expected = {
+        "boolean": "_decided",
+        "free-connex": "_accessor",
+    }.get(prepared.plan.family, "_answers")
+    assert _structures(prepared) == {expected}

@@ -1,10 +1,10 @@
 """Golden snapshots for ``PreparedQuery.explain()``.
 
 One snapshot per pipeline family (boolean, count, enumeration + lex
-direct access, inadmissible lex order, acyclic materialize, cyclic
-fallback on the python backend, the cyclic family's shared join on
-columnar storage), asserting the rendered plan — chosen pipelines, execution
-backend, and quoted theorems — is stable.  The plan is a pure function
+direct access, inadmissible lex order on python and coded storage,
+acyclic materialize on both, the cyclic family on both), asserting
+the rendered plan — chosen pipelines, execution backend, and quoted
+theorems — is stable.  The plan is a pure function
 of (query, order, stored backend, input size), so any diff here is a
 deliberate planner change: update the snapshot *and* the CHANGES entry
 together.
@@ -37,7 +37,7 @@ plan for q() :- R(x, y), S(y, z)
   stats:    S: rows=2
   decide    via Yannakakis semijoin reduction -- Õ(m) (Yannakakis) [Theorem 3.1 / 3.7]
   count     via decide, then 0/1 -- Õ(m) (counting = deciding for Boolean queries) [Theorem 3.1]
-  updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
 
 COUNT = """\
 plan for q(x) :- R(x, y), S(y, z)
@@ -53,7 +53,7 @@ plan for q(x) :- R(x, y), S(y, z)
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: undefined under projection -- use query.as_join_query()
-  updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
 
 ENUM_AND_LEX_DIRECT_ACCESS = """\
 plan for q(a, b, c) :- R(a, b), S(b, c)
@@ -82,11 +82,28 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
               note: O(log m) per answer, amortised over a block
-  access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
-              note: order (a > c > b) admits no layered join tree (disruptive trio); pages are served from the sorted materialization
+  access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
+              note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
-  updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
+
+TRIO_ORDER_ON_CODED_STORAGE = """\
+plan for q(a, b, c) :- R(a, b), S(b, c)
+  family:   free-connex
+  backend:  columnar (stored backend, m=6)
+  structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
+  order:    a > c > b
+  stats:    R: rows=2 distinct=(2, 2)
+  stats:    S: rows=2 distinct=(2, 2)
+  count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
+  iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
+              note: O(log m) per answer, amortised over a block
+  access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
+              note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
+              note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
+  updates:  session.add/discard patch the counted layered tree: one sorted-block splice per delta row, ancestor counts repaired level by level; sorted answers repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: q-hierarchical [[15] (survey conclusion)])"""
 
 ACYCLIC_MATERIALIZE = """\
 plan for q(x, z) :- R(x, y), S(y, z)
@@ -96,14 +113,31 @@ plan for q(x, z) :- R(x, y), S(y, z)
   order:    x > z
   stats:    R: rows=2
   stats:    S: rows=2
-  count     via materialize and count -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6]
-  iterate   via materialize, then stream in order -- materialize (full evaluation) [Theorem 3.16]
+  count     via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6]
+  iterate   via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- materialize (full evaluation) [Theorem 3.16]
               note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
-  access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
+  access    via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
-  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6 / Section 4.1.2]
+  aggregate via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6 / Section 4.1.2]
               note: per-atom weights: undefined under projection -- use query.as_join_query()
-  updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
+
+ACYCLIC_MATERIALIZE_ON_CODED_STORAGE = """\
+plan for q(x, z) :- R(x, y), S(y, z)
+  family:   acyclic-materialize
+  backend:  columnar (stored backend, m=6)
+  structure: acyclic=True free-connex=False self-join-free=True rho*=2.000
+  order:    x > z
+  stats:    R: rows=2 distinct=(2, 2)
+  stats:    S: rows=2 distinct=(2, 2)
+  count     via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6]
+  iterate   via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- materialize (full evaluation) [Theorem 3.16]
+              note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
+  access    via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
+              note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
+  aggregate via one Yannakakis projection per database version, shared by count, pages, iteration and aggregates -- O(full-join size) (enumerate and count) [Theorem 3.12 / 3.13 / 4.6 / Section 4.1.2]
+              note: per-atom weights: undefined under projection -- use query.as_join_query()
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
 
 CYCLIC_FALLBACK = """\
 plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
@@ -115,14 +149,14 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
   stats:    S: rows=2
   stats:    T: rows=2
   wcoj:     depth-first search over prefix tries (explicit stack; python backend)
-  count     via materialize and count -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7)]
-  iterate   via materialize, then stream in order -- materialize (full evaluation) [Theorem 3.14 / 4.5]
+  count     via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7)]
+  iterate   via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- materialize (full evaluation) [Theorem 3.14 / 4.5]
               note: no constant-delay guarantee: the query is not free-connex, so linear preprocessing with constant delay is ruled out on the hard side of the enumeration dichotomy
-  access    via materialize and sort -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
+  access    via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- O(output) preprocessing (sort), O(1) per access [Theorem 3.18 / Corollary 3.22]
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
-  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7) / Section 4.1.2]
+  aggregate via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7) / Section 4.1.2]
               note: per-atom weights: worst-case-optimal join + fold, Õ(m^1.500)
-  updates:  session.add/discard bump mutation stamps; served structures refresh or recompute before answering"""
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
 
 CYCLIC_SHARED_JOIN = """\
 plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
@@ -141,7 +175,7 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
               note: no constant-delay guarantee: superlinear preprocessing is unavoidable for non-free-connex queries
   aggregate via one worst-case-optimal join per database version, shared by count, pages, iteration and aggregates -- Õ(m^1.500) (worst-case-optimal join + count) [Theorem 3.13 (via Theorem 3.7) / Section 4.1.2]
               note: per-atom weights: worst-case-optimal join + fold, Õ(m^1.500)
-  updates:  repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: not q-hierarchical: ('crossing', 'x', 'y') -- no constant-time maintenance [[15] (survey conclusion)])"""
+  updates:  sorted answers repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: not q-hierarchical: ('crossing', 'x', 'y') -- no constant-time maintenance [[15] (survey conclusion)])"""
 
 
 @pytest.mark.parametrize(
@@ -151,7 +185,9 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
         pytest.param('q(x) :- R(x, y), S(y, z)', None, None, COUNT, id='count'),
         pytest.param('q(a, b, c) :- R(a, b), S(b, c)', 'columnar', None, ENUM_AND_LEX_DIRECT_ACCESS, id='enum_and_lex_direct_access'),
         pytest.param('q(a, b, c) :- R(a, b), S(b, c)', 'python', ('a', 'c', 'b'), LEX_ORDER_WITH_DISRUPTIVE_TRIO, id='lex_order_with_disruptive_trio'),
+        pytest.param('q(a, b, c) :- R(a, b), S(b, c)', 'columnar', ('a', 'c', 'b'), TRIO_ORDER_ON_CODED_STORAGE, id='trio_order_on_coded_storage'),
         pytest.param('q(x, z) :- R(x, y), S(y, z)', 'python', None, ACYCLIC_MATERIALIZE, id='acyclic_materialize'),
+        pytest.param('q(x, z) :- R(x, y), S(y, z)', 'columnar', None, ACYCLIC_MATERIALIZE_ON_CODED_STORAGE, id='acyclic_materialize_on_coded_storage'),
         pytest.param('q(x, y, z) :- R(x, y), S(y, z), T(z, x)', 'python', None, CYCLIC_FALLBACK, id='cyclic_fallback'),
         pytest.param('q(x, y, z) :- R(x, y), S(y, z), T(z, x)', 'columnar', None, CYCLIC_SHARED_JOIN, id='cyclic_shared_join'),
     ],
@@ -160,9 +196,9 @@ def test_explain_golden(text, backend, order, expected):
     assert render(text, backend=backend, order=order) == expected
 
 
-def test_cyclic_updates_line_says_what_is_repaired():
-    # Sharded storage repairs like columnar; a projected cyclic query
-    # shares the one join but is rebuilt per version, and says so.
+def test_updates_line_says_what_is_repaired():
+    # Sharded storage repairs like columnar; a projected query shares
+    # the one producer run but is rebuilt per version, and says so.
     triangle = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
     sharded = render(triangle, backend="sharded")
     assert sharded.count("one worst-case-optimal join per database version") == 4
@@ -171,4 +207,10 @@ def test_cyclic_updates_line_says_what_is_repaired():
     projected = render("q(x, y) :- R(x, y), S(y, z), T(z, x)", backend="columnar")
     assert projected.count("one worst-case-optimal join per database version") == 4
     assert "repaired by delta joins" not in projected
-    assert "refresh or recompute before answering" in projected
+    assert "rebuilt once per database version" in projected
+    # The trio-order pages of a free-connex join query repair too — and
+    # the quoted dynamic verdict is the query's own, not a constant.
+    trio = render("q(a, b, c) :- R(a, b), S(b, c)", "sharded", ("a", "c", "b"))
+    assert "patch the counted layered tree" in trio
+    assert "repaired by delta joins" in trio
+    assert "dynamic: q-hierarchical [" in trio

@@ -2,8 +2,8 @@
 
 Non-free-connex queries route to materialize-then-serve with an
 explicit "no constant-delay guarantee" note; inadmissible lexicographic
-orders (disruptive trios) drop direct access to the sorted
-materialization; and on random acyclic CQs the AnswerSet's paging is
+orders (disruptive trios) drop direct access to the shared sorted
+answers; and on random acyclic CQs the AnswerSet's paging is
 byte-identical to the sorted materialized answers on both backends.
 """
 
@@ -36,7 +36,12 @@ def test_non_free_connex_routes_to_materialize_with_note():
     assert "no constant-delay guarantee" in plan.route("iterate").note
     assert "no constant-delay guarantee" in plan.route("access").note
     assert "no constant-delay guarantee" in plan.render()
-    assert plan.route("iterate").algorithm.startswith("materialize")
+    # Every capability names the one structure it reads and its producer.
+    for capability in ("count", "iterate", "access", "aggregate"):
+        assert plan.route(capability).algorithm == (
+            "one Yannakakis projection per database version, shared by "
+            "count, pages, iteration and aggregates"
+        )
 
 
 def test_cyclic_routes_to_generic_join_fallback():
@@ -50,6 +55,12 @@ def test_cyclic_routes_to_generic_join_fallback():
     assert aggregate.cost == plan.route("count").cost
     assert "worst-case-optimal join + fold" in aggregate.note
     assert "no constant-delay guarantee" in plan.route("iterate").note
+    # The python backend shares the one join too (it only lacks codes).
+    assert plan.backend == "python"
+    assert aggregate.algorithm == plan.route("access").algorithm == (
+        "one worst-case-optimal join per database version, shared by "
+        "count, pages, iteration and aggregates"
+    )
 
 
 def test_disruptive_trio_order_drops_direct_access_only():
@@ -60,6 +71,9 @@ def test_disruptive_trio_order_drops_direct_access_only():
     assert plan.family == FREE_CONNEX
     assert not plan.access_admissible
     assert "disruptive trio" in plan.route("access").note
+    assert plan.route("access").algorithm == (
+        "one Yannakakis projection per database version, sorted on (a > c > b)"
+    )
     # Count and iteration keep the tree, on the planner's own order.
     assert plan.tree_order != plan.order
     assert find_layered_tree(free_variable_bags(query), plan.tree_order)
