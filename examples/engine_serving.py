@@ -9,7 +9,11 @@ default; an existing ``Database`` keeps its own backend), where one
 counted layered join tree (:mod:`repro.direct_access.lex`) serves every
 request: the count is its root total, a page is one block read of it,
 and it self-repairs by splicing each delta row into its sorted block
-and repairing the ancestor counts level by level,
+and repairing the ancestor counts level by level.  A second prepared
+query projects the items away (``q(user) :- Clicks(user, item),
+Active(user)``): its tree stands on a support-counted projection — a
+user stays an answer while some click supports them — and is patched
+by the same stream, only when a support count crosses zero,
 
 so no request ever sees a stale answer or pays a full rebuild-per-read
 (the ``rebuild-per-query`` oracle this replaces is ~15-30x slower at
@@ -44,6 +48,13 @@ def main() -> None:
     print()
 
     answers = prepared.run()
+    # Projection under updates: most clicks are absorbed by the support
+    # count of a user who already has one.
+    clickers_query = parse_query(
+        "q(user) :- Clicks(user, item), Active(user)"
+    )
+    clickers = session.prepare(clickers_query).run()
+    assert clickers.plan.maintained
     rng = random.Random(1234)
     served_pages = 0
     applied_updates = 0
@@ -71,13 +82,17 @@ def main() -> None:
             if round_number % 10 == 0:
                 print(
                     f"round {round_number:>2}: m={session.size()} "
-                    f"answers={total} page@{offset} -> {page[:2]}..."
+                    f"answers={total} page@{offset} -> {page[:2]}... "
+                    f"active clickers={len(clickers)}"
                 )
 
     # Spot-check the stream never drifted from the ground truth.
     oracle = sorted(query.evaluate_brute_force(session.db))
     assert len(answers) == len(oracle)
     assert answers[:] == oracle
+    assert clickers[:] == sorted(
+        clickers_query.evaluate_brute_force(session.db)
+    )
     print()
     print(
         f"served {served_pages} pages across {applied_updates} updates "

@@ -31,8 +31,12 @@ updates, no serving facade           / :mod:`repro.dynamic`; with
                                      per-tuple weights :class:`repro.
                                      semiring.AggregateMaintainer` (the
                                      engine maintains only its counted
-                                     tree: an unweighted aggregate is
-                                     the image ``n·1`` of its total)
+                                     tree — patched in place on coded
+                                     storage, projected free-connex
+                                     queries included, over
+                                     support-counted projections: an
+                                     unweighted aggregate is the
+                                     image ``n·1`` of its total)
 build inputs                         :class:`Database`, :func:`parse_query`,
                                      :mod:`repro.workloads`
 pick a storage backend               ``connect(backend=...)`` /
@@ -167,9 +171,12 @@ Subpackages:
 - :mod:`repro.semiring` — aggregation over semirings (FAQ; fused
   group-lookup kernels);
 - :mod:`repro.enumeration` — constant-delay enumeration;
-- :mod:`repro.direct_access` — lexicographic / sum-order direct access,
+- :mod:`repro.direct_access` — lexicographic / sum-order direct access
+  (the lexicographic tree patches under updates, projection included),
   testing;
-- :mod:`repro.dynamic` — maintained counts under updates;
+- :mod:`repro.dynamic` — maintained counts under updates (the
+  ``dynamic`` dichotomy's q-hierarchical side; off it the engine
+  patches, never in constant time);
 - :mod:`repro.server` — the network service layer (asyncio HTTP/SSE
   server, stdlib client, HTTP replication transport);
 - :mod:`repro.solvers` — reference solvers for the source problems;

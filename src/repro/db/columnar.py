@@ -589,7 +589,8 @@ class ColumnarRelation:
         # delta_since cannot answer for stamps before it.
         self._base_stamp = 0
         self._merged: Optional[np.ndarray] = None
-        self._main_set: Optional[FrozenSet[Tuple[int, ...]]] = None
+        # Membership index of the main segment (see _in_main).
+        self._main_keys: Optional[Tuple[int, Optional[np.ndarray]]] = None
         self._tuple_cache: Optional[List[Row]] = None
         self._set_cache: Optional[FrozenSet[Row]] = None
         self._indexes: Dict[Tuple[int, ...], Dict[Row, List[Row]]] = {}
@@ -623,11 +624,32 @@ class ColumnarRelation:
             int(DELTA_COMPACT_FRACTION * len(self._main)),
         )
 
-    def _main_frozen(self) -> FrozenSet[Tuple[int, ...]]:
-        """Coded-tuple set of the main segment (cached per epoch)."""
-        if self._main_set is None:
-            self._main_set = frozenset(map(tuple, self._main.tolist()))
-        return self._main_set
+    def _in_main(self, rows: np.ndarray) -> np.ndarray:
+        """Which coded rows are in the main segment.
+
+        One binary search per row in the segment's sorted packed keys,
+        cached per epoch — 8 bytes a row and one sort, where a set of
+        code tuples cost a hundred and a Python pass.  The pack width
+        is fixed by the segment's own largest code (a row holding a
+        larger one is not in it), so a growing dictionary leaves the
+        cache valid; segments too wide to pack are searched by
+        :func:`lookup_rows` per call.
+        """
+        if self._main_keys is None:
+            width = int(self._main.max()) + 1 if self._main.size else 1
+            packed = pack_rows(self._main, width)
+            self._main_keys = (
+                width, None if packed is None else np.sort(packed)
+            )
+        width, keys = self._main_keys
+        if keys is None:
+            return lookup_rows(rows, self._main, len(self.dictionary)) >= 0
+        if not len(keys):
+            return np.zeros(len(rows), dtype=bool)
+        fits = (rows < width).all(axis=1)
+        wanted = pack_rows(np.where(fits[:, None], rows, 0), width)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return fits & (keys[at] == wanted)
 
     def _merge(self) -> np.ndarray:
         """The merged view: main minus net deletes plus net inserts."""
@@ -659,7 +681,7 @@ class ColumnarRelation:
         self._log.clear()
         self._net.clear()
         self._base_stamp = self._stamp
-        self._main_set = None
+        self._main_keys = None
         self._merged = codes
         if self._spill is not None:
             self._spill.adopted(self)
@@ -727,17 +749,6 @@ class ColumnarRelation:
                 before[coded] = is_insert
             else:
                 touched[coded] = None
-        inserted: List[Tuple[int, ...]] = []
-        deleted: List[Tuple[int, ...]] = []
-        for coded in touched:
-            now = self._net[coded]
-            was = before.get(coded)
-            if was is None:
-                was = coded in self._main_frozen()
-            if now and not was:
-                inserted.append(coded)
-            elif was and not now:
-                deleted.append(coded)
 
         def matrix(rows: List[Tuple[int, ...]]) -> np.ndarray:
             if not rows:
@@ -746,6 +757,18 @@ class ColumnarRelation:
                 len(rows), self.arity
             )
 
+        # A tuple first touched after ``stamp`` was there iff the main
+        # segment holds it.
+        unlogged = [coded for coded in touched if coded not in before]
+        before.update(zip(unlogged, self._in_main(matrix(unlogged)).tolist()))
+        inserted: List[Tuple[int, ...]] = []
+        deleted: List[Tuple[int, ...]] = []
+        for coded in touched:
+            now, was = self._net[coded], before[coded]
+            if now and not was:
+                inserted.append(coded)
+            elif was and not now:
+                deleted.append(coded)
         return matrix(inserted), matrix(deleted)
 
     def codes(self) -> np.ndarray:
@@ -963,15 +986,17 @@ class ColumnarRelation:
 
         Weight stores and other code-level callers use this instead of
         ``__contains__``, which would decode the whole relation just to
-        build a value set.  O(1) under update streams: the net delta
-        ops answer directly, falling back to the per-epoch main-segment
-        set (rebuilt only at compaction, not per mutation).
+        build a value set.  Cheap under update streams: the net delta
+        ops answer directly, falling back to one binary search in the
+        main segment's key index (rebuilt only at compaction, not per
+        mutation).
         """
         key = tuple(coded)
         net = self._net.get(key)
         if net is not None:
             return net
-        return key in self._main_frozen()
+        row = np.asarray(key, dtype=np.int64).reshape(1, self.arity)
+        return bool(self._in_main(row)[0])
 
     def is_empty(self) -> bool:
         return not len(self.codes())
@@ -1101,7 +1126,7 @@ class ColumnarRelation:
         self._stamp = self._base_stamp = int(stamp)
         self._invalidate()
         self._main = codes
-        self._main_set = None
+        self._main_keys = None
         if self._spill is not None:
             self._spill.adopted(self)
         self._merged = codes

@@ -183,14 +183,14 @@ class SpillPool:
                 except OSError:  # pragma: no cover - already gone
                     pass
         shard._main = np.load(entry.path, mmap_mode="r")
-        shard._main_set = None
+        shard._main_keys = None
         shard._invalidate()
         entry.resident = False
 
     def _promote(self, entry: _Entry) -> None:
         shard = entry.shard
         shard._main = np.array(shard._main, dtype=np.int64)
-        shard._main_set = None
+        shard._main_keys = None
         shard._invalidate()
         entry.resident = True
 
@@ -221,7 +221,7 @@ class SpillPool:
                 entry.shard._main = np.array(
                     entry.shard._main, dtype=np.int64
                 )
-                entry.shard._main_set = None
+                entry.shard._main_keys = None
                 entry.shard._invalidate()
                 entry.resident = True
             entry.shard._spill = None

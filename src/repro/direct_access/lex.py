@@ -36,17 +36,39 @@ constructor records every relation's ``mutation_stamp`` and ``access``
 compares them first.  On drift the default (``on_stale="error"``) is
 to raise :class:`repro.db.interface.StaleStructureError` — the
 structure used to answer silently from the dead snapshot.  With
-``on_stale="refresh"`` the structure repairs itself: for a columnar
-join query it is built over the *unreduced* atom frames (so rows the
-full reducer would drop stay present with subtree count 0 and can
-revive later) and each net delta row from
-:meth:`repro.db.columnar.ColumnarRelation.delta_since` is spliced into
-its node's sorted block — one ``np.insert`` plus a prefix-sum
-recompute — with the affected ancestor counts repaired level by level
-(a vectorized scan per level).  When a relation's delta history is
-gone (compaction past the threshold, or a bulk rewrite) refresh falls
-back to a full rebuild — the regime where patching would not have
-been cheaper anyway.
+``on_stale="refresh"`` on coded storage the structure repairs itself,
+projected queries included, and skips the full reducer:
+
+- *Derived relations.*  The existential variables are eliminated
+  bottom-up along the join tree of ``H ∪ {S}``
+  (:func:`repro.hypergraph.freeconnex.free_connex_join_tree`).  Every
+  atom below the S-node carries a *support count* per key — the
+  variables it shares with its parent, the head's for a child ``c`` of
+  the S-node: the number of its *live* rows with that key, a row being
+  live when every child has support on the row's separator key (int64
+  counts bounded by m, held as the sorted ``(codes, count)``
+  :class:`repro.semiring.faq.Message`).  The tree's node for ``c`` is
+  the derived relation ``D_c = π_{F_c}(frame_c)`` = the keys with
+  support > 0; a subtree without free variables is a nullary ``D_c``,
+  an emptiness gate; a child with nothing to eliminate is its atom
+  frame itself — a join query is that special case throughout.
+- *Dead rows stay.*  The stores are built over the unreduced ``D_c``:
+  a row no sibling subtree extends keeps subtree count 0 — the access
+  math already skips it — and can revive later.
+- *Array patches.*  Each relation's net delta from
+  :meth:`repro.db.columnar.ColumnarRelation.delta_since` is folded up
+  its existential subtree, going on only where a support count
+  crosses zero; an update absorbed by the supports touches no store.
+  The rows of ``D_c`` that were born or died are spliced into the
+  node's sorted blocks as one array — positions by bisect, one
+  ``np.insert`` / ``np.delete`` per column, one prefix-sum recompute —
+  and the ancestor counts of their separator keys are repaired level
+  by level (a vectorized scan per level).
+
+When a relation's delta history is gone (compaction past the
+threshold, or a bulk rewrite) refresh falls back to a full rebuild —
+the regime where patching would not have been cheaper anyway; Python
+stores and relations over several dictionaries rebuild always.
 
 **Sharded inputs.**  Sharding is a storage layout: a sharded relation
 binds to the same plain :class:`~repro.joins.vectorized.ColumnarFrame`
@@ -75,6 +97,7 @@ from repro.db.columnar import (
     atom_projection,
     block_slices,
     common_keys,
+    group_rows,
     lookup_rows,
     unique_rows,
 )
@@ -90,15 +113,19 @@ from repro.direct_access.layered import (
     LayeredTree,
     find_layered_tree,
 )
-from repro.hypergraph.freeconnex import is_free_connex
+from repro.hypergraph.freeconnex import free_connex_join_tree, is_free_connex
 from repro.hypergraph.gyo import is_acyclic
-from repro.hypergraph.jointree import JoinTree
-from repro.joins.fc_reduce import ReducedJoinQuery, free_connex_reduce
+from repro.joins.fc_reduce import free_connex_reduce
 from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.joins.semijoin import atom_frames
-from repro.joins.vectorized import columnar_family, relation_family
+from repro.joins.vectorized import (
+    ColumnarFrame,
+    columnar_family,
+    relation_family,
+)
 from repro.joins.yannakakis import yannakakis_project
 from repro.query.cq import ConjunctiveQuery
+from repro.semiring.faq import Message
 
 Row = Tuple[object, ...]
 
@@ -133,7 +160,7 @@ def value_rank_table(dictionary, codes: np.ndarray) -> np.ndarray:
     if not len(used):
         return np.zeros(1, dtype=np.int64)
     values = dictionary.values()
-    by_value = sorted(used.tolist(), key=lambda code: values[code])
+    by_value = sorted(used.tolist(), key=values.__getitem__)
     table = np.zeros(int(used[-1]) + 1, dtype=np.int64)
     table[np.asarray(by_value, dtype=np.int64)] = np.arange(
         len(by_value), dtype=np.int64
@@ -287,6 +314,20 @@ class _ColumnarNodeStore:
         """Per-block totals, aligned with ``rep_keys``/``rep_matrix``."""
         return self.cum0[self.ends] - self.cum0[self.starts]
 
+    def block_totals(self, keys: np.ndarray, cardinality: int) -> np.ndarray:
+        """Per row of a coded key matrix, its block's total — 0 where
+        there is no such block.  The representatives are lex-sorted on
+        raw codes (the build and every patch keep them so), hence
+        packed or joint-ranked keys are monotone: one ``searchsorted``."""
+        if not len(self.rep_keys):
+            return np.zeros(len(keys), dtype=np.int64)
+        wanted, present = common_keys(keys, self.rep_matrix, cardinality)
+        block = np.minimum(
+            np.searchsorted(present, wanted), len(present) - 1
+        )
+        totals = self.cum0[self.ends[block]] - self.cum0[self.starts[block]]
+        return np.where(present[block] == wanted, totals, 0)
+
     def total(self, key: Row) -> int:
         i = self.block(tuple(key))
         if i is None:
@@ -306,6 +347,54 @@ class _ColumnarNodeStore:
         )
         previous = int(self.cum0[slot] - self.cum0[start])
         return tuple(self.codes[slot].tolist()), previous
+
+
+class _Projection:
+    """One atom below the S-node with its existential variables
+    eliminated (module docstring, "Derived relations").
+
+    ``support`` counts the atom's live rows per key (``key_pos``: the
+    columns shared with the parent); a row is live when every child
+    (``child_pos``: the columns shared with it, in the child's key
+    order) has support on the row's key.  Inner nodes keep their frame
+    rows, unordered, in ``codes`` — a child key crossing zero scans
+    them for the rows it flips; leaves keep none.
+    """
+
+    __slots__ = ("codes", "key_pos", "child_pos", "support")
+
+    def __init__(
+        self,
+        codes: Optional[np.ndarray],
+        key_pos: List[int],
+        child_pos: Dict[int, List[int]],
+    ) -> None:
+        self.codes = codes
+        self.key_pos = key_pos
+        self.child_pos = child_pos
+        self.support = Message(
+            np.empty((0, len(key_pos)), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+
+    def fold(
+        self, inserted: np.ndarray, deleted: np.ndarray, cardinality: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold live rows gained and lost into the support counts; the
+        keys that were born (support 0 → positive) and that died
+        (positive → 0).  The delta is net, so a changed key without
+        support can only have gained it."""
+        keys = np.concatenate(
+            [inserted[:, self.key_pos], deleted[:, self.key_pos]]
+        )
+        reps, ids, groups = group_rows(keys, cardinality)
+        delta = np.bincount(
+            ids[: len(inserted)], minlength=groups
+        ) - np.bincount(ids[len(inserted) :], minlength=groups)
+        reps, delta = reps[delta != 0], delta[delta != 0]
+        before = self.support.gather(reps, cardinality, 0)
+        self.support.fold(reps, delta, cardinality, np.add)
+        return reps[before == 0], reps[before + delta == 0]
 
 
 class LexDirectAccess:
@@ -370,15 +459,15 @@ class LexDirectAccess:
         self._dictionary = None
         self._maintain = False
         self._layered: Optional[LayeredTree] = None
-        self._reduced: Optional[ReducedJoinQuery] = None
+        # Tree node -> the frame its store is built from: reduced, or
+        # the derived relations of a maintained build.
+        self._frames: Dict[int, object] = {}
         self._stores: Dict[int, object] = {}
 
         layered: Optional[LayeredTree] = None
-        reduced = None
         if is_free_connex(query):
-            if self.on_stale == "refresh" and query.is_join_query():
-                if self._try_build_maintained():
-                    return
+            if self.on_stale == "refresh" and self._try_build_maintained():
+                return
             reduced = free_connex_reduce(query, db)
             if reduced.is_empty:
                 return
@@ -402,7 +491,7 @@ class LexDirectAccess:
             self._count = len(self._materialized)
             return
         self._layered = layered
-        self._reduced = reduced
+        self._frames = reduced.frames
         self._dictionary = columnar_family(reduced.frames.values())
         if self._dictionary is not None:
             self.store_backend = "columnar"
@@ -411,48 +500,45 @@ class LexDirectAccess:
             self._build_stores()
 
     def _try_build_maintained(self) -> bool:
-        """Build patchable stores over the unreduced atom frames.
+        """Build patchable stores over the derived relations.
 
-        Only for columnar join queries with a layered tree: node =
-        atom, so a relation's net delta maps row-for-row onto a node's
-        rows (after the atom's repeated-variable selection), and the
-        full reducer is skipped — rows without extensions simply carry
-        subtree count 0, which the access math already treats as
-        absent, and which an update can later revive (patching stores
-        built from *reduced* frames could not resurrect dropped rows).
-        Returns False when this build does not apply; the caller then
-        falls back to the classic reduced build (whose refresh is a
-        full rebuild).
+        For coded storage and an order with a layered tree: every
+        child ``c`` of the S-node becomes one tree node holding
+        ``D_c`` (module docstring) — its atom frame where nothing is
+        eliminated, so a join query's nodes are its atoms and a
+        relation's net delta maps row-for-row onto them (after the
+        atom's repeated-variable selection).  The full reducer is
+        skipped: rows without extensions carry subtree count 0, which
+        the access math already treats as absent and which an update
+        can later revive (stores built from *reduced* frames could not
+        resurrect dropped rows).  Returns False when this build does
+        not apply; the caller then falls back to the classic reduced
+        build (whose refresh is a full rebuild).
         """
-        query, db = self.query, self._db
-        frames = dict(enumerate(atom_frames(query, db)))
-        dictionary = columnar_family(frames.values())
+        query = self.query
+        atoms = dict(enumerate(atom_frames(query, self._db)))
+        dictionary = columnar_family(atoms.values())
         if dictionary is None:
             return False
-        bags = {
-            node: frozenset(frame.variables)
-            for node, frame in frames.items()
-        }
-        layered = find_layered_tree(bags, self.order)
+        # Structure first: who is eliminated into whom, on which key.
+        tree, s_node = free_connex_join_tree(query)
+        below = [node for node in tree.bottom_up() if node != s_node]
+        up = {n: p for n, p in tree.parent.items() if p != s_node}
+        keys: Dict[int, Tuple[str, ...]] = {}
+        for node in below:
+            scope = atoms[up[node]].variables if node in up else self.head
+            keys[node] = tuple(v for v in atoms[node].variables if v in scope)
+        tops = [node for node in below if node not in up]
+        layered = find_layered_tree(
+            {node: frozenset(keys[node]) for node in tops}, self.order
+        )
         if layered is None:
             return False
-        tree = JoinTree(
-            bags=bags,
-            parent={
-                node: parent
-                for node, parent in layered.parent.items()
-                if node != VIRTUAL_ROOT
-                and parent is not None
-                and parent != VIRTUAL_ROOT
-            },
-        )
         self._layered = layered
-        self._reduced = ReducedJoinQuery(
-            head=self.head, frames=frames, tree=tree
-        )
         self._dictionary = dictionary
         self.store_backend = "columnar"
         self._maintain = True
+        self._up = up
         self._atom_nodes: Dict[str, List[int]] = {}
         self._atom_proj: Dict[
             int, Tuple[Tuple[int, ...], List[Tuple[int, int]]]
@@ -460,74 +546,88 @@ class LexDirectAccess:
         for node, atom in enumerate(query.atoms):
             self._atom_nodes.setdefault(atom.relation, []).append(node)
             self._atom_proj[node] = atom_projection(atom.variables)
-        self._build_stores_columnar(drop_dead=False)
-        self._child_sep_pos: Dict[int, Dict[int, List[int]]] = {}
-        for node, frame in frames.items():
-            positions: Dict[int, List[int]] = {}
-            for child in layered.children[node]:
-                child_sep = tuple(
-                    v
-                    for v in frames[child].variables
-                    if v in frame.variables
+        # Then the data, children first.
+        cardinality = len(dictionary)
+        self._projections: Dict[int, _Projection] = {}
+        for node in below:
+            frame, children = atoms[node], tree.children(node)
+            if node in tops and not children and keys[node] == frame.variables:
+                self._frames[node] = frame  # nothing to eliminate
+                continue
+            codes = frame.codes()
+            projection = self._projections[node] = _Projection(
+                codes if children else None,
+                list(frame.positions(keys[node])),
+                {c: list(frame.positions(keys[c])) for c in children},
+            )
+            projection.fold(
+                codes[self._live(node, codes)], codes[:0], cardinality
+            )
+            if node not in up:
+                self._frames[node] = ColumnarFrame(
+                    keys[node],
+                    projection.support.reps,
+                    dictionary,
+                    _distinct=True,
                 )
-                positions[child] = list(frame.positions(child_sep))
-            self._child_sep_pos[node] = positions
+        self._build_stores_columnar(drop_dead=False)
         return True
+
+    def _live(
+        self, node: int, rows: np.ndarray, skip: Optional[int] = None
+    ) -> np.ndarray:
+        """Which of ``node``'s frame rows have support in every child
+        (but ``skip``) on their separator key."""
+        cardinality = len(self._dictionary)
+        live = np.ones(len(rows), dtype=bool)
+        for child, pos in self._projections[node].child_pos.items():
+            if child != skip:
+                support = self._projections[child].support
+                live &= support.gather(rows[:, pos], cardinality, 0) > 0
+        return live
 
     def _node_separator(self, node: int) -> Tuple[str, ...]:
         """Variables shared with the parent, in frame-column order."""
-        layered = self._layered
-        reduced = self._reduced
-        assert layered is not None and reduced is not None
-        parent = layered.parent[node]
+        parent = self._layered.parent[node]
         if parent == VIRTUAL_ROOT:
             return ()
-        frame = reduced.frames[node]
-        parent_vars = reduced.frames[parent].variables
-        return tuple(v for v in frame.variables if v in parent_vars)
+        parent_vars = self._frames[parent].variables
+        return tuple(
+            v for v in self._frames[node].variables if v in parent_vars
+        )
 
-    def _finish_count(self, stores: Dict[int, object]) -> None:
-        layered = self._layered
-        assert layered is not None
-        self._stores = stores
-        total = 1
-        for child in layered.children[VIRTUAL_ROOT]:
-            total *= stores[child].total(())
-        self._count = total if layered.children[VIRTUAL_ROOT] else 0
+    def _finish_count(self) -> None:
+        children = self._layered.children[VIRTUAL_ROOT]
+        total = 1 if children else 0
+        for child in children:
+            total *= self._stores[child].total(())
+        self._count = total
 
     def _build_stores(self) -> None:
-        layered = self._layered
-        reduced = self._reduced
-        assert layered is not None and reduced is not None
-        stores: Dict[int, _NodeStore] = {}
+        layered, frames = self._layered, self._frames
+        stores: Dict[int, _NodeStore] = self._stores
         # Bottom-up over the layered tree: reversed preorder works
         # because preorder parents precede children.
         for node in reversed(layered.preorder):
             if node == VIRTUAL_ROOT:
                 continue
-            frame = reduced.frames[node]
+            frame = frames[node]
             sep_vars = self._node_separator(node)
             own_vars = layered.own[node]
             store = _NodeStore()
             store.sep_positions = frame.positions(sep_vars)
             store.own_positions = frame.positions(own_vars)
             child_stores = [
-                (child, stores[child]) for child in layered.children[node]
+                (frame.positions(self._node_separator(child)), stores[child])
+                for child in layered.children[node]
             ]
             grouped: Dict[Row, List[Tuple[Row, Row, int]]] = {}
             for row in frame.rows:
                 count = 1
-                for child, child_store in child_stores:
-                    child_frame = reduced.frames[child]
-                    child_sep = tuple(
-                        v
-                        for v in child_frame.variables
-                        if v in frame.variables
+                for positions, child_store in child_stores:
+                    count *= child_store.total(
+                        tuple(row[p] for p in positions)
                     )
-                    key = tuple(
-                        row[p] for p in frame.positions(child_sep)
-                    )
-                    count *= child_store.total(key)
                     if not count:
                         break
                 if not count:
@@ -550,7 +650,19 @@ class LexDirectAccess:
                     cumulative.append(running)
                 store.groups[sep_key] = (own_keys, rows, cumulative)
             stores[node] = store
-        self._finish_count(stores)
+        self._finish_count()
+
+    def _subtree_counts(self, node: int, rows: np.ndarray) -> np.ndarray:
+        """Per frame row of ``node``, the product over its children of
+        the block total under the row's separator key."""
+        cardinality = len(self._dictionary)
+        counts = np.ones(len(rows), dtype=np.int64)
+        for child, pos in self._child_sep_pos[node].items():
+            _scale_counts(
+                counts,
+                self._stores[child].block_totals(rows[:, pos], cardinality),
+            )
+        return counts
 
     def _build_stores_columnar(self, drop_dead: bool = True) -> None:
         """Vectorized preprocessing over code columns (zero decodes).
@@ -560,48 +672,26 @@ class LexDirectAccess:
         prefix-sum search skips zero-width rows) but can be revived by
         later updates without a rebuild.
         """
-        layered = self._layered
-        reduced = self._reduced
+        layered, frames = self._layered, self._frames
         dictionary = self._dictionary
-        assert (
-            layered is not None
-            and reduced is not None
-            and dictionary is not None
-        )
-        cardinality = len(dictionary)
-        stores: Dict[int, _ColumnarNodeStore] = {}
+        stores: Dict[int, _ColumnarNodeStore] = self._stores
+        # Per node and child: the node's columns holding the child's
+        # separator, in the child's column order.
+        self._child_sep_pos: Dict[int, Dict[int, List[int]]] = {
+            node: {
+                child: list(frame.positions(self._node_separator(child)))
+                for child in layered.children[node]
+            }
+            for node, frame in frames.items()
+        }
         for node in reversed(layered.preorder):
             if node == VIRTUAL_ROOT:
                 continue
-            frame = reduced.frames[node]
+            frame = frames[node]
             sep_pos = list(frame.positions(self._node_separator(node)))
             own_pos = list(frame.positions(layered.own[node]))
             codes = frame.codes()
-            counts = np.ones(len(codes), dtype=np.int64)
-            for child in layered.children[node]:
-                child_store = stores[child]
-                child_frame = reduced.frames[child]
-                child_sep = tuple(
-                    v
-                    for v in child_frame.variables
-                    if v in frame.variables
-                )
-                sub = codes[:, list(frame.positions(child_sep))]
-                totals = child_store.totals_array()
-                if not len(totals):
-                    # Empty child (reachable with drop_dead=False, where
-                    # empty frames skip the is_empty short-circuit): no
-                    # row extends downward.
-                    counts[:] = 0
-                    continue
-                index = lookup_rows(
-                    sub, child_store.rep_matrix, cardinality
-                )
-                found = index >= 0
-                _scale_counts(
-                    counts,
-                    np.where(found, totals[np.where(found, index, 0)], 0),
-                )
+            counts = self._subtree_counts(node, codes)
             if drop_dead:
                 keep = counts > 0
                 if not keep.all():
@@ -617,7 +707,7 @@ class LexDirectAccess:
                 ]
             else:
                 own_ranks = np.empty((n, 0), dtype=np.int64)
-            sep_codes = codes[:, sep_pos] if sep_pos else codes[:, :0]
+            sep_codes = codes[:, sep_pos]
             sort_keys = [
                 own_ranks[:, j]
                 for j in range(own_ranks.shape[1] - 1, -1, -1)
@@ -628,9 +718,7 @@ class LexDirectAccess:
             if sort_keys and n > 1:
                 order = np.lexsort(tuple(sort_keys))
                 codes, counts = codes[order], counts[order]
-                sep_codes = (
-                    codes[:, sep_pos] if sep_pos else codes[:, :0]
-                )
+                sep_codes = codes[:, sep_pos]
             representatives, starts, ends = block_slices(sep_codes)
             store = _ColumnarNodeStore()
             store.codes = codes
@@ -645,7 +733,7 @@ class LexDirectAccess:
             store.sep_pos = sep_pos
             store.own_pos = own_pos
             stores[node] = store
-        self._finish_count(stores)
+        self._finish_count()
 
     # ------------------------------------------------------------------
     # staleness
@@ -667,9 +755,9 @@ class LexDirectAccess:
     def refresh(self) -> None:
         """Bring the stores up to date with the database.
 
-        Incremental (per-row block patches) when this is a maintained
-        columnar structure and every drifted relation still has delta
-        history; a full rebuild otherwise.
+        Incremental (array patches of the sorted blocks) when this is
+        a maintained columnar structure and every drifted relation
+        still has delta history; a full rebuild otherwise.
         """
         drifted = stale_relations(self._db, self._stamps)
         if not drifted:
@@ -696,19 +784,79 @@ class LexDirectAccess:
                 return
             plan.append((name, np.asarray(inserted), np.asarray(deleted)))
         for name, inserted, deleted in plan:
-            nodes = self._atom_nodes.get(name, ())
-            for row in map(tuple, deleted.tolist()):
-                for node in nodes:
-                    self._patch(node, row, insert=False)
-            for row in map(tuple, inserted.tolist()):
-                for node in nodes:
-                    self._patch(node, row, insert=True)
+            # One atom at a time: each step takes the structure from
+            # one consistent state (that atom on the old relation) to
+            # the next, so self-joins need no joint treatment.
+            for node in self._atom_nodes.get(name, ()):
+                self._fold(
+                    node,
+                    self._frame_rows(node, inserted),
+                    self._frame_rows(node, deleted),
+                )
             self._stamps[name] = self._db[name].mutation_stamp
-        self._finish_count(self._stores)
+        self._finish_count()
 
     # ------------------------------------------------------------------
     # incremental patching (maintained columnar stores)
     # ------------------------------------------------------------------
+    def _frame_rows(self, node: int, rows: np.ndarray) -> np.ndarray:
+        """Relation rows as the atom's frame rows: the repeated-variable
+        selection, then the first-occurrence columns."""
+        proj, checks = self._atom_proj[node]
+        for pos, first in checks:
+            rows = rows[rows[:, pos] == rows[:, first]]
+        return rows[:, proj]
+
+    def _fold(
+        self, node: int, inserted: np.ndarray, deleted: np.ndarray
+    ) -> None:
+        """Fold one atom's net frame-row delta up its existential
+        subtree; patch the tree with what was born or died on top.
+
+        Per level the delta becomes the keys whose support crossed
+        zero, then the parent's rows those keys bring to life or kill
+        — nothing, as a rule: an update absorbed by a support count
+        stops here and touches no store.
+        """
+        cardinality = len(self._dictionary)
+        projection = self._projections.get(node)
+        if projection is not None and projection.codes is not None:
+            # An inner node keeps its rows in step; the live ones count.
+            gone = lookup_rows(projection.codes, deleted, cardinality)
+            projection.codes = np.concatenate(
+                [projection.codes[gone < 0], inserted]
+            )
+            inserted = inserted[self._live(node, inserted)]
+            deleted = deleted[self._live(node, deleted)]
+        while True:
+            if node in self._projections:
+                inserted, deleted = self._projections[node].fold(
+                    inserted, deleted, cardinality
+                )
+            if not (len(inserted) or len(deleted)):
+                return  # absorbed
+            if node not in self._up:
+                self._patch(node, deleted, insert=False)
+                self._patch(node, inserted, insert=True)
+                return
+            node, child = self._up[node], node
+            inserted = self._flipped(node, child, inserted)
+            deleted = self._flipped(node, child, deleted)
+
+    def _flipped(self, node: int, child: int, keys: np.ndarray) -> np.ndarray:
+        """``node``'s rows that ``child``'s support crossing zero on
+        ``keys`` brings to life or kills: those with such a separator
+        key, live in every other child."""
+        projection = self._projections[node]
+        rows = projection.codes
+        if not len(keys):
+            return rows[:0]
+        hit = lookup_rows(
+            rows[:, projection.child_pos[child]], keys, len(self._dictionary)
+        )
+        rows = rows[hit >= 0]
+        return rows[self._live(node, rows, skip=child)]
+
     def _own_key(
         self, store: _ColumnarNodeStore, codes_row: np.ndarray
     ) -> Tuple:
@@ -738,78 +886,85 @@ class LexDirectAccess:
         exact = lo < end and self._own_key(store, codes[lo]) == own_key
         return lo, exact
 
-    def _patch(self, node: int, rel_row: Row, insert: bool) -> None:
-        """Splice one net relation delta row into one node's store."""
-        proj, checks = self._atom_proj[node]
-        for pos, first in checks:
-            if rel_row[pos] != rel_row[first]:
-                return  # fails the atom's repeated-variable selection
-        row = np.asarray([rel_row[p] for p in proj], dtype=np.int64)
+    def _patch(self, node: int, rows: np.ndarray, insert: bool) -> None:
+        """Splice distinct net delta rows into one node's store.
+
+        Each row's position comes from two bisects against the store
+        as it stands (its block, then its own key inside the block);
+        the rows then go in or out as one array per column, with one
+        shift of the block bounds, one prefix-sum recompute and one
+        :meth:`_propagate` over their separator keys.
+        """
+        if not len(rows):
+            return
         store: _ColumnarNodeStore = self._stores[node]
-        layered = self._layered
-        sep_key = tuple(int(row[p]) for p in store.sep_pos)
-        own_key = self._own_key(store, row)
-        totals_changed = False
-        if insert:
-            count = 1
-            for child in layered.children[node]:
-                child_key = tuple(
-                    int(row[p]) for p in self._child_sep_pos[node][child]
+        cardinality = len(self._dictionary)
+        # In final order — block by block, own values ascending:
+        # np.insert keeps the given order among rows bound for one
+        # position.
+        keyed = sorted(
+            (sep_key, self._own_key(store, row), j)
+            for j, (sep_key, row) in enumerate(
+                zip(map(tuple, rows[:, store.sep_pos].tolist()), rows)
+            )
+        )
+        # Per delta row that does go in / out: its index, its position,
+        # its block as rep_keys stands — or is it a new block, before
+        # that one?
+        spliced: List[Tuple[int, int, int, bool]] = []
+        for sep_key, own_key, j in keyed:
+            i = bisect_left(store.rep_keys, sep_key)
+            known = i < len(store.rep_keys) and store.rep_keys[i] == sep_key
+            if known:
+                position, exact = self._bisect_block(
+                    store, int(store.starts[i]), int(store.ends[i]), own_key
                 )
-                count *= self._stores[child].total(child_key)
-            i = store.block(sep_key)
-            if i is None:
-                i = bisect_left(store.rep_keys, sep_key)
+            else:
                 position = (
                     int(store.starts[i])
                     if i < len(store.rep_keys)
                     else len(store.codes)
                 )
-                store.rep_keys.insert(i, sep_key)
-                store.rep_matrix = np.insert(
-                    store.rep_matrix,
-                    i,
-                    np.asarray(sep_key, dtype=np.int64),
-                    axis=0,
+                exact = False
+            if exact == insert:
+                continue  # present already / never there (deltas are net)
+            spliced.append((j, position, i, not known))
+        if not spliced:
+            return
+        taken, positions, at, new = map(np.asarray, zip(*spliced))
+        rows = rows[taken]
+        sizes = store.ends - store.starts
+        if insert:
+            counts = self._subtree_counts(node, rows)
+            store.codes = np.insert(store.codes, positions, rows, axis=0)
+            store.counts = np.insert(store.counts, positions, counts)
+            np.add.at(sizes, at[~new], 1)
+            if new.any():
+                # One new block per distinct new key, sized by its rows
+                # (adjacent, and ordered as the representatives are).
+                opened, first, last = block_slices(
+                    rows[new][:, store.sep_pos]
                 )
-                store.starts = np.insert(store.starts, i, position)
-                store.ends = np.insert(store.ends, i, position)
-            start, end = int(store.starts[i]), int(store.ends[i])
-            position, exact = self._bisect_block(
-                store, start, end, own_key
-            )
-            if exact:
-                return  # row already present (defensive; deltas are net)
-            store.codes = np.insert(store.codes, position, row, axis=0)
-            store.counts = np.insert(store.counts, position, count)
-            store.ends[i:] += 1
-            store.starts[i + 1 :] += 1
-            store.refresh_cum()
-            totals_changed = count != 0
+                before = at[new][first]
+                sizes = np.insert(sizes, before, last - first)
+                store.rep_matrix = np.insert(
+                    store.rep_matrix, before, opened, axis=0
+                )
+                for i, key in reversed(
+                    list(zip(before.tolist(), map(tuple, opened.tolist())))
+                ):
+                    store.rep_keys.insert(i, key)
         else:
-            i = store.block(sep_key)
-            if i is None:
-                return  # row never reached this node (defensive)
-            start, end = int(store.starts[i]), int(store.ends[i])
-            position, exact = self._bisect_block(
-                store, start, end, own_key
-            )
-            if not exact or not np.array_equal(
-                store.codes[position], row
-            ):
-                return  # defensive
-            removed = int(store.counts[position])
-            store.codes = np.delete(store.codes, position, axis=0)
-            store.counts = np.delete(store.counts, position)
-            store.ends[i:] -= 1
-            store.starts[i + 1 :] -= 1
-            store.refresh_cum()
-            totals_changed = removed != 0
-        if totals_changed:
-            keys = np.asarray(sep_key, dtype=np.int64).reshape(
-                1, len(sep_key)
-            )
-            self._propagate(node, keys)
+            counts = store.counts[positions]
+            store.codes = np.delete(store.codes, positions, axis=0)
+            store.counts = np.delete(store.counts, positions)
+            np.subtract.at(sizes, at, 1)  # an emptied block stays
+        store.ends = np.cumsum(sizes)
+        store.starts = store.ends - sizes
+        store.refresh_cum()
+        changed = rows[counts != 0][:, store.sep_pos]
+        if len(changed):
+            self._propagate(node, unique_rows(changed, cardinality))
 
     def _propagate(self, node: int, keys: np.ndarray) -> None:
         """Repair ancestor subtree counts for the changed child keys.
@@ -831,42 +986,21 @@ class LexDirectAccess:
             pstore: _ColumnarNodeStore = self._stores[parent]
             if not len(pstore.codes):
                 return
-            cpos = self._child_sep_pos[parent][child]
-            sub = pstore.codes[:, cpos] if cpos else pstore.codes[:, :0]
+            sub = pstore.codes[:, self._child_sep_pos[parent][child]]
             sub_keys, changed_keys = common_keys(sub, keys, cardinality)
             affected = np.flatnonzero(np.isin(sub_keys, changed_keys))
             if not len(affected):
                 return
             rows = pstore.codes[affected]
-            new_counts = np.ones(len(affected), dtype=np.int64)
-            for other in layered.children[parent]:
-                opos = self._child_sep_pos[parent][other]
-                other_sub = rows[:, opos] if opos else rows[:, :0]
-                other_store: _ColumnarNodeStore = self._stores[other]
-                if len(other_store.rep_keys):
-                    index = lookup_rows(
-                        other_sub, other_store.rep_matrix, cardinality
-                    )
-                    found = index >= 0
-                    totals = other_store.totals_array()
-                    _scale_counts(
-                        new_counts,
-                        np.where(found, totals[np.where(found, index, 0)], 0),
-                    )
-                else:
-                    new_counts[:] = 0
+            new_counts = self._subtree_counts(parent, rows)
             changed = new_counts != pstore.counts[affected]
             if not changed.any():
                 return
             pstore.counts[affected] = new_counts
             pstore.refresh_cum()
-            changed_rows = rows[changed]
-            sep = (
-                changed_rows[:, pstore.sep_pos]
-                if pstore.sep_pos
-                else changed_rows[:, :0]
+            keys = unique_rows(
+                rows[changed][:, pstore.sep_pos], cardinality
             )
-            keys = unique_rows(sep, cardinality)
             child = parent
 
     # ------------------------------------------------------------------
@@ -909,11 +1043,8 @@ class LexDirectAccess:
         assignment: List[object],
         head_pos: Dict[str, int],
     ) -> None:
-        layered = self._layered
-        reduced = self._reduced
-        assert layered is not None and reduced is not None
         store = self._stores[node]
-        if layered.parent[node] == VIRTUAL_ROOT:
+        if self._layered.parent[node] == VIRTUAL_ROOT:
             key: Row = ()
         else:
             key = tuple(
@@ -921,8 +1052,7 @@ class LexDirectAccess:
                 for v in self._node_separator(node)
             )
         row, previous = store.locate(key, index)
-        frame = reduced.frames[node]
-        for position, variable in enumerate(frame.variables):
+        for position, variable in enumerate(self._frames[node].variables):
             assignment[head_pos[variable]] = row[position]
         residual = index - previous
         # Recurse into this node's children with the leftover index.
@@ -935,10 +1065,7 @@ class LexDirectAccess:
         assignment: List[object],
         head_pos: Dict[str, int],
     ) -> None:
-        layered = self._layered
-        reduced = self._reduced
-        assert layered is not None and reduced is not None
-        children = layered.children[node]
+        children = self._layered.children[node]
         if not children:
             return
         sizes: List[int] = []
@@ -1025,7 +1152,7 @@ class LexDirectAccess:
             )
             # Last row with exclusive prefix sum <= target: never a 0-count row.
             slot = np.searchsorted(store.cum0, first + index, "right") - 1
-            variables = self._reduced.frames[child].variables
+            variables = self._frames[child].variables
             out[:, [head_pos[v] for v in variables]] = store.codes[slot]
             self._descend_range(
                 child, first + index - store.cum0[slot], out, head_pos

@@ -116,11 +116,11 @@ class Plan:
     @property
     def maintained(self) -> bool:
         """Does the tree patch under small updates instead of rebuilding?
-        (``LexDirectAccess``: a join query, node = atom, on coded storage.)"""
-        return (
-            self.tree_order is not None
-            and self.classification.is_join_query
-            and self.backend in ("columnar", "sharded")
+        (``LexDirectAccess`` on coded storage: its nodes are the atoms of
+        a join query, support-counted projections of them otherwise.)"""
+        return self.tree_order is not None and self.backend in (
+            "columnar",
+            "sharded",
         )
 
     @property
@@ -190,22 +190,28 @@ class Plan:
         # the counted tree, and the sorted answers of every non-Boolean
         # read the tree does not serve.
         updates = []
+        dynamic = c.verdict("dynamic")
+        verdict = dynamic.note
+        if not dynamic.tractable:
+            verdict += " -- no constant-time maintenance"
+        verdict = f"(dynamic: {verdict} [{dynamic.theorem}])"
         if self.maintained:
-            updates.append(
+            patch = (
                 "session.add/discard patch the counted layered tree: one "
                 "sorted-block splice per delta row, ancestor counts "
                 "repaired level by level"
             )
+            if not c.is_join_query:
+                patch += (
+                    "; existential variables are eliminated into "
+                    f"support-counted projections {verdict}"
+                )
+            updates.append(patch)
         if self.repaired:
-            dynamic = c.verdict("dynamic")
-            verdict = dynamic.note
-            if not dynamic.tractable:
-                verdict += " -- no constant-time maintenance"
             updates.append(
                 "sorted answers repaired by delta joins: one frontier run "
                 "per changed atom over the changed tuples; rebuilt after a "
-                f"compaction barrier (dynamic: {verdict} "
-                f"[{dynamic.theorem}])"
+                f"compaction barrier {verdict}"
             )
         if not updates:
             updates.append(

@@ -25,14 +25,23 @@ served across an update stream (mutations through
 :meth:`repro.engine.session.Session.add` / ``discard``) never raises
 :class:`repro.db.interface.StaleStructureError` and never serves a
 stale answer — it repairs incrementally where the delta-segment
-machinery allows and rebuilds otherwise.  An :class:`OrderedAnswers` is
+machinery allows and rebuilds otherwise.  On coded storage the counted
+tree of a free-connex query patches in place, projected or not: the
+existential variables are eliminated into support-counted projections
+(:mod:`repro.direct_access.lex`, "Staleness and maintenance"), a
+projected tuple is a row of the tree while its support is positive,
+and a net delta reaches the tree only where a support count crosses
+zero — as arrays, one splice per node.  An :class:`OrderedAnswers` is
 built by one producer run per database version, which serves count,
 pages, iteration and aggregates alike, and while every drifted
 relation can still answer ``delta_since`` a join query's answers are
 repaired by delta joins over the changed tuples instead of being
 produced again.  The classifier's ``dynamic`` verdict rules out
-constant-time maintenance for a cyclic query (not q-hierarchical); it
-does not ask for a full Õ(m^{ρ*}) join per single-tuple update.
+constant-time maintenance off the q-hierarchical class (a cyclic
+query, most projections); it asks neither for a full Õ(m^{ρ*}) join
+nor for an Õ(m) rebuild per single-tuple update.  The python backend
+and relations over several dictionaries rebuild per version; so do the
+``OrderedAnswers`` of a projected query.
 """
 
 from __future__ import annotations

@@ -687,7 +687,7 @@ def _aggregate_codes(
 # ----------------------------------------------------------------------
 # incremental maintenance
 # ----------------------------------------------------------------------
-class _Message:
+class Message:
     """A message as aligned arrays: unique lex-sorted reps + values.
 
     Both the 64-bit packing and the joint-``unique`` fallback of
@@ -782,7 +782,7 @@ class AggregateMaintainer:
     relations sharing one dictionary): per join-tree node it stores the
     code matrix, a weight column aligned row-for-row with it (appended
     and dropped in step with the relation's delta segments), and the
-    node's message toward its parent as a :class:`_Message`.
+    node's message toward its parent as a :class:`Message`.
 
     Usage: mutate the relations (or the :class:`WeightedDatabase`)
     directly, then call :meth:`value` — it resynchronizes through
@@ -868,7 +868,7 @@ class AggregateMaintainer:
         # aligned row-for-row with it.
         self._codes: Dict[int, np.ndarray] = {}
         self._values: Dict[int, np.ndarray] = {}
-        self._messages: Dict[int, _Message] = {}
+        self._messages: Dict[int, Message] = {}
         self._child_pos: Dict[int, Dict[int, Tuple[int, ...]]] = {}
         self._parent_pos: Dict[int, Tuple[int, ...]] = {}
         for node in self.tree.bottom_up():
@@ -907,7 +907,7 @@ class AggregateMaintainer:
             reduced = group_reduce(
                 combined, group_ids, group_count, self._plus
             )
-            self._messages[node] = _Message(reps, reduced)
+            self._messages[node] = Message(reps, reduced)
 
     # ------------------------------------------------------------------
     # reads
@@ -942,12 +942,8 @@ class AggregateMaintainer:
             return
         plan: List[Tuple[str, np.ndarray, np.ndarray]] = []
         for name, stamp in drifted.items():
-            delta_since = getattr(self.db[name], "delta_since", None)
-            if delta_since is None:
-                self._rebuild()
-                return
             try:
-                inserted, deleted = delta_since(stamp)
+                inserted, deleted = self.db[name].delta_since(stamp)
             except TruncatedHistoryError:
                 self._rebuild()
                 return
@@ -1078,7 +1074,7 @@ class AggregateMaintainer:
                 return
             rows = codes[affected]
             values = self._values[parent][affected]
-            delta_message = _Message(delta_reps, delta_values)
+            delta_message = Message(delta_reps, delta_values)
             for other, opos in self._child_pos[parent].items():
                 other_sub = (
                     rows[:, list(opos)] if opos else rows[:, :0]

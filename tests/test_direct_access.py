@@ -302,6 +302,70 @@ def test_access_range_on_a_patched_store_with_zero_count_rows(backend):
     assert accessor.rebuilds == 0
 
 
+@st.composite
+def _patch_batches(draw):
+    """A query, its rows, and k mixed ops applied before one refresh:
+    values -2..8 against rows built on 0..5, so fresh values rank
+    before and after every build-time value and open new blocks at
+    both ends; ``"empty"`` deletes every row on one first-column value
+    (a whole block of the child keyed on it)."""
+    text = draw(
+        st.sampled_from(
+            [
+                "q(a, b, c) :- R(a, b), S(b, c)",
+                "q(a, b) :- R(a, b), S(b, c), T(c, d)",
+            ]
+        )
+    )
+    query = parse_query(text)
+    names = sorted(query.relation_symbols)
+    built = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    rows = {name: draw(st.lists(built, max_size=12)) for name in names}
+    wide = st.tuples(st.integers(-2, 8), st.integers(-2, 8))
+    op = st.tuples(
+        st.sampled_from(["add", "add", "discard", "empty"]),
+        st.sampled_from(names),
+        wide,
+    )
+    k = draw(st.sampled_from([1, 2, 64]))
+    return query, rows, draw(st.lists(op, min_size=k, max_size=k))
+
+
+@given(
+    _patch_batches(),
+    st.sampled_from(
+        [{"backend": "columnar"}, {"backend": "sharded", "shard_count": 3}]
+    ),
+)
+def test_one_refresh_after_a_batch_equals_a_fresh_build(batch, storage):
+    query, rows, ops = batch
+    db = Database(**storage)
+    for name, present in rows.items():
+        db.add_relation(db.new_relation(name, 2, present))
+    accessor = LexDirectAccess(query, db, on_stale="refresh")
+    accessor.count()
+    touched = {name: set() for name in rows}
+    for kind, name, row in ops:
+        if kind == "add":
+            gone, new = [], [row]
+        elif kind == "discard":
+            gone, new = [row], []
+        else:
+            gone, new = [r for r in db[name] if r[0] == row[0]], []
+        for r in gone:
+            db[name].discard(r)
+        for r in new:
+            db[name].add(r)
+        touched[name].update(gone + new)
+    fresh = LexDirectAccess(query, db)
+    n = fresh.count()
+    assert accessor.count() == n
+    assert accessor.access_range(0, n) == fresh.access_range(0, n)
+    assert fresh.access_range(0, n) == sorted_answers(query, db, query.head)
+    if all(len(t) <= 64 for t in touched.values()):  # history kept
+        assert accessor.rebuilds == 0
+
+
 def test_access_range_wide_separator_past_64_bit_packing():
     # A 5-column separator over > 8192 codes cannot be packed into one
     # int64 key: block lookup falls back to joint ranks, which must be

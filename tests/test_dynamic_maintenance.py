@@ -29,6 +29,7 @@ from repro.direct_access.lex import LexDirectAccess
 from repro.dynamic import AcyclicCountMaintainer
 from repro.engine import Session
 from repro.enumeration.constant_delay import ConstantDelayEnumerator
+from repro.hypergraph.freeconnex import is_free_connex
 from repro.query import catalog
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
@@ -602,6 +603,27 @@ FREE_CONNEX_CASES = [
     pytest.param(
         "q(a, c) :- R(a, b), S(c, d)", None, id="projected-cross-product"
     ),
+    # Projection under updates: the existential variables are
+    # eliminated into support-counted projections.  One S delete kills
+    # many answers, the re-add revives them.
+    pytest.param("q(x) :- R(x, y), S(y)", None, id="existential-branch"),
+    # A subtree without free variables: a nullary emptiness gate.  (The
+    # stream's bulk steps go to the first name, which wants two columns.)
+    pytest.param("q(x) :- R(u, v), S(x)", None, id="boolean-component"),
+    pytest.param(
+        "q(x, y) :- R(x, y), R(y, z)", None, id="projected-self-join"
+    ),
+    pytest.param(
+        "q(x) :- R(x, y), P(y, w, w)",
+        None,
+        id="existential-repeated-variable",
+    ),
+    # Two existential levels under a node that keeps free variables.
+    pytest.param(
+        "q(x, y) :- R(x, y), T(y, z, w), U(w, v)",
+        None,
+        id="two-level-existential",
+    ),
     pytest.param(JOIN_CHAIN, ("c", "b", "a"), id="reversed-order"),
     # A disruptive trio: pages sort, count and iteration keep the tree.
     pytest.param(JOIN_CHAIN, ("a", "c", "b"), id="inadmissible-order"),
@@ -618,6 +640,65 @@ def test_free_connex_answers_track_the_reference_over_a_stream(
     assert plan.family == "free-connex"
     assert plan.access_admissible == (order != ("a", "c", "b"))
     mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
+
+
+FC3 = "q(x, y, z) :- R(x, y), S(y, z), T(z, w)"
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_projected_updates_patch_not_rebuild(storage, tmp_path, monkeypatch):
+    rows = {
+        "R": {(x, y) for x in range(4) for y in range(3)},
+        "S": {(y, z) for y in range(3) for z in range(4)},
+        "T": {(0, 0), (0, 1), (1, 0), (2, 5)},  # no support for z = 3
+    }
+    mirror = _Mirror(FC3, storage, rows, tmp_path=tmp_path)
+    live = mirror.answers[0]
+    assert live.plan.maintained and not live.query.is_join_query()
+    mirror.check()
+    accessor = live.prepared._accessor
+    patched = []
+    patch = accessor._patch
+    monkeypatch.setattr(
+        accessor,
+        "_patch",
+        lambda node, delta, insert: (
+            patched.append(len(delta)),
+            patch(node, delta, insert),
+        ),
+    )
+
+    def step(op, name, payload):
+        del patched[:]
+        mirror.apply(op, name, payload)
+        mirror.check()
+
+    # Absorbed at the support level: z = 0 stays supported throughout.
+    step("add", "T", (0, 2))
+    step("discard", "T", (0, 0))
+    assert patched == []
+    # Delete to zero support, then revive: one row of D_T dies, is born.
+    before = len(live), live.page(0, 1000), list(live)
+    step("discard", "T", (2, 5))
+    assert sum(patched) == 1 and len(live) == before[0] - 12
+    step("add", "T", (2, 7))
+    assert sum(patched) == 1
+    assert (len(live), live.page(0, 1000), list(live)) == before
+    step("add", "T", (3, 3))  # a z that never had support
+    assert len(live) == before[0] + 12
+    # Small updates everywhere keep history: no rebuild.
+    step("add", "R", (9, 0))
+    step("discard", "S", (0, 0))
+    step("add_all", "S", [(0, z) for z in range(4, 9)])
+    step("add_all", "T", [(z, z) for z in range(4, 40)])
+    step("discard_all", "T", [(z, z) for z in range(4, 40, 2)])
+    assert accessor.rebuilds == 0
+    # A bulk rewrite is a history barrier: exactly one rebuild.
+    step("add_all", "T", [(z % 9, z) for z in range(70)])
+    assert accessor.rebuilds == 1
+    step("discard", "T", (3, 3))
+    step("add", "S", (1, 8))
+    assert accessor.rebuilds == 1
 
 
 PROJECTED_CHAIN = "q(x, w) :- R(x, y), S(y, z), T(z, w)"
@@ -974,6 +1055,57 @@ def test_cyclic_repair_matches_brute_force_on_random_queries(
     mirror = _Mirror(str(query), storage, rows)
     assume(mirror.answers[0].plan.family == "cyclic-materialize")
     mirror.run(stream)
+
+
+@st.composite
+def _projected_free_connex_instances(draw):
+    """A random free-connex query with existential variables, a
+    database, and a stream of adds, discards and small ``add_all``s."""
+    query = draw(
+        strategies.conjunctive_queries(
+            max_atoms=3, self_join_free=draw(st.booleans())
+        ).filter(
+            lambda q: q.head
+            and not q.is_join_query()
+            and is_free_connex(q)
+        )
+    )
+    db = draw(strategies.databases_for(query, max_tuples=8))
+    arity = {atom.relation: atom.arity for atom in query.atoms}
+    value = st.integers(min_value=-1, max_value=7)
+
+    def steps(name):
+        row = st.tuples(*([value] * arity[name]))
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "discard"]), st.just(name), row),
+            st.tuples(
+                st.just("add_all"), st.just(name), st.lists(row, max_size=4)
+            ),
+        )
+
+    step = st.sampled_from(sorted(arity)).flatmap(steps)
+    return query, db, draw(st.lists(step, max_size=8))
+
+
+@given(
+    _projected_free_connex_instances(),
+    st.sampled_from(
+        [
+            {"backend": "columnar"},
+            {"backend": "sharded", "shard_count": 1},
+            {"backend": "sharded", "shard_count": 3},
+        ]
+    ),
+)
+def test_projected_patching_matches_brute_force_on_random_queries(
+    instance, storage
+):
+    query, db, stream = instance
+    rows = {rel.name: set(rel) for rel in db}
+    mirror = _Mirror(str(query), storage, rows)
+    assert mirror.answers[0].plan.maintained
+    mirror.run(stream)
+    assert mirror.answers[0].prepared._accessor.rebuilds == 0
 
 
 # ----------------------------------------------------------------------

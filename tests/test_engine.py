@@ -359,13 +359,21 @@ def test_count_past_int64_is_exact_or_an_overflow_error(backend):
 
     # A star on one x whose root prefix sum reaches 2^63 with the last
     # row of R4 (five leaves, not seven: the layered-tree search walks
-    # the spanning trees of the atoms' intersection graph).
+    # the spanning trees of the atoms' intersection graph) — as a join
+    # query, and with R4 projected (its node is then a support-counted
+    # projection, patched the same way).
+    for r4_body, r4_row in (("R4(x, y4)", (0,)), ("R4(x, y4, w)", (0, 0))):
+        _star_reaches_int64(backend, r4_body, r4_row)
+
+
+def _star_reaches_int64(backend, r4_body, r4_row):
     sizes = [2**13] * 4 + [2**11]
     head = ", ".join(f"y{i}" for i in range(5))
-    body = ", ".join(f"R{i}(x, y{i})" for i in range(5))
+    body = ", ".join([f"R{i}(x, y{i})" for i in range(4)] + [r4_body])
     data = {
         f"R{i}": [(0, y) for y in range(size)] for i, size in enumerate(sizes)
     }
+    data["R4"] = [r4_row[:1] + (y,) + r4_row[1:] for y in range(sizes[4])]
     last = data["R4"].pop()
     session = connect(data, backend=backend)
     answers = session.execute(f"q(x, {head}) :- {body}")

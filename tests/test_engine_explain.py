@@ -53,7 +53,7 @@ plan for q(x) :- R(x, y), S(y, z)
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: undefined under projection -- use query.as_join_query()
-  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
+  updates:  session.add/discard patch the counted layered tree: one sorted-block splice per delta row, ancestor counts repaired level by level; existential variables are eliminated into support-counted projections (dynamic: not q-hierarchical: ('projection', 'x', 'y') -- no constant-time maintenance [[15] (survey conclusion)])"""
 
 ENUM_AND_LEX_DIRECT_ACCESS = """\
 plan for q(a, b, c) :- R(a, b), S(b, c)
@@ -214,3 +214,13 @@ def test_updates_line_says_what_is_repaired():
     assert "patch the counted layered tree" in trio
     assert "repaired by delta joins" in trio
     assert "dynamic: q-hierarchical [" in trio
+    # A projected free-connex query patches the same tree, over derived
+    # relations; the python backend keeps the rebuild.
+    fc3 = "q(x, y, z) :- R(x, y), S(y, z), T(z, w)"
+    patched = render(fc3, backend="columnar")
+    assert "patch the counted layered tree" in patched
+    assert "support-counted projections" in patched
+    assert "not q-hierarchical" in patched
+    assert "no constant-time maintenance" in patched
+    assert "rebuilt once per database version" not in patched
+    assert "rebuilt once per database version" in render(fc3, backend="python")

@@ -159,6 +159,12 @@ def test_prepare_page_len_aggregate_match_oracle(backend):
         assert got == expected
         assert q.aggregate("counting") == len(expected)
         assert q.aggregate("boolean") is True
+        # "maintained" follows Plan.maintained: a counted tree on coded
+        # storage, projected queries included.
+        assert not q.info["maintained"]  # acyclic-materialize: no tree
+        projected = client.prepare("db", "q(x) :- R(x, z), S(z, y)")
+        assert projected.info["maintained"] == (backend == "columnar")
+        assert projected.count() == len({x for x, _ in expected})
 
 
 def test_page_rows_and_total_come_from_one_read(monkeypatch):
