@@ -5,15 +5,30 @@ near-linearly and (b) the *maximum delay* between answers stays flat
 as the database grows.  For the non-free-connex star query the honest
 fallback's preprocessing grows like the full evaluation — the gap
 Theorem 3.16 proves necessary.
+
+The engine serves iteration from its counted layered tree: a
+:class:`~repro.engine.Session` reads the answers as contiguous block
+reads (``LexDirectAccess.access_range``), each expanded from runs of
+store rows.  ``test_e8_session_block_delay_flat`` times those blocks
+as a client sees them and fits the *max* seconds per answer of a block
+against m (exponent ≈ 0), next to a strided slice — one search per answer, the
+Õ(log m) direct-access cost.  ``BENCH_SMOKE=1`` runs a three-point
+ladder at tiny sizes and skips the exponent assertions.
 """
 
-import pytest
+import gc
+import os
+import time
 
+from repro import connect
+from repro.direct_access import LexDirectAccess
 from repro.enumeration import ConstantDelayEnumerator, measure_delays
 from repro.query import catalog
-from repro.workloads.databases import functional_path_db, random_star_db
+from repro.workloads.databases import functional_path_db
 
-from benchmarks._harness import fit, fmt_fit, sweep
+from benchmarks._harness import emit_perf_trajectory, fit, fmt_fit
+
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
 FC = catalog.path_query(2)  # q(v1,v2,v3): free-connex join query
 NFC = catalog.star_query_sjf(2)
@@ -98,3 +113,90 @@ def test_e8_enumeration_throughput(benchmark):
     db = functional_path_db(2, 20000, seed=1)
     enumerator = ConstantDelayEnumerator(FC, db)
     benchmark(lambda: sum(1 for _ in enumerator))
+
+
+# Answers per size: the functional path has exactly m answers.
+SESSION_LADDER = (
+    [2_000, 4_000, 8_000] if SMOKE else [25_000, 50_000, 100_000, 200_000]
+)
+STRIDED_ROWS = 512 if SMOKE else 4_096
+
+
+def test_e8_session_block_delay_flat(experiment_report, monkeypatch):
+    read = LexDirectAccess.access_range
+    blocks = []
+
+    def timed(self, start, stop, step=1):
+        began = time.perf_counter()
+        rows = read(self, start, stop, step)
+        blocks.append((time.perf_counter() - began, len(rows)))
+        return rows
+
+    monkeypatch.setattr(LexDirectAccess, "access_range", timed)
+    block_delay, strided_row = [], []
+    # As in timeit: the cyclic collector fires on allocation counts, so
+    # it lands on the same block every pass, and a full pass walks the
+    # whole heap — a pause that grows with m but is not the tree's.
+    gc.disable()
+    try:
+        for m in SESSION_LADDER:
+            db = functional_path_db(2, m, seed=m, backend="columnar")
+            answers = connect(db).prepare(FC).run()
+            n = len(answers)
+            best = None
+            for _ in range(3):  # per block, the least disturbed of 3 passes
+                blocks.clear()
+                assert sum(1 for _ in answers) == n
+                # The iterator ends on one empty read past the last answer.
+                delays = [seconds / rows for seconds, rows in blocks if rows]
+                best = delays if best is None else list(map(min, best, delays))
+            block_delay.append((m, max(best)))
+            step = max(n // STRIDED_ROWS, 1)
+            per_row = []
+            for _ in range(3):
+                blocks.clear()
+                answers[::step]
+                ((seconds, rows),) = blocks
+                per_row.append(seconds / rows)
+            strided_row.append((m, min(per_row)))
+    finally:
+        gc.enable()
+    block_fit, strided_fit = fit(block_delay), fit(strided_row)
+    experiment_report.row(
+        "session iteration, max block delay per answer",
+        "Õ(1) delay (exponent 0)",
+        f"{fmt_fit(block_fit)}, "
+        f"{block_delay[0][1] * 1e6:.2f}µs → {block_delay[-1][1] * 1e6:.2f}µs",
+    )
+    experiment_report.row(
+        "strided access_range per row",
+        "Õ(log m) per access",
+        f"{fmt_fit(strided_fit)}, "
+        f"{strided_row[0][1] * 1e6:.2f}µs → {strided_row[-1][1] * 1e6:.2f}µs",
+    )
+    emit_perf_trajectory(
+        "backends",
+        [
+            {
+                "workload": "e8_session_block_delay",
+                "backend": "max_seconds_per_answer",
+                "m": m,
+                "seconds": seconds,
+            }
+            for m, seconds in block_delay
+        ]
+        + [
+            {
+                "workload": "e8_strided_access_range",
+                "backend": "seconds_per_row",
+                "m": m,
+                "seconds": seconds,
+            }
+            for m, seconds in strided_row
+        ],
+    )
+    if not SMOKE:
+        # 8× the data: the block delay stays flat, a search per answer
+        # grows like log m (plus cache misses), never like m.
+        assert block_fit.exponent < 0.3, block_delay
+        assert strided_fit.exponent < 0.6, strided_row

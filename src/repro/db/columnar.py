@@ -251,11 +251,15 @@ def pack_rows(codes: np.ndarray, cardinality: int) -> Optional[np.ndarray]:
     With ``cardinality`` distinct codes, each column needs
     ``bit_length(cardinality - 1)`` bits; ``k`` columns fit when the
     total stays within 63 bits.  Returns ``None`` on overflow — callers
-    fall back to :func:`numpy.unique` over rows.
+    fall back to :func:`numpy.unique` over rows.  A single int64 column
+    is its own key and comes back as a view: callers read keys, never
+    write them.
     """
     n, k = codes.shape
     if k == 0:
         return np.zeros(n, dtype=np.int64)
+    if k == 1:
+        return codes[:, 0].astype(np.int64, copy=False)
     bits = max(int(cardinality - 1).bit_length(), 1) if cardinality > 1 else 1
     if bits * k > 63:
         return None

@@ -26,8 +26,10 @@ dictionary codes are first-seen, not sorted, so the own columns are
 remapped through a rank table before sorting); and the prefix sums are
 one ``np.cumsum``.  No row is decoded during preprocessing —
 ``access(i)`` descends over codes via ``np.searchsorted`` and decodes
-only the single returned answer; ``access_range`` sends an index array
-down the same tree and decodes the block once.  Subtree counts use
+only the single returned answer; ``access_range`` expands a contiguous
+range from runs of store rows (the enumeration: no search per answer)
+or sends a strided index array down the same tree, and decodes the
+block once.  Subtree counts use
 int64 and raise :class:`OverflowError` where they would wrap (the root
 product, and the Python store, keep bigints).
 
@@ -314,11 +316,18 @@ class _ColumnarNodeStore:
         """Per-block totals, aligned with ``rep_keys``/``rep_matrix``."""
         return self.cum0[self.ends] - self.cum0[self.starts]
 
+    def blocks_of(self, keys: np.ndarray, cardinality: int) -> np.ndarray:
+        """Per row of a coded key matrix whose block exists, its block
+        index.  The representatives are lex-sorted on raw codes (the
+        build and every patch keep them so), hence packed or
+        joint-ranked keys are monotone: one ``searchsorted``."""
+        wanted, present = common_keys(keys, self.rep_matrix, cardinality)
+        return np.searchsorted(present, wanted)
+
     def block_totals(self, keys: np.ndarray, cardinality: int) -> np.ndarray:
         """Per row of a coded key matrix, its block's total — 0 where
-        there is no such block.  The representatives are lex-sorted on
-        raw codes (the build and every patch keep them so), hence
-        packed or joint-ranked keys are monotone: one ``searchsorted``."""
+        there is no such block (the search of :meth:`blocks_of`, then a
+        presence check)."""
         if not len(self.rep_keys):
             return np.zeros(len(keys), dtype=np.int64)
         wanted, present = common_keys(keys, self.rep_matrix, cardinality)
@@ -1094,9 +1103,14 @@ class LexDirectAccess:
         """``[access(i) for i in range(start, stop, step)]``, as one read.
 
         :class:`IndexError` if any index is outside ``[0, n)``.  On
-        columnar stores the index array descends the tree together —
-        one ``searchsorted`` per node, one decode — so the Õ(log m) per
-        answer is amortised over the block.
+        columnar stores a contiguous range (``step == 1``: pages,
+        iteration, ``first``) is expanded, not searched
+        (:meth:`_expand`): the answers below a row are runs of
+        contiguous store rows, so a block costs O(block + depth·log m)
+        — O(1) amortised per answer, the enumeration bound, read off
+        the counted tree.  Any other step sends its index array down
+        the tree (:meth:`_descend_range`: Õ(log m) per answer).  Either
+        way the block is decoded once.
         """
         self._check_fresh()
         indices = range(start, stop, step)
@@ -1113,12 +1127,170 @@ class LexDirectAccess:
             # a root product past int64 (exact only in the scalar
             # descent's bigints) go index by index.
             return [self.access(i) for i in indices]
-        out = np.empty((len(indices), len(self.head)), dtype=np.int64)
+        # One head column per row, so each column is gathered and
+        # decoded contiguously.
+        columns = np.empty((len(self.head), len(indices)), dtype=np.int64)
         head_pos = {v: i for i, v in enumerate(self.head)}
-        self._descend_range(
-            VIRTUAL_ROOT, np.arange(start, stop, step), out, head_pos
+        if step == 1:
+            rows_of = self._expand(
+                VIRTUAL_ROOT,
+                np.zeros(1, dtype=np.int64),  # the root's one (empty) row
+                np.array([start], dtype=np.int64),
+                np.array([stop], dtype=np.int64),
+            )
+            for node, rows in rows_of.items():
+                codes = self._stores[node].codes.take(rows, axis=0)
+                for j, variable in enumerate(self._frames[node].variables):
+                    columns[head_pos[variable]] = codes[:, j]
+        else:
+            self._descend_range(
+                VIRTUAL_ROOT, np.arange(start, stop, step), columns.T, head_pos
+            )
+        return self._dictionary.decode_rows(columns.T)
+
+    def _child_blocks(
+        self, node: int, child: int, rows: np.ndarray
+    ) -> np.ndarray:
+        """The block of ``child`` under each of ``node``'s store rows
+        (block 0 under the virtual root): a live row's blocks exist."""
+        if node == VIRTUAL_ROOT:
+            return np.zeros_like(rows)
+        codes = self._stores[node].codes.take(rows, axis=0)
+        return self._stores[child].blocks_of(
+            codes.take(self._child_sep_pos[node][child], axis=1),
+            len(self._dictionary),
         )
-        return self._dictionary.decode_rows(out)
+
+    def _expand(
+        self, node: int, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Dict[int, np.ndarray]:
+        """Segment ``k`` is answers ``lo[k]..hi[k]-1`` of the product of
+        ``node``'s child blocks under its store row ``rows[k]`` (the
+        virtual root has one row); returns, per node below ``node``,
+        the store row every answer of the segments reads there, in
+        answer order.
+
+        A row's child blocks are found once, never per answer.  Several
+        children form a mixed-radix product, the first child outermost
+        as in :meth:`_descend_range`: child ``j`` advances once per
+        ``radix`` answers (the product of the later block totals), so a
+        segment reads the cyclic range of its block from ``lo // radix``
+        to ``(hi - 1) // radix`` — never more answers than the segment
+        has, at most the whole block once — and repeats / tiles it.
+        """
+        children = self._layered.children[node]
+        if not children:
+            return {}
+        if len(children) == 1:
+            child = children[0]
+            if node == VIRTUAL_ROOT:
+                # The child's one block is its whole store: the range
+                # is its running count, with two searches for its edges.
+                cum0 = self._stores[child].cum0
+                return self._expand_runs(
+                    child,
+                    cum0.searchsorted(lo, "right") - 1,
+                    cum0.searchsorted(hi - 1, "right"),
+                    lo,
+                    hi,
+                )
+            return self._expand_blocks(
+                child, self._child_blocks(node, child, rows), lo, hi
+            )
+        sizes = hi - lo
+        segment = np.repeat(np.arange(len(lo)), sizes)
+        # Each answer's index within its segment's product.
+        index = np.arange(len(segment)) + np.repeat(
+            lo - (np.cumsum(sizes) - sizes), sizes
+        )
+        rows_of: Dict[int, np.ndarray] = {}
+        radix = np.ones(len(lo), dtype=np.int64)
+        for child in reversed(children):
+            store: _ColumnarNodeStore = self._stores[child]
+            block = self._child_blocks(node, child, rows)
+            total = store.cum0[store.ends[block]] - store.cum0[store.starts[block]]
+            first = lo // radix
+            width = np.minimum((hi - 1) // radix - first + 1, total)
+            begin = first % total
+            head = np.minimum(width, total - begin)
+            # The cyclic range as up to two ranges, [begin, begin + head)
+            # then [0, width - head), interleaved segment by segment.
+            piece_lo = np.stack([begin, np.zeros_like(begin)], 1).ravel()
+            piece_hi = np.stack([begin + head, width - head], 1).ravel()
+            real = piece_hi > piece_lo
+            below = self._expand_blocks(
+                child, np.repeat(block, 2)[real], piece_lo[real], piece_hi[real]
+            )
+            at = (np.cumsum(width) - width)[segment] + (
+                index // radix[segment] - first[segment]
+            ) % total[segment]
+            for descendant, descendant_rows in below.items():
+                rows_of[descendant] = descendant_rows[at]
+            radix *= total
+        return rows_of
+
+    def _expand_blocks(
+        self, child: int, block: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Dict[int, np.ndarray]:
+        """:meth:`_expand` for answers ``lo[k]..hi[k]-1`` of ``child``'s
+        block ``block[k]``, ``child`` included.
+
+        A block's answers are its store rows ``starts..ends``, each
+        repeated by its count; only a segment that starts or stops
+        inside its block searches ``cum0`` for its edge row.
+        """
+        store: _ColumnarNodeStore = self._stores[child]
+        cum0 = store.cum0
+        first = store.starts[block]
+        last = store.ends[block]
+        # The segments as positions in the store's running count.
+        base = cum0[first]
+        lo, hi = base + lo, base + hi
+        edge = lo > base
+        first[edge] = cum0.searchsorted(lo[edge], "right") - 1
+        edge = hi < cum0[last]
+        last[edge] = cum0.searchsorted(hi[edge] - 1, "right")
+        return self._expand_runs(child, first, last, lo, hi)
+
+    def _expand_runs(
+        self,
+        child: int,
+        first: np.ndarray,
+        last: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+    ) -> Dict[int, np.ndarray]:
+        """:meth:`_expand` for the answers ``lo[k]..hi[k]-1`` of
+        ``child``'s running count (``cum0``), which lie on its store
+        rows ``first[k]..last[k]-1``.
+
+        Each row is repeated by its count, so a dead (zero-count) row
+        drops out for free, and a segment's first and last row pass on
+        just the answers inside the segment, whatever their fanout.
+        """
+        store: _ColumnarNodeStore = self._stores[child]
+        cum0 = store.cum0
+        lengths = last - first
+        ends = lengths.cumsum()
+        begins = ends - lengths
+        rows = (first - begins).repeat(lengths) + np.arange(ends[-1])
+        # A row's answers inside its segment: all of them, less the
+        # cuts of a segment's first and last row.
+        size = store.counts[rows]
+        cut = lo - cum0[first]
+        size[begins] -= cut
+        size[ends - 1] -= cum0[last] - hi
+        rows_of = {child: rows.repeat(size)}
+        if self._layered.children[child]:
+            row_lo = np.zeros_like(size)
+            row_lo[begins] = cut
+            live = size > 0
+            rows_of.update(
+                self._expand(
+                    child, rows[live], row_lo[live], (row_lo + size)[live]
+                )
+            )
+        return rows_of
 
     def _descend_range(
         self,
@@ -1127,25 +1299,22 @@ class LexDirectAccess:
         out: np.ndarray,
         head_pos: Dict[str, int],
     ) -> None:
-        """:meth:`_descend_children` / :meth:`_select` for an index array.
+        """:meth:`_descend_children` / :meth:`_select` for an index array
+        — the strided reads of :meth:`access_range`.
 
         ``residual[k]`` is request ``k``'s index within the product of
         ``node``'s child blocks under the separator codes already in
         ``out[k]``.  It splits mixed-radix, last child first (siblings
         read only the parent's columns, so their order is free); every
         divisor is a block total of a selected, hence non-zero, row.
+        Every node costs a block ``searchsorted`` and a ``cum0``
+        ``searchsorted`` per request: Õ(log m) per answer.
         """
         cardinality = len(self._dictionary)
         for child in reversed(self._layered.children[node]):
             store: _ColumnarNodeStore = self._stores[child]
             separator = [head_pos[v] for v in self._node_separator(child)]
-            # The representatives are lex-sorted on raw codes (build
-            # and _patch), so packed or joint-ranked keys are monotone:
-            # a plain searchsorted finds each request's block.
-            keys, rep_keys = common_keys(
-                out[:, separator], store.rep_matrix, cardinality
-            )
-            block = np.searchsorted(rep_keys, keys)
+            block = store.blocks_of(out[:, separator], cardinality)
             first = store.cum0[store.starts[block]]
             residual, index = np.divmod(
                 residual, store.cum0[store.ends[block]] - first

@@ -5,14 +5,14 @@ evaluation pipeline meets its best possible bounds — Yannakakis for
 Boolean acyclic queries (Theorem 3.1); for free-connex queries one
 counted layered join tree (Theorem 3.24 / Corollary 3.22) whose root
 total is the count (Theorem 3.13's bound) and whose ordered block
-reads are the enumeration (Theorem 3.17's, the Õ(log m) per answer
-inside the Õ(1) delay it quotes); and worst-case-optimal joins as the
-cyclic fallback (Theorem 3.7).  :func:`plan_query` turns one
-:func:`repro.classify.classify` pass into an executable :class:`Plan`:
-one route per serving capability (``decide`` / ``count`` / ``iterate``
-/ ``access`` / ``aggregate``), each quoting the theorem and cost
-expression of the corresponding :class:`repro.classify.report.
-TaskVerdict`.  The execution backend is not a planning decision: the
+reads are the enumeration (Theorem 3.17's Õ(1) delay: a block expands
+runs of store rows, O(1) amortised per answer on coded storage); and
+worst-case-optimal joins as the cyclic fallback (Theorem 3.7).
+:func:`plan_query` turns one :func:`repro.classify.classify` pass into
+an executable :class:`Plan`: one route per serving capability
+(``decide`` / ``count`` / ``iterate`` / ``access`` / ``aggregate``),
+each quoting the theorem and cost expression of the corresponding
+:class:`repro.classify.report.TaskVerdict`.  The execution backend is not a planning decision: the
 paper picks algorithms from the query, never from a size threshold,
 and a session executes on the one database it stores — so
 ``Plan.backend`` is the stored backend.
@@ -315,7 +315,7 @@ def plan_query(
         family = CYCLIC_MATERIALIZE
     routes = (
         _count_route(classification, family),
-        _iterate_route(classification, family, tree_order),
+        _iterate_route(classification, family, tree_order, backend),
         _access_route(classification, family, chosen_order, admissible),
         _aggregate_route(query, classification, family),
     )
@@ -399,9 +399,17 @@ def _iterate_route(
     classification: QueryClassification,
     family: str,
     tree_order: Optional[Tuple[str, ...]],
+    backend: str,
 ) -> PlanRoute:
     verdict = classification.verdict("enumeration")
     if family == FREE_CONNEX:
+        if backend == "python":
+            note = "python storage: one O(log m) descent per answer"
+        else:
+            note = (
+                "no per-answer search: a block expands runs of store rows,"
+                " O(block + depth·log m), so O(1) amortised per answer"
+            )
         return PlanRoute(
             capability="iterate",
             algorithm=(
@@ -410,7 +418,7 @@ def _iterate_route(
             ),
             cost=verdict.upper_bound,
             theorem=f"{verdict.theorem} (via Theorem 3.24)",
-            note="O(log m) per answer, amortised over a block",
+            note=note,
         )
     return PlanRoute(
         capability="iterate",

@@ -231,7 +231,11 @@ class PreparedQuery:
         """The tree's answers in order, as block reads doubling from 128
         rows to 4 096: each one guarded, consistent read like a page,
         no lock held in between (an update landing there shifts later
-        positions as it does for a client paging by offset)."""
+        positions as it does for a client paging by offset).  A block
+        is a contiguous ``access_range``, which the tree expands from
+        runs of store rows instead of searching per answer — O(1)
+        amortised per answer on coded storage, as are pages; strided
+        slices and ``answers[i]`` search (Õ(log m) each)."""
         start, size = 0, 128
         while True:
             with self._serving_guard():
@@ -255,8 +259,9 @@ class PreparedQuery:
 
         One guard hold around the whole page: no writer can commit
         between the bounds check and a row, or between rows.  A page is
-        one block read of the counted tree (one vectorised descent, one
-        decode) or one slice of the sorted list — never a per-row loop.
+        one block read of the counted tree (one run expansion, or one
+        vectorised descent for a strided slice, then one decode) or one
+        slice of the sorted list — never a per-row loop.
         """
         with self._serving_guard():
             plan = self.plan

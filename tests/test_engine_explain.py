@@ -49,7 +49,7 @@ plan for q(x) :- R(x, y), S(y, z)
   stats:    S: rows=2 distinct=(2, 2)
   count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via ordered block reads of the counted layered tree (x) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
-              note: O(log m) per answer, amortised over a block
+              note: no per-answer search: a block expands runs of store rows, O(block + depth·log m), so O(1) amortised per answer
   access    via lex direct access on (x) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: undefined under projection -- use query.as_join_query()
@@ -65,7 +65,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   stats:    S: rows=2 distinct=(2, 2)
   count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
-              note: O(log m) per answer, amortised over a block
+              note: no per-answer search: a block expands runs of store rows, O(block + depth·log m), so O(1) amortised per answer
   access    via lex direct access on (a > b > c) -- Õ(m) preprocessing + Õ(log m) per access [Theorem 3.24 / Corollary 3.22]
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
@@ -81,7 +81,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   stats:    S: rows=2
   count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
-              note: O(log m) per answer, amortised over a block
+              note: python storage: one O(log m) descent per answer
   access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
               note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
@@ -98,7 +98,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   stats:    S: rows=2 distinct=(2, 2)
   count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
-              note: O(log m) per answer, amortised over a block
+              note: no per-answer search: a block expands runs of store rows, O(block + depth·log m), so O(1) amortised per answer
   access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
               note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
