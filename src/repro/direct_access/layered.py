@@ -7,15 +7,21 @@ separator to its parent) must appear as one contiguous block, blocks
 following the DFS preorder.  We call such a tree *layered* for the
 order.
 
-Carmeli et al. [27] prove that for acyclic join queries such a tree
-exists precisely when the order has no disruptive trio; the tests
-check that equivalence empirically on the query catalog.
+The nodes here are the given bags, one per atom of the reduced join
+query, and each component of the bag family hangs directly under a
+virtual root, so components never interleave.  A layered tree always
+makes the order trio-free.  The converse is narrower than Theorem 3.24:
+Carmeli et al. [27] build their layers from projections of atoms onto
+prefixes of the order, so a trio-free order that splits one atom's
+block (``x > u > v > w`` on ``R(x, u, w), S(x, v)``) or interleaves
+components (``a > b > z > c`` on ``R(a, b), S(b, c), T(z)``) is
+tractable by the theorem but has no layered tree over per-atom nodes.
 
-Join trees of an acyclic hypergraph are the maximum-weight spanning
-trees of its intersection graph (edge weight = separator size;
-Bernstein–Goodman).  Queries are constant-size, so we enumerate
-spanning trees with networkx in decreasing weight, keep the valid join
-trees, and test every rooting for layeredness.
+:func:`find_layered_tree` builds the tree in one pass along the order,
+as in the constructive proof of [27]: at each position not yet covered
+it opens the bag that owns the variable there, under the deepest node
+of the active DFS path that holds the bag's earlier variables.
+:func:`_try_layout` then checks the rooting and lays it out.
 """
 
 from __future__ import annotations
@@ -23,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from repro.hypergraph.jointree import JoinTree
-
 VIRTUAL_ROOT = -1
-_MAX_TREES_PER_COMPONENT = 2000
 
 
 @dataclass
@@ -48,73 +49,6 @@ class LayeredTree:
     @property
     def root(self) -> int:
         return VIRTUAL_ROOT
-
-
-def candidate_join_trees(
-    bags: Dict[int, FrozenSet[str]],
-) -> List[JoinTree]:
-    """All join trees/forests of an acyclic bag family (small inputs).
-
-    Per connected component of the intersection graph, spanning trees
-    are enumerated in decreasing weight; once a valid join tree is
-    found, enumeration stops at the first strictly lighter tree (valid
-    join trees all have maximum weight).  Components are then combined.
-    """
-    nodes = sorted(bags)
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    for i in nodes:
-        for j in nodes:
-            if i < j and bags[i] & bags[j]:
-                graph.add_edge(i, j, weight=len(bags[i] & bags[j]))
-
-    component_options: List[List[Dict[int, int]]] = []
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component).copy()
-        if sub.number_of_nodes() == 1:
-            component_options.append([{}])
-            continue
-        options: List[Dict[int, int]] = []
-        valid_weight: Optional[int] = None
-        count = 0
-        for tree in nx.SpanningTreeIterator(sub, weight="weight", minimum=False):
-            count += 1
-            if count > _MAX_TREES_PER_COMPONENT:
-                break
-            weight = sum(d["weight"] for _, _, d in tree.edges(data=True))
-            if valid_weight is not None and weight < valid_weight:
-                break
-            root = min(tree.nodes)
-            parent: Dict[int, int] = {
-                child: par for child, par in nx.bfs_predecessors(tree, root)
-            }
-            candidate = JoinTree(
-                bags={n: bags[n] for n in tree.nodes}, parent=parent
-            )
-            try:
-                candidate.validate()
-            except ValueError:
-                continue
-            valid_weight = weight
-            options.append(parent)
-        if not options:
-            return []
-        component_options.append(options)
-
-    results: List[JoinTree] = []
-
-    def build(index: int, merged: Dict[int, int]) -> None:
-        if index == len(component_options):
-            results.append(JoinTree(bags=dict(bags), parent=dict(merged)))
-            return
-        for option in component_options[index]:
-            merged.update(option)
-            build(index + 1, merged)
-            for key in option:
-                del merged[key]
-
-    build(0, {})
-    return results
 
 
 def _try_layout(
@@ -217,67 +151,26 @@ def _try_layout(
     )
 
 
-def _rootings(tree: JoinTree) -> List[Dict[int, Optional[int]]]:
-    """All rooted orientations of a join forest (one root per tree)."""
-    adjacency: Dict[int, List[int]] = {n: [] for n in tree.bags}
-    for child, par in tree.parent.items():
-        adjacency[child].append(par)
-        adjacency[par].append(child)
-    seen: set = set()
-    components: List[List[int]] = []
-    for start in sorted(tree.bags):
-        if start in seen:
-            continue
-        stack = [start]
-        component: List[int] = []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            component.append(node)
-            stack.extend(adjacency[node])
-        components.append(sorted(component))
-
-    per_component: List[List[Dict[int, Optional[int]]]] = []
-    for component in components:
-        options: List[Dict[int, Optional[int]]] = []
-        for root in component:
-            parent: Dict[int, Optional[int]] = {root: None}
-            stack = [root]
-            visited = {root}
-            while stack:
-                node = stack.pop()
-                for nbr in adjacency[node]:
-                    if nbr not in visited:
-                        visited.add(nbr)
-                        parent[nbr] = node
-                        stack.append(nbr)
-            options.append(parent)
-        per_component.append(options)
-
-    results: List[Dict[int, Optional[int]]] = []
-
-    def build(index: int, merged: Dict[int, Optional[int]]) -> None:
-        if index == len(per_component):
-            results.append(dict(merged))
-            return
-        for option in per_component[index]:
-            merged.update(option)
-            build(index + 1, merged)
-
-    build(0, {})
-    return results
-
-
 def find_layered_tree(
     bags: Dict[int, FrozenSet[str]],
     variable_order: Sequence[str],
 ) -> Optional[LayeredTree]:
     """A layered join tree for the order, or None when none exists.
 
-    Tries every (maximum-weight, valid) join tree and every rooting;
-    exponential in the constant query size only.
+    One pass along the order.  At position ``i`` the candidates are the
+    unopened bags holding ``order[i]``; the one to open (largest block,
+    then smallest id) must
+      (a) hold exactly ``order[i:i+k]`` among its variables from ``i``
+          on: its own block, contiguous;
+      (b) hold every candidate's variables before ``i``, so that it
+          tops the subtree of ``order[i]`` as running intersection
+          requires;
+      (c) have its variables before ``i`` (its separator) inside a node
+          of the active DFS path, which becomes its parent: the deepest
+          such node, which keeps the most nodes active.  An empty
+          separator starts a new component under the virtual root.
+    Bags never opened have empty blocks; each hangs under the first
+    opened bag containing it (an empty bag under the virtual root).
     """
     order = list(variable_order)
     all_vars = set()
@@ -287,9 +180,45 @@ def find_layered_tree(
         raise ValueError(
             "variable order must be a permutation of the bag variables"
         )
-    for tree in candidate_join_trees(bags):
-        for rooting in _rootings(tree):
-            layered = _try_layout(dict(bags), rooting, order)
-            if layered is not None:
-                return layered
-    return None
+    position = {v: i for i, v in enumerate(order)}
+    parent: Dict[int, Optional[int]] = {}
+    path: List[int] = []  # opened nodes on the active DFS path, top first
+    i = 0
+    while i < len(order):
+        candidates = [
+            n for n in sorted(bags) if order[i] in bags[n] and n not in parent
+        ]
+        earlier = {
+            n: frozenset(v for v in bags[n] if position[v] < i)
+            for n in candidates
+        }
+        chosen, block = None, 0
+        for node in candidates:
+            own = bags[node] - earlier[node]
+            if (
+                len(own) > block
+                and own == set(order[i : i + len(own)])
+                and all(earlier[d] <= bags[node] for d in candidates)
+            ):
+                chosen, block = node, len(own)
+        if chosen is None:
+            return None
+        separator = earlier[chosen]
+        if not separator:
+            path.clear()
+        while path and not separator <= bags[path[-1]]:
+            path.pop()
+        if separator and not path:
+            return None
+        parent[chosen] = path[-1] if path else None
+        path.append(chosen)
+        i += block
+    opened = list(parent)
+    for node in sorted(bags):
+        if node in parent:
+            continue
+        hosts = [n for n in opened if bags[node] <= bags[n]]
+        if bags[node] and not hosts:
+            return None
+        parent[node] = hosts[0] if bags[node] else None
+    return _try_layout(bags, parent, order)

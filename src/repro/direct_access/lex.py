@@ -1,9 +1,10 @@
 """Lexicographic direct access (paper Theorems 3.18/3.24, Cor. 3.22).
 
 For a free-connex acyclic query (join queries included) and a variable
-order admitting a layered join tree — equivalently, by [27], an order
-with no disruptive trio — preprocessing is Õ(m) and each access costs
-Õ(log m):
+order admitting a layered join tree — an order with no disruptive trio
+that keeps every atom's own block and every component contiguous (see
+:mod:`repro.direct_access.layered`) — preprocessing is Õ(m) and each
+access costs Õ(log m):
 
 1. reduce to an acyclic join query over the free variables
    (:func:`repro.joins.fc_reduce.free_connex_reduce`);
@@ -77,9 +78,10 @@ binds to the same plain :class:`~repro.joins.vectorized.ColumnarFrame`
 as an unsharded one (through its coalesced ``codes()``), so the
 per-node stores are built, served and patched identically.
 
-When no layered tree exists (a disruptive trio), the ``strict=False``
-fallback materializes and sorts the whole result — the superlinear
-preprocessing that Lemma 3.23 proves necessary.
+When no layered tree exists, the ``strict=False`` fallback
+materializes and sorts the whole result — the superlinear
+preprocessing that Lemma 3.23 proves necessary when the order has a
+disruptive trio.
 
 This is the low-level entry point, and the one structure the engine
 facade (:mod:`repro.engine`) holds for a free-connex query: ``count()``
@@ -489,9 +491,9 @@ class LexDirectAccess:
             if self.strict:
                 raise ValueError(
                     f"query {query.name} admits no layered join tree for "
-                    f"order {self.order} (disruptive trio or not "
-                    "free-connex); pass strict=False for the "
-                    "materializing fallback"
+                    f"order {self.order} (disruptive trio, split atom "
+                    "block, interleaved components, or not free-connex); "
+                    "pass strict=False for the materializing fallback"
                 )
             self.mode = "materialized"
             self._materialized = OrderedAnswers(

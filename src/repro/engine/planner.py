@@ -20,12 +20,12 @@ and a session executes on the one database it stores — so
 The planner never reads tuples: order admissibility is decided from
 the reduced bag family
 (:func:`repro.hypergraph.freeconnex.free_variable_bags` fed to
-:func:`repro.direct_access.layered.find_layered_tree`), and when the
-head as written is not admissible an admissible order is constructed
-from the same bags (:func:`repro.hypergraph.trios.trio_free_order`) —
-a free-connex query always has one — so the plan —
-and :meth:`Plan.render`, the ``explain()`` text — is a pure function
-of (query, order, stored backend, input size).
+:func:`repro.direct_access.layered.find_layered_tree`, one pass along
+the order).  When the head as written is not admissible, an order is
+read off a rooted join forest of the same bags — own blocks in DFS
+preorder, admissible by construction, so every free-connex query gets
+one.  The plan — and :meth:`Plan.render`, the ``explain()`` text — is
+a pure function of (query, order, stored backend, input size).
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from repro.classify.report import QueryClassification
 from repro.db.interface import check_backend, preferred_shard_count
 from repro.direct_access.layered import find_layered_tree
 from repro.hypergraph.freeconnex import free_variable_bags
-from repro.hypergraph.trios import trio_free_order
+from repro.hypergraph.gyo import join_tree
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.trios import _first_trio
 from repro.query.cq import ConjunctiveQuery
 
 # Plan families — which serving shape the query admits.
@@ -223,25 +225,38 @@ class Plan:
 
 
 def _choose_order(
-    query: ConjunctiveQuery,
-    bags: Optional[Dict[int, FrozenSet[str]]],
-) -> Tuple[Tuple[str, ...], bool]:
-    """An admissible lexicographic order for the head, by construction.
+    bags: Dict[int, FrozenSet[str]],
+    head: Tuple[str, ...],
+    requested: Optional[Tuple[str, ...]],
+) -> Tuple[str, ...]:
+    """The order the counted layered tree is built on.
 
-    The head as written when it admits a layered join tree over the
-    reduced bags, else the bag family's trio-free order ([27] ties
-    trio-freeness to layered-tree existence; acyclic bags always have
-    one).  ``(head, False)`` off the free-connex family.
+    The first of ``requested`` and ``head`` that admits a layered join
+    tree over the reduced bags.  Otherwise the order is read off a
+    rooted join forest of the bags (GYO): own blocks in DFS preorder,
+    each component under the virtual root, so it is layered by
+    construction.  A block keeps its variables in head order.
     """
-    head = tuple(query.head)
-    if bags is None:
-        return head, False
-    if find_layered_tree(bags, head) is not None:
-        return head, True
-    order = trio_free_order(bags.values())
-    if order is not None and find_layered_tree(bags, order) is not None:
-        return order, True
-    return head, False
+    for wanted in (requested, head):
+        if wanted is not None and find_layered_tree(bags, wanted) is not None:
+            return wanted
+    tree = join_tree(Hypergraph(frozenset(head), list(bags.values())))
+    position = {v: i for i, v in enumerate(head)}
+    order = []
+    roots = list(tree.roots)
+    for root in roots:  # grows: a cut edge starts a new component
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            order.extend(
+                sorted(tree.bags[node] - tree.separator(node), key=position.get)
+            )
+            for child in reversed(tree.children(node)):
+                if tree.separator(child):
+                    stack.append(child)
+                else:
+                    roots.append(child)
+    return tuple(order)
 
 
 def plan_query(
@@ -283,29 +298,20 @@ def plan_query(
         )
 
     head = tuple(query.head)
+    requested = None if order is None else tuple(order)
+    if requested is not None and sorted(requested) != sorted(head):
+        raise ValueError(
+            f"order {requested} must be a permutation of the "
+            f"head variables {head}"
+        )
     bags = (
         free_variable_bags(query) if classification.free_connex else None
     )
-    if order is not None:
-        chosen_order = tuple(order)
-        if sorted(chosen_order) != sorted(head):
-            raise ValueError(
-                f"order {chosen_order} must be a permutation of the "
-                f"head variables {head}"
-            )
-        admissible = (
-            bags is not None
-            and find_layered_tree(bags, chosen_order) is not None
-        )
-    else:
-        chosen_order, admissible = _choose_order(query, bags)
-    tree_order = None
-    if bags is not None:
-        # A requested order with a disruptive trio costs only direct
-        # access: count and iteration keep a tree on the planner's own.
-        tree_order = (
-            chosen_order if admissible else _choose_order(query, bags)[0]
-        )
+    # An inadmissible requested order costs only direct access: count
+    # and iteration keep a tree on the planner's own order.
+    tree_order = None if bags is None else _choose_order(bags, head, requested)
+    chosen_order = requested or tree_order or head
+    admissible = tree_order == chosen_order
 
     if classification.free_connex:
         family = FREE_CONNEX
@@ -316,7 +322,7 @@ def plan_query(
     routes = (
         _count_route(classification, family),
         _iterate_route(classification, family, tree_order, backend),
-        _access_route(classification, family, chosen_order, admissible),
+        _access_route(classification, family, chosen_order, admissible, bags),
         _aggregate_route(query, classification, family),
     )
     return Plan(
@@ -438,6 +444,7 @@ def _access_route(
     family: str,
     order: Tuple[str, ...],
     admissible: bool,
+    bags: Optional[Dict[int, FrozenSet[str]]],
 ) -> PlanRoute:
     verdict = classification.find("direct-access")
     theorem = (
@@ -454,17 +461,30 @@ def _access_route(
         )
     sort_cost = "O(output) preprocessing (sort), O(1) per access"
     if family == FREE_CONNEX:
+        trio = _first_trio(
+            Hypergraph(frozenset(order), bags.values()).primal_graph(), order
+        )
+        if trio is not None:
+            theorem = "Theorem 3.24 / Lemma 3.23"
+            why = f"disruptive trio ({', '.join(trio)})"
+        else:  # layered ⇒ trio-free, but not conversely over atom nodes
+            theorem = "Theorem 3.24"
+            why = (
+                "no disruptive trio, but it splits an atom's block or "
+                "interleaves components, which no per-atom tree lays out "
+                "(the theorem's prefix-projection nodes are not built)"
+            )
         return PlanRoute(
             capability="access",
             algorithm=_sorted_answers(
                 classification, f"sorted on ({rendered})"
             ),
             cost=sort_cost,
-            theorem="Theorem 3.24 / Lemma 3.23",
+            theorem=theorem,
             note=(
-                f"order ({rendered}) admits no layered join tree "
-                "(disruptive trio); pages read the sorted answers, count "
-                "and iteration keep the tree"
+                f"order ({rendered}) admits no layered join tree: {why}; "
+                "pages read the sorted answers, count and iteration keep "
+                "the tree"
             ),
         )
     return PlanRoute(

@@ -140,9 +140,11 @@ def free_variable_bags(
     :func:`free_connex_join_tree`, intersected with the head; subtrees
     carrying no free variable are skipped).  The engine planner
     (:mod:`repro.engine`) feeds this family to
-    :func:`repro.direct_access.layered.find_layered_tree` to decide,
-    *before touching any data*, whether a lexicographic order admits
-    the Õ(log m)-access structure of Theorem 3.24 — the check agrees
+    :func:`repro.direct_access.layered.find_layered_tree` (one pass
+    along the order) to decide, *before touching any data*, whether a
+    lexicographic order admits the Õ(log m)-access structure of
+    Theorem 3.24 over one node per bag, and reads its own order off a
+    join forest of the family when the head does not — the check agrees
     with what :class:`repro.direct_access.lex.LexDirectAccess` will
     find at build time because both derive the same bag family.
 

@@ -72,9 +72,9 @@ def trio_free_order(
     is exactly "no disruptive trio"; if the result has a trio the graph
     is not chordal and no order exists.  Exact, no search.
 
-    The classifier feeds it the atoms' scopes, the engine planner the
-    reduced bag family of a free-connex query
-    (:func:`repro.hypergraph.freeconnex.free_variable_bags`).
+    The classifier feeds it the atoms' scopes.  A trio-free order may
+    still split an atom's block, so the engine planner reads its order
+    off a join forest instead (:mod:`repro.engine.planner`).
     """
     scopes = list(scopes)
     adjacency = Hypergraph(

@@ -5,7 +5,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
@@ -15,15 +15,23 @@ from repro.direct_access import (
     SumOrderDirectAccess,
     TestingOracle,
 )
-from repro.direct_access.layered import find_layered_tree
+from repro.direct_access.layered import VIRTUAL_ROOT, find_layered_tree
 from repro.direct_access.sum_order import covering_atom_index, uncovered_pair
 from repro.engine import plan_query
+from repro.engine.planner import _choose_order
 from repro.hypergraph.freeconnex import is_free_connex
-from repro.hypergraph.trios import has_disruptive_trio
+from repro.hypergraph.hypergraph import Hypergraph
+from repro.hypergraph.jointree import JoinTree
+from repro.hypergraph.trios import (
+    _first_trio,
+    has_disruptive_trio,
+    trio_free_order,
+)
 from repro.query import catalog, parse_query
 from repro.workloads import random_database
 
-from tests.strategies import queries_with_databases
+from tests.layered_oracle import exhaustive_layered_tree
+from tests.strategies import acyclic_hypergraph_edges, queries_with_databases
 
 
 def sorted_answers(query, db, order):
@@ -36,7 +44,7 @@ def sorted_answers(query, db, order):
 
 
 # ---------------------------------------------------------------------
-# layered trees ↔ disruptive trios (the [27] equivalence)
+# layered trees: disruptive trios, and the one pass vs the exhaustive search
 # ---------------------------------------------------------------------
 
 def bags_of(query):
@@ -56,17 +64,91 @@ def bags_of(query):
     ids=lambda q: q.name,
 )
 def test_layered_tree_exists_iff_no_disruptive_trio(query):
-    """The [27] characterization, checked exhaustively per query."""
+    """Every order of these catalog queries: a layered tree exists
+    exactly when the order has no disruptive trio.  "Layered ⇒
+    trio-free" holds for every query; the converse holds for these
+    only, since a trio-free order may split an atom's block (next
+    test)."""
     for order in itertools.permutations(sorted(query.variables)):
         layered = find_layered_tree(bags_of(query), order)
         trio = has_disruptive_trio(query, order)
         assert (layered is None) == trio, (order, trio)
 
 
+def test_trio_free_order_can_split_an_atom_block():
+    query = parse_query("q(x, u, v, w) :- R(x, u, w), S(x, v)")
+    order = ("x", "u", "v", "w")
+    assert not has_disruptive_trio(query, order)
+    assert find_layered_tree(bags_of(query), order) is None
+
+
 def test_layered_tree_order_validation():
     query = catalog.path_query(2)
     with pytest.raises(ValueError):
         find_layered_tree(bags_of(query), ("v1", "v2"))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # A bag opened under the deepest fitting node keeps D active for
+        # {u, w} (a > p > u > v > w); the shallowest would close it.
+        ["ap", "au", "av", "uw"],
+        # Duplicate, contained and empty bags, and two components.
+        ["xy", "yx", "y", "yz", "", "st", "t"],
+        # A star whose hub is a bag of its own, one leaf extended.
+        ["xa", "xb", "xc", "x", "ad"],
+    ],
+    ids=["deepest-parent", "duplicates-and-components", "star-with-hub"],
+)
+def test_one_pass_layered_tree_matches_exhaustive_search_on_every_order(edges):
+    bags = dict(enumerate(frozenset(edge) for edge in edges))
+    variables = sorted(frozenset().union(*bags.values()))
+    for order in itertools.permutations(variables):
+        layered = find_layered_tree(bags, order)
+        oracle = exhaustive_layered_tree(bags, order)
+        assert (layered is None) == (oracle is None), order
+
+
+@st.composite
+def acyclic_bag_families(draw):
+    """Acyclic bag families with duplicate, contained and empty bags and
+    several components (the second family shares no variable)."""
+    edges = list(draw(acyclic_hypergraph_edges(max_vertices=6)))
+    if draw(st.booleans()):
+        second = draw(acyclic_hypergraph_edges(max_vertices=3))
+        edges += [frozenset("w" + v[1:] for v in edge) for edge in second]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    if draw(st.booleans()):
+        edges.append(frozenset())
+    return dict(enumerate(draw(st.permutations(edges))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(acyclic_bag_families(), st.data())
+def test_one_pass_layered_tree_matches_exhaustive_search(bags, data):
+    """The one pass along the order gives the exhaustive search's
+    verdict, on random orders, the maximum-cardinality trio-free order
+    and the planner's own; each tree it returns is a valid join forest
+    and each order it accepts is trio-free."""
+    variables = sorted(frozenset().union(*bags.values()))
+    adjacency = Hypergraph(frozenset(variables), bags.values()).primal_graph()
+    shuffled = tuple(data.draw(st.permutations(variables)))
+    planned = _choose_order(bags, shuffled, None)
+    assert find_layered_tree(bags, planned) is not None
+    for order in (shuffled, trio_free_order(bags.values()), planned):
+        layered = find_layered_tree(bags, order)
+        oracle = exhaustive_layered_tree(bags, order)
+        assert (layered is None) == (oracle is None), order
+        if layered is None:
+            continue
+        parent = {
+            node: par
+            for node, par in layered.parent.items()
+            if par not in (None, VIRTUAL_ROOT)
+        }
+        JoinTree(bags=bags, parent=parent).validate()
+        assert _first_trio(adjacency, order) is None
 
 
 # ---------------------------------------------------------------------

@@ -8,13 +8,15 @@ import pytest
 from repro.db.database import Database
 from repro.db.relation import Relation
 from repro.direct_access import LexDirectAccess, SumOrderDirectAccess
-from repro.direct_access.layered import candidate_join_trees, find_layered_tree
+from repro.direct_access.layered import find_layered_tree
 from repro.enumeration import ConstantDelayEnumerator
 from repro.counting import count_answers, count_free_connex
 from repro.joins import generic_join, yannakakis_full
 from repro.joins.fc_reduce import free_connex_reduce
 from repro.query import catalog, parse_query
 from repro.workloads import random_database
+
+from tests.layered_oracle import candidate_join_trees
 
 
 # ---------------------------------------------------------------------
@@ -107,15 +109,23 @@ def test_candidate_join_trees_with_duplicate_bags():
     assert trees
     for tree in trees:
         tree.validate()
+    # One copy owns the block, the other hangs below it as a filter.
+    layered = find_layered_tree(bags, ("y", "x"))
+    assert layered.own == {-1: (), 0: ("y", "x"), 1: ()}
+    assert layered.preorder == [-1, 0, 1]
 
 
 def test_layered_tree_with_contained_bags():
     bags = {
-        0: frozenset({"x", "y", "z"}),
-        1: frozenset({"y"}),
+        0: frozenset({"y"}),
+        1: frozenset({"x", "y", "z"}),
     }
     layered = find_layered_tree(bags, ("x", "y", "z"))
     assert layered is not None
+    # Both bags could own y's block first; the larger one does, and the
+    # contained bag hangs below it as a filter.
+    layered = find_layered_tree(bags, ("y", "x", "z"))
+    assert layered.own == {-1: (), 0: (), 1: ("y", "x", "z")}
 
 
 # ---------------------------------------------------------------------

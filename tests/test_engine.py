@@ -357,31 +357,26 @@ def test_count_past_int64_is_exact_or_an_overflow_error(backend):
     assert answers[2**63 - 1] == (511,) * 7
     assert answers.aggregate(COUNTING) == 2**63
 
-    # A star on one x whose root prefix sum reaches 2^63 with the last
-    # row of R4 (five leaves, not seven: the layered-tree search walks
-    # the spanning trees of the atoms' intersection graph) — as a join
-    # query, and with R4 projected (its node is then a support-counted
-    # projection, patched the same way).
-    for r4_body, r4_row in (("R4(x, y4)", (0,)), ("R4(x, y4, w)", (0, 0))):
-        _star_reaches_int64(backend, r4_body, r4_row)
+    # A seven-leaf star on one x whose root prefix sum reaches 2^63 with
+    # the last row of R6 — as a join query, and with R6 projected (its
+    # node is then a support-counted projection, patched the same way).
+    for r6_body, r6_row in (("R6(x, y6)", (0,)), ("R6(x, y6, w)", (0, 0))):
+        _star_reaches_int64(backend, r6_body, r6_row)
 
 
-def _star_reaches_int64(backend, r4_body, r4_row):
-    sizes = [2**13] * 4 + [2**11]
-    head = ", ".join(f"y{i}" for i in range(5))
-    body = ", ".join([f"R{i}(x, y{i})" for i in range(4)] + [r4_body])
-    data = {
-        f"R{i}": [(0, y) for y in range(size)] for i, size in enumerate(sizes)
-    }
-    data["R4"] = [r4_row[:1] + (y,) + r4_row[1:] for y in range(sizes[4])]
-    last = data["R4"].pop()
+def _star_reaches_int64(backend, r6_body, r6_row):
+    head = ", ".join(f"y{i}" for i in range(7))
+    body = ", ".join([f"R{i}(x, y{i})" for i in range(6)] + [r6_body])
+    data = {f"R{i}": [(0, y) for y in range(512)] for i in range(6)}
+    data["R6"] = [r6_row[:1] + (y,) + r6_row[1:] for y in range(512)]
+    last = data["R6"].pop()
     session = connect(data, backend=backend)
     answers = session.execute(f"q(x, {head}) :- {body}")
-    assert answers.count() == 2**63 - 2**52
-    session.add("R4", last)
+    assert answers.count() == 2**63 - 2**54
+    session.add("R6", last)
     if backend == "python":  # bigints all the way
         assert answers.count() == 2**63
-        assert answers.page(0, 1) == [(0,) * 6]
+        assert answers.page(0, 1) == [(0,) * 8]
     else:
         for read in (
             answers.count,
@@ -395,6 +390,6 @@ def _star_reaches_int64(backend, r4_body, r4_row):
         with pytest.raises(OverflowError, match="exceeds int64"):
             Session(session.db).execute(f"q(x, {head}) :- {body}").count()
     # The failed repair left nothing stale behind.
-    session.discard("R4", last)
-    assert answers.count() == 2**63 - 2**52
-    assert answers.page(0, 1) == [(0,) * 6]
+    session.discard("R6", last)
+    assert answers.count() == 2**63 - 2**54
+    assert answers.page(0, 1) == [(0,) * 8]

@@ -1,7 +1,8 @@
 """Golden snapshots for ``PreparedQuery.explain()``.
 
 One snapshot per pipeline family (boolean, count, enumeration + lex
-direct access, inadmissible lex order on python and coded storage,
+direct access, inadmissible lex order on python and coded storage —
+with a disruptive trio, and trio-free but splitting an atom's block —
 acyclic materialize on both, the cyclic family on both), asserting
 the rendered plan — chosen pipelines, execution backend, and quoted
 theorems — is stable.  The plan is a pure function
@@ -20,10 +21,10 @@ from repro.engine import Session
 DATA = {"R": [(1, 2), (2, 3)], "S": [(2, 3), (3, 1)], "T": [(3, 1), (1, 2)]}
 
 
-def render(text, backend=None, order=None):
+def render(text, backend=None, order=None, data=DATA):
     kwargs = {} if backend is None else {"backend": backend}
     session = Session(
-        {name: list(rows) for name, rows in DATA.items()}, **kwargs
+        {name: list(rows) for name, rows in data.items()}, **kwargs
     )
     return session.prepare(text, order=order).explain()
 
@@ -83,7 +84,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
               note: python storage: one O(log m) descent per answer
   access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
-              note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
+              note: order (a > c > b) admits no layered join tree: disruptive trio (a, c, b); pages read the sorted answers, count and iteration keep the tree
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
   updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
@@ -100,7 +101,7 @@ plan for q(a, b, c) :- R(a, b), S(b, c)
   iterate   via ordered block reads of the counted layered tree (a > b > c) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
               note: no per-answer search: a block expands runs of store rows, O(block + depth·log m), so O(1) amortised per answer
   access    via one Yannakakis projection per database version, sorted on (a > c > b) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24 / Lemma 3.23]
-              note: order (a > c > b) admits no layered join tree (disruptive trio); pages read the sorted answers, count and iteration keep the tree
+              note: order (a > c > b) admits no layered join tree: disruptive trio (a, c, b); pages read the sorted answers, count and iteration keep the tree
   aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
               note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
   updates:  session.add/discard patch the counted layered tree: one sorted-block splice per delta row, ancestor counts repaired level by level; sorted answers repaired by delta joins: one frontier run per changed atom over the changed tuples; rebuilt after a compaction barrier (dynamic: q-hierarchical [[15] (survey conclusion)])"""
@@ -194,6 +195,34 @@ plan for q(x, y, z) :- R(x, y), S(y, z), T(z, x)
 )
 def test_explain_golden(text, backend, order, expected):
     assert render(text, backend=backend, order=order) == expected
+
+
+TRIO_FREE_ORDER_SPLITTING_AN_ATOM = """\
+plan for q(x, u, v, w) :- R(x, u, w), S(x, v)
+  family:   free-connex
+  backend:  python (stored backend, m=4)
+  structure: acyclic=True free-connex=True self-join-free=True rho*=2.000
+  order:    x > u > v > w
+  stats:    R: rows=2
+  stats:    S: rows=2
+  count     via root total of the counted layered tree -- Õ(m) (free-connex counting) [Theorem 3.13]
+  iterate   via ordered block reads of the counted layered tree (x > v > u > w) -- Õ(m) preprocessing + Õ(1) delay [Theorem 3.17 (via Theorem 3.24)]
+              note: python storage: one O(log m) descent per answer
+  access    via one Yannakakis projection per database version, sorted on (x > u > v > w) -- O(output) preprocessing (sort), O(1) per access [Theorem 3.24]
+              note: order (x > u > v > w) admits no layered join tree: no disruptive trio, but it splits an atom's block or interleaves components, which no per-atom tree lays out (the theorem's prefix-projection nodes are not built); pages read the sorted answers, count and iteration keep the tree
+  aggregate via count, then n·1 in the semiring (O(log n) ⊕) -- Õ(m) (free-connex counting) [Theorem 3.13 / Section 4.1.2]
+              note: per-atom weights: FAQ semiring message passing, Õ(m) [Section 4.1.2 / [59]]
+  updates:  session.add/discard bump mutation stamps; what is served is rebuilt once per database version, before answering"""
+
+
+def test_explain_golden_trio_free_order_splitting_an_atom():
+    # No disruptive trio, so Theorem 3.24 admits the order and no lower
+    # bound is cited; the per-atom tree still cannot lay it out.
+    text = "q(x, u, v, w) :- R(x, u, w), S(x, v)"
+    data = {"R": [(1, 2, 3), (1, 4, 5)], "S": [(1, 6), (1, 7)]}
+    assert render(
+        text, "python", ("x", "u", "v", "w"), data
+    ) == TRIO_FREE_ORDER_SPLITTING_AN_ATOM
 
 
 def test_updates_line_says_what_is_repaired():

@@ -23,7 +23,7 @@ from repro.engine.planner import (
 from repro.hypergraph.freeconnex import free_variable_bags
 from repro.hypergraph.gyo import is_acyclic
 from repro.query.parser import parse_query
-from tests.strategies import queries_with_databases
+from tests.strategies import queries_with_databases, random_database_for
 
 BACKENDS = ("python", "columnar")
 
@@ -91,6 +91,33 @@ def test_disruptive_trio_order_drops_direct_access_only():
     assert [r for r in free.routes if r.capability != "access"] == [
         r for r in plan.routes if r.capability != "access"
     ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_head_whose_trio_free_order_splits_a_block_serves_brute_force(backend):
+    """Regression: the head admits no layered tree and the trio-free
+    order the planner tried next split R2's block, so the tree order
+    fell back to the head and ``len`` raised "admits no layered join
+    tree".  The planner now reads its order off a join forest."""
+    query = parse_query(
+        "q(v0, v1, v2, v3, v4, v5, v6) :- R0(v4, v3, v0), R1(v5, v3), "
+        "R2(v4, v1, v2), R3(v4, v2), R4(v6, v2), R5(v4, v1, v2)"
+    )
+    db = random_database_for(
+        query, tuples_per_relation=20, domain_size=3, seed=5
+    )
+    prepared = Session(db.to_backend(backend)).prepare(query)
+    answers = prepared.run()
+    assert prepared.plan.access_admissible
+    positions = [query.head.index(v) for v in prepared.plan.order]
+    oracle = sorted(
+        query.evaluate_brute_force(db),
+        key=lambda row: tuple(row[p] for p in positions),
+    )
+    assert len(oracle) > 10
+    assert len(answers) == len(oracle)
+    assert answers.page(3, 7) == oracle[3:10]
+    assert list(answers) == answers[:] == oracle
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -5,6 +5,8 @@ the expectations here are transcribed directly from the paper's
 examples.
 """
 
+import time
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -183,14 +185,21 @@ def assert_admissible_by_construction(query):
     assert not has_disruptive_trio(as_join, plan.order)
 
 
-def test_every_free_connex_head_gets_an_admissible_order_fixed_case():
-    # Six head variables, none of the two candidate orders the parent
-    # tried admissible, and 6! permutations above its search cap.
-    assert_admissible_by_construction(
-        parse_query(
-            "q(b, a, e, g, d, c) :- R0(d, e), R2(d, a, b), R3(a), R4(d, c, g)"
-        )
-    )
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Six head variables, 6! permutations: too many to search.
+        "q(b, a, e, g, d, c) :- R0(d, e), R2(d, a, b), R3(a), R4(d, c, g)",
+        # The maximum-cardinality trio-free order (v0, v3, v4, v1, v2,
+        # v5, v6) splits R2's block, so a planner that tried it and then
+        # the head left an inadmissible tree order.
+        "q(v0, v1, v2, v3, v4, v5, v6) :- R0(v4, v3, v0), R1(v5, v3), "
+        "R2(v4, v1, v2), R3(v4, v2), R4(v6, v2), R5(v4, v1, v2)",
+    ],
+    ids=["six-head-variables", "trio-free-order-splits-a-block"],
+)
+def test_every_free_connex_head_gets_an_admissible_order_fixed_case(text):
+    assert_admissible_by_construction(parse_query(text))
 
 
 @given(acyclic_hypergraph_edges(), st.data())
@@ -205,6 +214,42 @@ def test_every_free_connex_head_gets_an_admissible_order(edges, data):
     query = ConjunctiveQuery(tuple(head), atoms)
     assume(is_free_connex(query))
     assert_admissible_by_construction(query)
+
+
+def _star(leaves):
+    head = ", ".join(f"y{i}" for i in range(leaves))
+    body = ", ".join(f"R{i}(x, y{i})" for i in range(leaves))
+    return f"q(x, {head}) :- {body}"
+
+
+def _snowflake(arms):
+    """A fact table over ``arms`` keys; each key's dimension carries two
+    sub-dimensions.  The head lists the variables by name, which no
+    layered tree follows, so the planner reads its own order."""
+    keys = [f"k{i}" for i in range(arms)]
+    atoms = [f"F({', '.join(keys)})"]
+    for i in range(arms):
+        atoms += [f"D{i}(k{i}, d{i})", f"S{i}(d{i}, s{i})", f"T{i}(d{i}, t{i})"]
+    head = sorted(keys + [f"{c}{i}" for i in range(arms) for c in "dst"])
+    return f"q({', '.join(head)}) :- {', '.join(atoms)}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_star(12), _snowflake(3), _snowflake(5)],
+    ids=["star-12-leaves", "snowflake-10-atoms", "snowflake-16-atoms"],
+)
+def test_plan_query_takes_milliseconds_on_wide_queries(text):
+    # The layered tree is built in one pass along the order, so planning
+    # no longer grows with the number of join trees of the atoms.
+    query = parse_query(text)
+    timings = []
+    for _ in range(5):
+        start = time.perf_counter()
+        plan = plan_query(query, size=0)
+        timings.append(time.perf_counter() - start)
+    assert plan.access_admissible
+    assert min(timings) < 0.010
 
 
 # ---------------------------------------------------------------------
