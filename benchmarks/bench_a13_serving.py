@@ -50,7 +50,7 @@ def percentile(latencies, p):
 @pytest.fixture(scope="module")
 def served():
     """One server + one ingested tenant shared by the module."""
-    with ServerThread(flush_rows=2048, flush_interval=0.02) as server:
+    with ServerThread(flush_rows=2048) as server:
         client = ServerClient(server.host, server.port)
         client.create_db("bench", backend="columnar")
         begin = time.perf_counter()

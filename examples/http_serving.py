@@ -30,7 +30,10 @@ from repro.server import ServerClient, ServerThread
 
 
 def main() -> None:
-    with ServerThread(flush_rows=1, flush_interval=0.005) as server:
+    # Updates are applied as soon as they arrive, in batches of
+    # whatever is queued; flush_rows=1 caps a batch at one row, so the
+    # watcher below sees the count move one update at a time.
+    with ServerThread(flush_rows=1) as server:
         client = ServerClient(server.host, server.port)
         print(f"serving on {server.url}")
 

@@ -279,7 +279,15 @@ class WatchHub:
 
 
 class QueryServer:
-    """The asyncio HTTP/1.1 multi-tenant query service."""
+    """The asyncio HTTP/1.1 multi-tenant query service.
+
+    Each tenant's NDJSON updates pass through one
+    :class:`~repro.server.batcher.UpdateBatcher`: ``queue_size`` bounds
+    its queue (the backpressure window), and ``flush_rows`` caps the
+    rows one ``add_all`` / ``discard_all`` call applies.  An update is
+    applied as soon as the batcher is free, together with whatever
+    queued behind it.
+    """
 
     def __init__(
         self,
@@ -289,7 +297,6 @@ class QueryServer:
         data_root: Optional[str] = None,
         workers: Optional[int] = None,
         flush_rows: int = 256,
-        flush_interval: float = 0.05,
         queue_size: int = 1024,
         heartbeat: float = 15.0,
         max_body: int = DEFAULT_MAX_BODY,
@@ -300,7 +307,6 @@ class QueryServer:
             max_tenants=max_tenants, data_root=data_root
         )
         self.flush_rows = flush_rows
-        self.flush_interval = flush_interval
         self.queue_size = queue_size
         self.heartbeat = heartbeat
         self.max_body = max_body
@@ -562,7 +568,6 @@ class QueryServer:
             self.run_blocking,
             queue_size=self.queue_size,
             flush_rows=self.flush_rows,
-            flush_interval=self.flush_interval,
             on_applied=on_applied,
         )
 

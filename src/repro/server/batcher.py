@@ -7,16 +7,19 @@ between: records land in a **bounded** :class:`asyncio.Queue` (when
 the engine falls behind, the queue fills, the reader coroutine blocks
 on ``put()``, the server stops reading the socket, and TCP pushes the
 backpressure all the way to the uploading client), and a single
-drainer task coalesces consecutive same-``(op, relation)`` runs into
-one :meth:`~repro.engine.session.Session.add_all` /
-:meth:`~repro.engine.session.Session.discard_all` call executed on
-the engine thread pool.
+drainer task applies them as one
+:meth:`~repro.engine.session.Session.add_all` /
+:meth:`~repro.engine.session.Session.discard_all` call per batch,
+executed on the engine thread pool.
 
-Flushing is governed by two watermarks: a batch is applied when it
-reaches ``flush_rows`` rows **or** when ``flush_interval`` seconds
-pass with pending rows (so a trickle of updates still becomes visible
-promptly).  Order is preserved exactly — runs are applied in arrival
-order, and an op/relation switch forces the current run out first.
+Batching is a group commit: the drainer blocks for one record, then
+takes whatever is already queued, and that is the batch.  A batch
+holds one ``(op, relation)`` run — a switch starts the next batch —
+and at most ``flush_rows`` rows, which bounds how long one call holds
+the session's write lock.  A lone update is therefore applied at
+once, while under load the queue keeps filling as each batch runs on
+the pool, so the next batch takes the backlog (up to ``flush_rows``).
+Order is preserved exactly: batches are applied in arrival order.
 
 ``enqueued_seq`` / ``applied_seq`` number every accepted record;
 :meth:`barrier` waits until everything enqueued so far has been
@@ -43,14 +46,12 @@ class UpdateBatcher:
         run_blocking: Callable[..., Awaitable],
         queue_size: int = 1024,
         flush_rows: int = 256,
-        flush_interval: float = 0.05,
         on_applied: Optional[Callable[[str, str, int], None]] = None,
     ) -> None:
         self._session = session
         self._run_blocking = run_blocking
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
         self.flush_rows = max(1, int(flush_rows))
-        self.flush_interval = flush_interval
         self._on_applied = on_applied
         self.enqueued_seq = 0
         self.applied_seq = 0
@@ -121,35 +122,22 @@ class UpdateBatcher:
             )
 
     async def _drain(self) -> None:
-        pending: List[Record] = []
         try:
             while True:
-                if pending:
-                    # Partial batch: wait at most flush_interval for
-                    # more before applying what we have.
-                    try:
-                        record = await asyncio.wait_for(
-                            self._queue.get(),
-                            timeout=self.flush_interval,
-                        )
-                    except asyncio.TimeoutError:
-                        await self._apply(pending)
-                        pending = []
-                        continue
-                else:
-                    record = await self._queue.get()
-                # A new op/relation pair cannot coalesce with the
-                # current run — flush it first to preserve order.
-                if pending and (
-                    record[0] != pending[0][0]
-                    or record[1] != pending[0][1]
+                batch = [await self._queue.get()]
+                while (
+                    len(batch) < self.flush_rows
+                    and not self._queue.empty()
                 ):
-                    await self._apply(pending)
-                    pending = []
-                pending.append(record)
-                if len(pending) >= self.flush_rows:
-                    await self._apply(pending)
-                    pending = []
+                    record = self._queue.get_nowait()
+                    if record[:2] != batch[0][:2]:
+                        # A new op/relation pair cannot coalesce with
+                        # the current run: apply the run first to
+                        # preserve order.
+                        await self._apply(batch)
+                        batch = []
+                    batch.append(record)
+                await self._apply(batch)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:

@@ -156,21 +156,17 @@ class BodyReader:
 
     async def iter_lines(self) -> AsyncIterator[bytes]:
         """Yield ``\\n``-terminated lines (sans newline) as they land."""
-        buffer = b""
+        tail = b""
         while True:
             block = await self._read_block()
             if not block:
                 break
-            buffer += block
-            while True:
-                cut = buffer.find(b"\n")
-                if cut < 0:
-                    break
-                line = buffer[:cut].rstrip(b"\r")
-                buffer = buffer[cut + 1 :]
+            *lines, tail = (tail + block).split(b"\n")
+            for line in lines:
+                line = line.rstrip(b"\r")
                 if line:
                     yield line
-        tail = buffer.strip()
+        tail = tail.strip()
         if tail:
             yield tail
 

@@ -140,7 +140,7 @@ def test_http_follower_answers_track_leader_at_scale():
     python-backend tenant (the configuration that used to go stale)."""
     from repro.server import ServerClient, ServerThread
 
-    with ServerThread(flush_interval=0.005) as server:
+    with ServerThread() as server:
         client = ServerClient(server.host, server.port)
         try:
             client.create_db("lead", backend="python")

@@ -42,7 +42,6 @@ from repro.util import faultpoints
 
 @contextmanager
 def serving(**kwargs):
-    kwargs.setdefault("flush_interval", 0.005)
     with ServerThread(**kwargs) as server:
         client = ServerClient(server.host, server.port)
         try:
@@ -648,7 +647,6 @@ def test_batcher_failure_wakes_blocked_producers():
             run_blocking,
             queue_size=1,
             flush_rows=1,
-            flush_interval=0.01,
         )
 
         async def producer():
