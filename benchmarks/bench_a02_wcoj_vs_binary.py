@@ -14,7 +14,6 @@ two instances:
 import pytest
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.joins import generic_join, left_deep_plan_join
 from repro.joins.hashjoin import plan_intermediate_sizes
 from repro.query import catalog
@@ -30,10 +29,10 @@ def bowtie_db(m):
     """Skewed instance: quadratic R1⋈R2, empty final output."""
     half = max(m // 2, 1)
     db = Database()
-    db.add_relation(Relation("R1", 2, ((("a", i), "hub") for i in range(half))))
-    db.add_relation(Relation("R2", 2, (("hub", ("c", j)) for j in range(half))))
+    db.ensure_relation("R1", 2).add_all((("a", i), "hub") for i in range(half))
+    db.ensure_relation("R2", 2).add_all(("hub", ("c", j)) for j in range(half))
     # R3(z, x) pairs that never match the (c, a) combinations above.
-    db.add_relation(Relation("R3", 2, [(("dead", 0), ("dead", 1))]))
+    db.ensure_relation("R3", 2).add_all([(("dead", 0), ("dead", 1))])
     return db
 
 

@@ -11,14 +11,12 @@ evaluation of cycle queries (the combinatorial baseline of Sec 4.1.1).
 import pytest
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.hypergraph.gyo import join_tree
 from repro.joins import (
     cycle_boolean_generic,
     cycle_boolean_meet_in_middle,
     yannakakis_full,
 )
-from repro.joins.frame import Frame
 from repro.joins.semijoin import atom_frames
 from repro.query import catalog
 from repro.workloads import random_database
@@ -38,17 +36,13 @@ def dead_end_db(m):
     """
     db = Database()
     hubs = 4
-    db.add_relation(
-        Relation("R1", 2, ((("a", i), i % hubs) for i in range(m)))
+    db.ensure_relation("R1", 2).add_all(
+        (("a", i), i % hubs) for i in range(m)
     )
-    db.add_relation(
-        Relation(
-            "R2",
-            2,
-            ((h, ("b", j)) for h in range(hubs) for j in range(m // hubs)),
-        )
+    db.ensure_relation("R2", 2).add_all(
+        (h, ("b", j)) for h in range(hubs) for j in range(m // hubs)
     )
-    db.add_relation(Relation("R3", 2, [(("dead", 0), ("dead", 1))]))
+    db.ensure_relation("R3", 2).add_all([(("dead", 0), ("dead", 1))])
     return db
 
 
@@ -60,7 +54,7 @@ def join_without_reducer(db):
         parent = tree.parent.get(node)
         if parent is not None:
             frames[parent] = frames[parent].join(frames[node])
-    result = Frame.unit()
+    result = frames[tree.roots[0]].unit_like()
     for root in tree.roots:
         result = result.join(frames[root])
     return result

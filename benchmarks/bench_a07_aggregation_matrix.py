@@ -1,7 +1,8 @@
-"""A7 — aggregation/direct-access/enumeration backend matrix.
+"""A7 — aggregation/direct-access/enumeration storage-layout matrix.
 
-PR 1's matrix (A6) covered the join stack; this one covers the answer
-*computation* pipelines that now route through the columnar backend:
+A6 covers the join stack; this one covers the answer *computation*
+pipelines, each over one code matrix per relation (columnar) and over
+hash-partitioned shards read through their coalesced codes (sharded):
 
 - **star counting** (q̂*_2, self-join free, ≥ 10^5 tuples): counting-
   semiring message passing over the join tree (Theorem 3.8's easy side);
@@ -12,17 +13,12 @@ PR 1's matrix (A6) covered the join stack; this one covers the answer
 - **enumeration** (4-chain): constant-delay preprocessing plus the
   delay over the answer stream (Theorem 3.17).
 
-Asserted: results byte-identical across backends, and the columnar
-backend ≥ 5× faster on the bulk workloads (both countings and the
-direct-access preprocessing; measured headroom is 30–60×).
-Enumeration preprocessing is reported but not held to 5× — its
-columnar build ends in an output-sized ``tolist`` export, so the
-measured gain is a more modest ~3–5×.  Timings are appended to
+Asserted: results byte-identical across layouts.  No speed floor: both
+layouts run the one columnar pipeline.  Timings are appended to
 ``benchmarks/BENCH_backends.json`` for the perf trajectory.
 
-Set ``BENCH_SMOKE=1`` to run tiny sizes and skip the speedup
-assertions (CI uses this to keep the harness from rotting without
-paying benchmark runtimes).
+Set ``BENCH_SMOKE=1`` to run tiny sizes (CI uses this to keep the
+harness from rotting without paying benchmark runtimes).
 """
 
 import os
@@ -43,9 +39,8 @@ CHAIN_M = 2_000 if SMOKE else 100_000
 LEX_M = 2_000 if SMOKE else 120_000
 ENUM_M = 1_000 if SMOKE else 30_000
 CHAIN_LENGTH = 4
-MIN_SPEEDUP = 5.0
 
-BACKENDS = ("python", "columnar")
+BACKENDS = ("columnar", "sharded")
 STAR_QUERY = catalog.star_query_full(2, self_join_free=True)
 CHAIN_QUERY = catalog.path_query(CHAIN_LENGTH, boolean=False).as_join_query()
 LEX_ORDER = ("z", "x1", "x2")
@@ -67,12 +62,11 @@ def _matrix(databases, run):
 def _report_and_emit(
     experiment_report, workload, label, results_equal, seconds, m
 ):
-    speedup = seconds["python"] / seconds["columnar"]
     experiment_report.row(
         label,
-        "identical results, columnar faster",
-        f"{speedup:.1f}x (python {fmt_seconds(seconds['python'])}, "
-        f"columnar {fmt_seconds(seconds['columnar'])})",
+        "identical results on both layouts",
+        f"columnar {fmt_seconds(seconds['columnar'])}, "
+        f"sharded {fmt_seconds(seconds['sharded'])}",
     )
     emit_perf_trajectory(
         "backends",
@@ -87,7 +81,6 @@ def _report_and_emit(
         ],
     )
     assert results_equal
-    return speedup
 
 
 def test_a7_star_counting_matrix(benchmark, experiment_report):
@@ -103,10 +96,10 @@ def test_a7_star_counting_matrix(benchmark, experiment_report):
         rounds=1, iterations=1,
     )
     equal = (
-        results["python"] == results["columnar"]
-        and type(results["python"]) is type(results["columnar"])
+        results["sharded"] == results["columnar"]
+        and type(results["sharded"]) is type(results["columnar"])
     )
-    speedup = _report_and_emit(
+    _report_and_emit(
         experiment_report,
         "star2_count",
         f"count q̂*_2, m={2 * STAR_M}",
@@ -114,8 +107,6 @@ def test_a7_star_counting_matrix(benchmark, experiment_report):
         seconds,
         2 * STAR_M,
     )
-    if not SMOKE:
-        assert speedup >= MIN_SPEEDUP
 
 
 def test_a7_chain_counting_matrix(benchmark, experiment_report):
@@ -132,10 +123,10 @@ def test_a7_chain_counting_matrix(benchmark, experiment_report):
         rounds=1, iterations=1,
     )
     equal = (
-        results["python"] == results["columnar"]
-        and type(results["python"]) is type(results["columnar"])
+        results["sharded"] == results["columnar"]
+        and type(results["sharded"]) is type(results["columnar"])
     )
-    speedup = _report_and_emit(
+    _report_and_emit(
         experiment_report,
         "chain4_count",
         f"count 4-chain, m={CHAIN_LENGTH * CHAIN_M}",
@@ -143,8 +134,6 @@ def test_a7_chain_counting_matrix(benchmark, experiment_report):
         seconds,
         CHAIN_LENGTH * CHAIN_M,
     )
-    if not SMOKE:
-        assert speedup >= MIN_SPEEDUP
 
 
 def test_a7_lex_access_matrix(benchmark, experiment_report):
@@ -162,16 +151,15 @@ def test_a7_lex_access_matrix(benchmark, experiment_report):
         ),
         rounds=1, iterations=1,
     )
-    assert accessors["columnar"].store_backend == "columnar"
-    total = len(accessors["python"])
+    total = len(accessors["columnar"])
     probes = sorted(
         {0, 1, total // 3, total // 2, total - 1} if total else set()
     )
-    equal = len(accessors["columnar"]) == total and all(
-        accessors["python"].access(i) == accessors["columnar"].access(i)
+    equal = len(accessors["sharded"]) == total and all(
+        accessors["sharded"].access(i) == accessors["columnar"].access(i)
         for i in probes
     )
-    speedup = _report_and_emit(
+    _report_and_emit(
         experiment_report,
         "lex_preprocess",
         f"lex DA preprocessing, m={2 * LEX_M}, |out|={total}",
@@ -179,8 +167,6 @@ def test_a7_lex_access_matrix(benchmark, experiment_report):
         seconds,
         2 * LEX_M,
     )
-    if not SMOKE:
-        assert speedup >= MIN_SPEEDUP
 
 
 def test_a7_enumeration_matrix(benchmark, experiment_report):
@@ -202,16 +188,13 @@ def test_a7_enumeration_matrix(benchmark, experiment_report):
     enumerators, answers, seconds = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    assert enumerators["columnar"].store_backend == "columnar"
-    equal = answers["python"] == answers["columnar"]
-    speedup = _report_and_emit(
+    equal = answers["sharded"] == answers["columnar"]
+    _report_and_emit(
         experiment_report,
         "enum_preprocess",
         f"enumeration preprocessing, m={CHAIN_LENGTH * ENUM_M}, "
-        f"|out|={len(answers['python'])}",
+        f"|out|={len(answers['columnar'])}",
         equal,
         seconds,
         CHAIN_LENGTH * ENUM_M,
     )
-    if not SMOKE:
-        assert speedup >= 2.0  # tolist export bounds the gain; see docstring

@@ -10,7 +10,6 @@ import pytest
 
 from repro.counting import count_answers
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query import catalog
 from repro.reductions import DominatingSetToStarCounting
 from repro.solvers import has_dominating_set
@@ -23,7 +22,7 @@ def worst_case_star_db(m, z_domain=4):
     """R = [m/z] × [z]: every x pairs with every z — answers ≈ (m/z)^k."""
     rows = [(i, j) for i in range(max(m // z_domain, 1)) for j in range(z_domain)]
     db = Database()
-    db.add_relation(Relation("R", 2, rows))
+    db.ensure_relation("R", 2).add_all(rows)
     return db
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from repro.counting import count_answers, count_free_connex
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query import catalog
 
 from benchmarks._harness import fit, fmt_fit, sweep
@@ -22,11 +21,11 @@ def bipartite_db(m):
     """R = A×{0..3}, S = {0..3}×B: answer count ~ (m/4)^2 via 4 hubs."""
     side = max(m // 4, 1)
     db = Database()
-    db.add_relation(
-        Relation("R", 2, ((i, h) for i in range(side) for h in range(4)))
+    db.ensure_relation("R", 2).add_all(
+        (i, h) for i in range(side) for h in range(4)
     )
-    db.add_relation(
-        Relation("S", 2, ((h, j) for h in range(4) for j in range(side)))
+    db.ensure_relation("S", 2).add_all(
+        (h, j) for h in range(4) for j in range(side)
     )
     return db
 

@@ -75,15 +75,13 @@ def test_e8_non_free_connex_preprocessing_grows(
     def hub_star_db(m):
         """Constant hub count: the q̄*_2 output is Θ(m²/hubs)."""
         from repro.db.database import Database
-        from repro.db.relation import Relation
 
         hubs = 8
         db = Database()
         for name in ("R1", "R2"):
-            rel = Relation(name, 2)
-            for i in range(m):
-                rel.add(((name, i), i % hubs))
-            db.add_relation(rel)
+            db.ensure_relation(name, 2).add_all(
+                ((name, i), i % hubs) for i in range(m)
+            )
         return db
 
     def run():

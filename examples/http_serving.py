@@ -39,7 +39,7 @@ def main() -> None:
 
         # Two tenants, fully isolated, one process.
         client.create_db("store")
-        client.create_db("metrics", backend="python")
+        client.create_db("metrics", backend="columnar")
         client.add("metrics", "E", [(1, 1)])
         print(f"tenants: {client.databases()}")
 

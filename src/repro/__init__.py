@@ -31,8 +31,8 @@ updates, no serving facade           / :mod:`repro.dynamic`; with
                                      per-tuple weights :class:`repro.
                                      semiring.AggregateMaintainer` (the
                                      engine maintains only its counted
-                                     tree — patched in place on coded
-                                     storage, projected free-connex
+                                     tree — patched in place,
+                                     projected free-connex
                                      queries included, over
                                      support-counted projections: an
                                      unweighted aggregate is the
@@ -43,12 +43,10 @@ pick a storage backend               ``connect(backend=...)`` /
                                      ``Database(backend=...)`` — a
                                      session stores one copy of its
                                      data and executes on it:
-                                     ``"columnar"`` (the engine
-                                     default: one NumPy code matrix
-                                     per relation), ``"python"`` (the
-                                     reference implementation and
-                                     ``Database()`` default: hash
-                                     sets, per-row callbacks),
+                                     ``"columnar"`` (the default: one
+                                     NumPy code matrix per relation,
+                                     every relation over the
+                                     database's one dictionary),
                                      ``"sharded"`` (hash-partitioned
                                      matrices; choose it for spill /
                                      out-of-core data); nothing
@@ -118,10 +116,7 @@ join cyclic queries at NumPy         :func:`repro.joins.generic_join.
 speed / aggregate without            generic_join_codes` — the
 decoding                             breadth-first *frontier* Generic
                                      Join over dictionary-code
-                                     matrices (zero per-row decodes;
-                                     the columnar and sharded path —
-                                     the python backend runs the
-                                     depth-first stack search);
+                                     matrices (zero per-row decodes);
                                      :func:`generic_join` is the same
                                      with values decoded at the
                                      boundary.  A prepared cyclic
@@ -136,8 +131,7 @@ decoding                             breadth-first *frontier* Generic
                                      ``delta_since`` history lasts
 speed up semiring aggregation        nothing — the fused group-lookup
                                      kernel (``fused_group_lookup``)
-                                     is the one FAQ path on the
-                                     columnar and sharded backends
+                                     is the one FAQ path
 operate the durable store            ``DurableDatabase.verify()`` —
 (scrub / verify / repair /           re-check every checkpoint file
 quarantine)                          and WAL segment against manifest
@@ -158,8 +152,8 @@ Subpackages:
 
 - :mod:`repro.engine` — Session / PreparedQuery / AnswerSet facade with
   classifier-driven planning (the primary public API);
-- :mod:`repro.db` — relations and databases (python / columnar /
-  sharded backends; durable WAL + checkpoint storage via
+- :mod:`repro.db` — relations and databases (columnar / sharded
+  backends over one dictionary per database; durable WAL + checkpoint storage via
   :func:`repro.db.attach`);
 - :mod:`repro.query` — conjunctive query syntax, parser, catalog;
 - :mod:`repro.hypergraph` — acyclicity, join trees, free-connexness,
@@ -202,7 +196,6 @@ from repro.db import (
     Database,
     DegradedDatabaseError,
     DurableDatabase,
-    Relation,
     TruncatedHistoryError,
     attach,
 )
@@ -253,7 +246,6 @@ __all__ = [
     "Plan",
     "PreparedQuery",
     "QueryClassification",
-    "Relation",
     "ReplicationError",
     "Session",
     "SumOrderDirectAccess",

@@ -7,10 +7,9 @@ bounds; the benchmark harness confirms the lower-bound side by watching
 the fallback paths go superlinear on exactly the predicted queries.
 
 Both linear counters delegate to the semiring message passing of
-:mod:`repro.semiring.faq`, which dispatches on the frame backend: on a
-columnar database the whole count is an array program (weight columns,
-segment reduces) with zero per-row decodes — the easy side of the
-dichotomy then runs at hardware speed (``bench_a07``), while the hard
+:mod:`repro.semiring.faq`: the whole count is an array program (weight
+columns, segment reduces) with zero per-row decodes — the easy side of
+the dichotomy runs at hardware speed (``bench_a07``), while the hard
 side still pays its superlinear enumeration.
 
 :func:`count_answers` is the low-level dispatcher for benchmarks and

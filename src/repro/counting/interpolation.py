@@ -37,7 +37,6 @@ from math import factorial
 from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.catalog import star_query
 from repro.query.cq import ConjunctiveQuery
 
@@ -68,8 +67,7 @@ def default_star_oracle(k: int) -> Oracle:
 
     def oracle(relation: Set[Pair]) -> int:
         db = Database()
-        rel = Relation("R", 2, relation)
-        db.add_relation(rel)
+        db.ensure_relation("R", 2).add_all(relation)
         return query.count_brute_force(db)
 
     return oracle

@@ -1,20 +1,17 @@
-"""Relational substrate: relations, databases, hash and array indexes.
+"""Relational substrate: relations, databases, sorted array indexes.
 
-The machine model in the paper is a RAM with unit-cost operations; the
-natural Python analogue is tuple stores backed by hash maps.  A
-:class:`Relation` is a set of equal-arity tuples with on-demand hash
-indexes; a :class:`Database` maps relation names to relations and
-accounts for the total input size ``m`` (number of tuples), the quantity
-every runtime bound in the paper is stated in.
+A relation is a set of equal-arity tuples; a :class:`Database` maps
+relation names to relations and accounts for the total input size
+``m`` (number of tuples), the quantity every runtime bound in the paper
+is stated in.  Every relation of a database is dictionary-encoded over
+the database's one :class:`Dictionary`.
 
-Three storage backends implement the common tuple-store interface
-(:mod:`repro.db.interface`): the default ``"python"`` backend
-(:class:`Relation`, hash sets of tuples), the opt-in ``"columnar"``
-backend (:class:`ColumnarRelation`, dictionary-encoded NumPy columns —
-see :mod:`repro.db.columnar`), and the partitioned ``"sharded"``
-backend (:class:`ShardedColumnarRelation`, hash-partitioned code
-matrices over one shared dictionary — see :mod:`repro.db.sharded`),
-selected via ``Database(backend=...)``.
+Two storage backends implement the common tuple-store interface
+(:mod:`repro.db.interface`): the default ``"columnar"`` backend
+(:class:`ColumnarRelation`, dictionary-encoded NumPy columns — see
+:mod:`repro.db.columnar`) and the partitioned ``"sharded"`` backend
+(:class:`ShardedColumnarRelation`, hash-partitioned code matrices —
+see :mod:`repro.db.sharded`), selected via ``Database(backend=...)``.
 
 Durability lives one layer up: :func:`attach` opens (or recovers) a
 :class:`DurableDatabase` whose mutations are mirrored into a framed,
@@ -44,7 +41,6 @@ from repro.db.interface import (
     snapshot_stamps,
     stale_relations,
 )
-from repro.db.relation import Relation
 from repro.db.scrub import ScrubIssue, ScrubReport
 from repro.db.sharded import ShardedColumnarRelation
 
@@ -58,7 +54,6 @@ __all__ = [
     "Dictionary",
     "DurableDatabase",
     "FrameAlgebra",
-    "Relation",
     "ScrubIssue",
     "ScrubReport",
     "ShardedColumnarRelation",

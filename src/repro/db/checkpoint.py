@@ -11,8 +11,7 @@ A checkpoint is a directory ``ckpt-<n>/`` holding
 - per-relation payloads, named by relation *file index* (names may
   not be filename-safe): ``<i>.c<j>.npy`` — one ``np.save`` file per
   column of a columnar relation; ``<i>.s<s>.c<j>.npy`` — per shard,
-  per column, for sharded relations; ``<i>.rows.pkl`` — the tuple set
-  of a python-backend relation.
+  per column, for sharded relations.
 
 **Incremental checkpoints.**  ``write_snapshot`` compares each
 relation's ``mutation_stamp`` (per shard for sharded relations)
@@ -68,8 +67,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.db.columnar import ColumnarRelation, Dictionary
-from repro.db.interface import CorruptSnapshotError
-from repro.db.relation import Relation
+from repro.db.interface import CorruptSnapshotError, check_stored_kind
 from repro.db.sharded import ShardedColumnarRelation
 from repro.util.faultpoints import declare, fault_point
 
@@ -369,67 +367,39 @@ def write_snapshot(
                 entry["file_index"] = idx
                 for j in range(rel.arity):
                     emit_column(f"{idx}.c{j}.npy", codes[:, j])
-        else:
-            entry["kind"] = "python"
-            if (
-                prev is not None
-                and prev["kind"] == "python"
-                and prev["arity"] == rel.arity
-                and prev["stamp"] == rel.mutation_stamp
-            ):
-                entry["stamp"] = prev["stamp"]
-                entry["source"] = prev["source"]
-                entry["file_index"] = prev["file_index"]
-            else:
-                rows, stamp = rel.snapshot_state()
-                entry["stamp"] = stamp
-                entry["source"] = index
-                entry["file_index"] = idx
-                emit_bytes(
-                    f"{idx}.rows.pkl",
-                    pickle.dumps(
-                        rows, protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                    "ckpt.column.write",
-                )
         relations.append(entry)
 
-    dictionary = getattr(db, "_dictionary", None)
-    dict_len = len(dictionary) if dictionary is not None else 0
+    dictionary = db._dictionary
+    dict_len = len(dictionary)
     meta: Dict[str, Any] = {
         "index": index,
         "relations": relations,
         "dictionary_len": dict_len,
     }
-    if dictionary is not None:
-        if previous is None:
+    if previous is None:
+        emit_bytes(
+            "dictionary.pkl",
+            pickle.dumps(
+                dictionary.values(),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            ),
+            "ckpt.dictionary.write",
+        )
+        meta["dict_sources"] = [[index, 0, dict_len]] if dict_len else []
+    else:
+        sources = [list(s) for s in previous["dict_sources"]]
+        prev_len = previous["dictionary_len"]
+        if dict_len > prev_len:
             emit_bytes(
                 "dictionary.pkl",
                 pickle.dumps(
-                    dictionary.values(),
+                    dictionary.values()[prev_len:],
                     protocol=pickle.HIGHEST_PROTOCOL,
                 ),
                 "ckpt.dictionary.write",
             )
-            meta["dict_sources"] = (
-                [[index, 0, dict_len]] if dict_len else []
-            )
-        else:
-            sources = [list(s) for s in previous["dict_sources"]]
-            prev_len = previous["dictionary_len"]
-            if dict_len > prev_len:
-                emit_bytes(
-                    "dictionary.pkl",
-                    pickle.dumps(
-                        dictionary.values()[prev_len:],
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ),
-                    "ckpt.dictionary.write",
-                )
-                sources.append([index, prev_len, dict_len - prev_len])
-            meta["dict_sources"] = sources
-    else:
-        meta["dict_sources"] = []
+            sources.append([index, prev_len, dict_len - prev_len])
+        meta["dict_sources"] = sources
     emit_bytes(
         "meta.json",
         json.dumps(meta, indent=1).encode("utf-8"),
@@ -503,7 +473,7 @@ def compose_dictionary(
 
 
 def seed_dictionary(
-    dictionary: Optional[Dictionary],
+    dictionary: Dictionary,
     root: str,
     meta: Dict[str, Any],
     verifier: Optional[Verifier] = None,
@@ -518,8 +488,6 @@ def seed_dictionary(
     would have silently collapsed (shifting every later code) into a
     loud :class:`CorruptSnapshotError`.
     """
-    if dictionary is None:
-        return
     values = compose_dictionary(root, meta, verifier)
     try:
         dictionary.extend_tail(values)
@@ -640,18 +608,7 @@ def load_relation(
             entry["stamp"],
         )
     else:
-        rel = Relation(name, arity)
-        relpath = (
-            f"{snapshot_dirname(entry['source'])}/"
-            f"{entry['file_index']}.rows.pkl"
-        )
-        try:
-            rows = pickle.loads(_read_bytes(root, relpath, verifier))
-        except CorruptSnapshotError:
-            raise
-        except Exception as exc:
-            raise CorruptSnapshotError(relpath, f"unpicklable: {exc}")
-        rel.restore_state(rows, entry["stamp"])
+        check_stored_kind(kind, name)
     return rel
 
 

@@ -1,16 +1,15 @@
 """Columnar relation storage: dictionary-encoded NumPy columns.
 
-This module is the storage half of the columnar execution backend (the
-operator half lives in :mod:`repro.joins.vectorized`).  It trades the
-per-tuple Python objects of :class:`repro.db.relation.Relation` for a
-layout the hardware likes:
+This module is the storage half of the execution backend (the operator
+half lives in :mod:`repro.joins.vectorized`).  It stores tuples in a
+layout the hardware likes, not as per-tuple Python objects:
 
 **Dictionary encoding.**  A :class:`Dictionary` is an append-only
 bijection between arbitrary hashable Python values and dense int codes
 ``0, 1, 2, ...``.  A :class:`ColumnarRelation` stores its tuples as one
 ``(n, arity)`` int64 code matrix (equivalently, ``arity`` aligned int64
 columns) plus a reference to the dictionary that decodes them.  All
-relations of a columnar :class:`~repro.db.database.Database` share one
+relations of a :class:`~repro.db.database.Database` share one
 dictionary, so joins between them compare codes — never Python values.
 
 Because codes are dense, a whole ``k``-column key usually fits in a
@@ -24,17 +23,15 @@ genuinely cannot fit (huge dictionaries times wide keys),
 :func:`common_keys` falls back to a lexicographic row ``unique`` that
 is slower but never wrong.
 
-**When each backend wins.**  The Python backend pays O(1) *per tuple
-touched* with a large constant (hashing, tuple allocation, pointer
-chasing); the columnar backend pays a small per-*operation* constant
-(array allocation, Python/NumPy boundary) plus O(1) per tuple with a
-tiny constant (SIMD-friendly scans and sorts).  So: bulk analytics —
-full reducers, hash joins, distinct, large projections — favour the
-columnar backend by one to two orders of magnitude once relations have
-more than a few thousand tuples.  Single-tuple mutation, tiny
-relations, and workloads dominated by per-row Python callbacks (e.g.
-``retain`` with an arbitrary predicate) favour the Python backend,
-which is why it stays the default.
+**Cost model.**  A columnar operator pays a small per-*operation*
+constant (array allocation, Python/NumPy boundary) plus O(1) per tuple
+with a tiny constant (SIMD-friendly scans and sorts), where per-tuple
+Python objects would pay hashing, allocation and pointer chasing for
+every tuple touched.  Bulk analytics — full reducers, hash joins,
+distinct, large projections — run one to two orders of magnitude
+faster than a per-tuple Python implementation once relations have more
+than a few thousand tuples; single-tuple mutations go to the delta
+segments below instead of rewriting the matrix.
 
 **Delta segments.**  Single-tuple ``add``/``discard`` do not rewrite
 the code matrix: they append to an op log whose net effect (the
@@ -65,10 +62,7 @@ from typing import (
 
 import numpy as np
 
-from repro.db.interface import TruncatedHistoryError
-
-Value = object
-Row = Tuple[Value, ...]
+from repro.db.interface import Row, TruncatedHistoryError, Value
 
 # ----------------------------------------------------------------------
 # delta-segment compaction policy
@@ -203,6 +197,23 @@ class Dictionary:
 
     def decode(self, code: int) -> Value:
         return self._values[code]
+
+    def recode(self, codes: np.ndarray, source: "Dictionary") -> np.ndarray:
+        """A code matrix over ``source`` re-expressed in this dictionary.
+
+        Only the codes ``codes`` actually uses are translated, so a
+        small matrix carrying a huge dictionary neither does
+        dictionary-sized encode work nor bloats this one.
+        """
+        if source is self or not codes.size:
+            return codes
+        used = np.unique(codes)
+        values = source.values()
+        table = np.zeros(int(used[-1]) + 1, dtype=np.int64)
+        encode = self.encode
+        for code in used.tolist():
+            table[code] = encode(values[code])
+        return table[codes]
 
     def encode_rows(
         self, rows: Iterable[Sequence[Value]], arity: int
@@ -554,9 +565,9 @@ def fused_group_lookup(
 class ColumnarRelation:
     """A named, fixed-arity tuple set stored as NumPy code columns.
 
-    Drop-in replacement for :class:`repro.db.relation.Relation`: same
-    constructor shape, same mutation/access/operator surface, same set
-    semantics.  Values are dictionary-encoded on ingestion; relational
+    Set semantics over a name and an arity, with the mutation / access /
+    operator surface of :class:`repro.db.interface.TupleStore`.  Values
+    are dictionary-encoded on ingestion; relational
     operators work on the code matrix and only decode at the Python
     boundary (iteration, ``rows()``, legacy ``index()``).
 
@@ -962,15 +973,9 @@ class ColumnarRelation:
         return tuple(row) in self._row_set()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ColumnarRelation):
-            return (
-                self.arity == other.arity
-                and self._row_set() == other._row_set()
-            )
-        rows = getattr(other, "rows", None)
-        if callable(rows) and hasattr(other, "arity"):
-            return self.arity == other.arity and self._row_set() == rows()
-        return NotImplemented
+        if not isinstance(other, ColumnarRelation):
+            return NotImplemented
+        return self.arity == other.arity and self._row_set() == other._row_set()
 
     def __hash__(self):  # relations are mutable
         raise TypeError("ColumnarRelation objects are unhashable")
@@ -1018,11 +1023,11 @@ class ColumnarRelation:
         return cols
 
     def index(self, columns: Sequence[int]) -> Dict[Row, List[Row]]:
-        """Legacy dict-of-lists hash index over decoded tuples (cached).
+        """A dict-of-lists hash index over decoded tuples (cached).
 
-        Provided for compatibility with callers written against the
-        Python backend (brute-force oracle, enumeration).  Vectorized
-        operators never use it — they group via sorted code arrays.
+        For value-level callers such as the brute-force oracle.
+        Vectorized operators never use it — they group via sorted code
+        arrays.
         """
         cols = self._check_columns(columns)
         cached = self._indexes.get(cols)

@@ -21,46 +21,47 @@ from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence
 from repro.db.columnar import ColumnarRelation, Dictionary
 from repro.db.executor import executor_for
 from repro.db.interface import (
-    BACKENDS,
     CorruptSnapshotError,
     CorruptWalError,
     DegradedDatabaseError,
+    Value,
     check_backend,
+    check_stored_kind,
 )
-from repro.db.relation import Relation, Row, Value
 from repro.db.sharded import ShardedColumnarRelation
 
 
 class Database:
     """A mapping from relation names to relation objects.
 
+    Every relation is dictionary-encoded over the database's one value
+    :class:`~repro.db.columnar.Dictionary` (:attr:`dictionary`), so the
+    join stack compares int codes across relations instead of Python
+    values.  :meth:`add_relation` re-encodes a relation built over
+    another dictionary; nothing else can register one.
+
     The ``backend`` switch selects the storage class for relations the
     database creates itself (:meth:`from_dict`, :meth:`ensure_relation`,
-    :meth:`to_backend`): ``"python"`` (default) builds hash-set
-    :class:`Relation` objects, ``"columnar"`` builds dictionary-encoded
-    :class:`~repro.db.columnar.ColumnarRelation` objects that all share
-    one value :class:`~repro.db.columnar.Dictionary`, so the vectorized
-    join stack compares int codes instead of Python values, and
+    :meth:`to_backend`): ``"columnar"`` (default) builds
+    :class:`~repro.db.columnar.ColumnarRelation` objects and
     ``"sharded"`` builds hash-partitioned
     :class:`~repro.db.sharded.ShardedColumnarRelation` objects
-    (``shard_count`` shards each, over the same shared dictionary) —
-    a storage layout for batched ingestion, per-shard compaction /
-    checkpoints and spilling; queries read it like a columnar relation.
+    (``shard_count`` shards each) — a storage layout for batched
+    ingestion, per-shard compaction / checkpoints and spilling; queries
+    read it like a columnar relation.
     """
 
     def __init__(
         self,
-        relations: Optional[Iterable[Relation]] = None,
-        backend: str = "python",
+        relations: Optional[Iterable[ColumnarRelation]] = None,
+        backend: str = "columnar",
         shard_count: Optional[int] = None,
         workers: Optional[int] = None,
         spill_dir: Optional[str] = None,
         max_resident_shards: Optional[int] = None,
     ) -> None:
         self.backend = check_backend(backend)
-        self._dictionary: Optional[Dictionary] = (
-            Dictionary() if backend in ("columnar", "sharded") else None
-        )
+        self._dictionary = Dictionary()
         self.shard_count = shard_count
         # Per-shard storage / residency knobs (sharded backend only):
         # workers sizes the ShardExecutor every created relation's
@@ -76,22 +77,25 @@ class Database:
             from repro.db.spill import SpillPool
 
             self.spill = SpillPool(spill_dir, max_resident_shards)
-        self._relations: Dict[str, Relation] = {}
+        self._relations: Dict[str, ColumnarRelation] = {}
         if relations is not None:
             for rel in relations:
                 self.add_relation(rel)
+
+    @property
+    def dictionary(self) -> Dictionary:
+        """The value dictionary every relation of this database encodes
+        its tuples with."""
+        return self._dictionary
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def new_relation(
         self, name: str, arity: int, rows: Optional[Iterable] = None
-    ):
-        """A relation of this database's backend (not yet registered).
-
-        Columnar and sharded relations share the database-wide value
-        dictionary, so joins between them compare codes directly.
-        """
+    ) -> ColumnarRelation:
+        """A relation of this database's backend (not yet registered),
+        over the database's dictionary."""
         if self.backend == "sharded":
             return ShardedColumnarRelation(
                 name,
@@ -102,11 +106,7 @@ class Database:
                 executor=self.executor,
                 spill=self.spill,
             )
-        if self.backend == "columnar":
-            return ColumnarRelation(
-                name, arity, rows, dictionary=self._dictionary
-            )
-        return Relation(name, arity, rows)
+        return ColumnarRelation(name, arity, rows, dictionary=self._dictionary)
 
     def configure_shard_runtime(
         self,
@@ -145,7 +145,7 @@ class Database:
     def from_dict(
         cls,
         data: Mapping[str, Iterable[Sequence[Value]]],
-        backend: str = "python",
+        backend: str = "columnar",
         shard_count: Optional[int] = None,
         workers: Optional[int] = None,
         spill_dir: Optional[str] = None,
@@ -155,7 +155,7 @@ class Database:
 
         Arity is inferred from the first tuple of each relation; empty
         iterables are rejected here because their arity is ambiguous
-        (use :meth:`add_relation` with an explicit arity instead).
+        (use :meth:`ensure_relation` with an explicit arity instead).
         """
         db = cls(
             backend=backend,
@@ -169,23 +169,38 @@ class Database:
             if not rows:
                 raise ValueError(
                     f"cannot infer arity of empty relation {name!r}; "
-                    "construct a Relation with explicit arity instead"
+                    "use ensure_relation(name, arity) instead"
                 )
             db.add_relation(db.new_relation(name, len(rows[0]), rows))
         return db
 
-    def add_relation(self, relation: Relation) -> None:
-        """Register a relation; names must be unique.
+    def add_relation(self, relation: ColumnarRelation) -> ColumnarRelation:
+        """Register a relation; names must be unique.  Returns the
+        relation as registered.
 
-        Any backend's relation object may be registered regardless of
-        the database's own backend — the frame layer coerces between
-        backends where needed.
+        A relation over this database's dictionary is registered as it
+        is (any storage layout: a plain columnar relation in a sharded
+        database is read the same way).  One over another dictionary
+        is re-encoded into a new relation of this database's backend,
+        so every relation keeps sharing :attr:`dictionary`.
         """
+        if not isinstance(relation, ColumnarRelation):
+            raise TypeError(
+                f"cannot register {type(relation).__name__}; build it "
+                "with ensure_relation(name, arity).add_all(rows)"
+            )
         if relation.name in self._relations:
             raise ValueError(f"duplicate relation name {relation.name!r}")
+        if relation.dictionary is not self._dictionary:
+            recoded = self.new_relation(relation.name, relation.arity)
+            recoded.add_coded_batch(
+                self._dictionary.recode(relation.codes(), relation.dictionary)
+            )
+            relation = recoded
         self._relations[relation.name] = relation
+        return relation
 
-    def ensure_relation(self, name: str, arity: int) -> Relation:
+    def ensure_relation(self, name: str, arity: int) -> ColumnarRelation:
         """Get the named relation, creating an empty one if absent.
 
         Created relations use the database's backend.
@@ -205,13 +220,12 @@ class Database:
     ) -> "Database":
         """A copy of this database with every relation converted.
 
-        Converting to ``"columnar"`` bulk-encodes each relation into a
-        dictionary shared across the new database; ``"sharded"``
-        additionally hash-routes each relation's batch across
-        ``shard_count`` shards (default: the size heuristic
-        :func:`repro.db.interface.preferred_shard_count`); converting
-        to ``"python"`` decodes back to tuple sets.  A no-op backend
-        still returns an independent copy.
+        Each relation's codes are re-encoded into the new database's
+        dictionary (:meth:`add_relation`); ``"sharded"`` additionally
+        hash-routes each relation's batch across ``shard_count`` shards
+        (default: the size heuristic
+        :func:`repro.db.interface.preferred_shard_count`).  A no-op
+        backend still returns an independent copy.
         """
         if backend == "sharded" and shard_count is None:
             from repro.db.interface import preferred_shard_count
@@ -226,13 +240,13 @@ class Database:
             backend=backend, shard_count=shard_count, workers=self.workers
         )
         for rel in self._relations.values():
-            out.add_relation(out.new_relation(rel.name, rel.arity, rel))
+            out.add_relation(rel)
         return out
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
-    def __getitem__(self, name: str) -> Relation:
+    def __getitem__(self, name: str) -> ColumnarRelation:
         try:
             return self._relations[name]
         except KeyError:
@@ -241,7 +255,7 @@ class Database:
     def __contains__(self, name: str) -> bool:
         return name in self._relations
 
-    def __iter__(self) -> Iterator[Relation]:
+    def __iter__(self) -> Iterator[ColumnarRelation]:
         return iter(self._relations.values())
 
     def __len__(self) -> int:
@@ -350,28 +364,17 @@ def replay_records(
                 rel = ColumnarRelation(name, arity, dictionary=dictionary)
                 rel.restore_state(*spec["state"])
             else:
-                rel = Relation(name, arity)
-                rel.restore_state(*spec["state"])
+                check_stored_kind(kind, name)
             relations[name] = rel
         elif record_type == REC_OP:
             name, coded, insert = payload
-            rel = relations[name]
-            if isinstance(rel, ColumnarRelation):
-                rel.apply_coded(coded, insert)
-            elif insert:
-                rel.add(coded)
-            else:
-                rel.discard(coded)
+            relations[name].apply_coded(coded, insert)
         elif record_type == REC_BATCH:
             name, codes = payload
             relations[name].add_coded_batch(codes)
         elif record_type == REC_REMOVE:
             name, rows = payload
-            rel = relations[name]
-            if isinstance(rel, ColumnarRelation):
-                rel.remove_coded_batch(rows)
-            else:
-                rel.remove_batch(rows)
+            relations[name].remove_coded_batch(rows)
         elif record_type == REC_COMPACT:
             relations[payload].compact()
 
@@ -488,6 +491,7 @@ class DurableDatabase(Database):
             self._writer = WalWriter(wal_path, sync=sync)
             ckpt.commit_manifest(self.path, self._manifest_dict())
         else:
+            check_stored_kind(manifest["backend"], ckpt.MANIFEST)
             super().__init__(
                 backend=manifest["backend"],
                 shard_count=manifest["shard_count"],
@@ -623,16 +627,15 @@ class DurableDatabase(Database):
             except CorruptSnapshotError as exc:
                 self.damaged_relations["*"] = str(exc)
                 return
-            if self._dictionary is not None:
-                try:
-                    ckpt.seed_dictionary(
-                        self._dictionary, self.path, meta, verifier
-                    )
-                except CorruptSnapshotError as exc:
-                    dictionary_ok = False
-                    self.damaged_relations["<dictionary>"] = str(exc)
+            try:
+                ckpt.seed_dictionary(
+                    self._dictionary, self.path, meta, verifier
+                )
+            except CorruptSnapshotError as exc:
+                dictionary_ok = False
+                self.damaged_relations["<dictionary>"] = str(exc)
             for entry in meta["relations"]:
-                if not dictionary_ok and entry["kind"] != "python":
+                if not dictionary_ok:
                     self.damaged_relations[entry["name"]] = (
                         "shared dictionary is corrupt"
                     )
@@ -682,11 +685,7 @@ class DurableDatabase(Database):
                     name = payload[0]
                 if name is not None and name in self.damaged_relations:
                     continue
-                if (
-                    record_type == REC_CREATE
-                    and not dictionary_ok
-                    and payload[2]["kind"] != "python"
-                ):
+                if record_type == REC_CREATE and not dictionary_ok:
                     self.damaged_relations[name] = (
                         "shared dictionary is corrupt"
                     )
@@ -718,28 +717,18 @@ class DurableDatabase(Database):
                 "key_column": rel.key_column,
                 "state": rel.snapshot_state(),
             }
-        if isinstance(rel, ColumnarRelation):
-            return {"kind": "columnar", "state": rel.snapshot_state()}
-        return {"kind": "python", "state": rel.snapshot_state()}
+        return {"kind": "columnar", "state": rel.snapshot_state()}
 
     def _register_durable(self, rel) -> None:
-        if (
-            isinstance(rel, ColumnarRelation)
-            and rel.dictionary is not self._dictionary
-        ):
-            raise ValueError(
-                f"relation {rel.name!r} does not share the durable "
-                "database's dictionary; create it via new_relation / "
-                "ensure_relation instead"
-            )
         self._journal.record_create(
             rel.name, rel.arity, self._relation_spec(rel)
         )
         rel._journal = self._journal
 
-    def add_relation(self, relation) -> None:
-        super().add_relation(relation)
+    def add_relation(self, relation) -> ColumnarRelation:
+        relation = super().add_relation(relation)
         self._register_durable(relation)
+        return relation
 
     def ensure_relation(self, name: str, arity: int):
         created = name not in self._relations

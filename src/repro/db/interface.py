@@ -1,40 +1,40 @@
 """The common backend interface for tuple stores and frames.
 
-The repo ships three storage backends behind one contract; a database
-is stored in exactly one of them and every algorithm executes on the
-backend it is stored in:
+The repo ships two storage backends behind one contract and one frame
+algebra; a database is stored in exactly one of them and every
+algorithm executes on it:
 
-=============  =============================================  ==========================================
-backend        tuple store (relations)                        frame (operator algebra)
-=============  =============================================  ==========================================
-``"python"``   :class:`repro.db.relation.Relation`            :class:`repro.joins.frame.Frame`
-``"columnar"`` :class:`repro.db.columnar.ColumnarRelation`    :class:`repro.joins.vectorized.ColumnarFrame`
-``"sharded"``  :class:`repro.db.sharded.ShardedColumnarRelation`
-                                                              :class:`repro.joins.vectorized.ColumnarFrame`
-=============  =============================================  ==========================================
+=============  =================================================  ==========================================
+backend        tuple store (relations)                            frame (operator algebra)
+=============  =================================================  ==========================================
+``"columnar"`` :class:`repro.db.columnar.ColumnarRelation`        :class:`repro.joins.vectorized.ColumnarFrame`
+``"sharded"``  :class:`repro.db.sharded.ShardedColumnarRelation`  :class:`repro.joins.vectorized.ColumnarFrame`
+=============  =================================================  ==========================================
 
-Sharding is a *storage layout*, not a third execution engine: a
+Sharding is a *storage layout*, not a second execution engine: a
 sharded relation is a :class:`~repro.db.columnar.ColumnarRelation`
 whose ``codes()`` is the cached concatenation of its shards, and every
 algorithm reads it through that one interface.
 
+Every relation of a :class:`repro.db.database.Database` is
+dictionary-encoded over the database's one value
+:class:`~repro.db.columnar.Dictionary` (a relation built over another
+dictionary is re-encoded when it is registered), so the algorithms
+compare codes across atoms and decode only at the value boundary.
+Python values in, Python values out: :data:`Row` / :data:`Value` name
+what crosses that boundary.
+
 The backend is selected with a ``backend=`` switch at the boundaries —
-:class:`repro.db.database.Database` (default ``"python"``, the
-reference implementation the differential tests compare against),
-the engine front doors :func:`repro.connect` / :func:`repro.db.attach`
-(default ``"columnar"``), the workload generators in
-:mod:`repro.workloads.databases`, and
-:func:`repro.joins.semijoin.atom_frames` — after which every join-stack
-algorithm (hash joins, full reducers, Yannakakis, Generic Join) runs
-unchanged: algorithms only ever call the methods declared here.
-``"sharded"`` is the caller's choice for spillable / out-of-core data;
-nothing promotes a database into it (or out of ``"python"``) by size.
+:class:`repro.db.database.Database`, the engine front doors
+:func:`repro.connect` / :func:`repro.db.attach` and the workload
+generators in :mod:`repro.workloads.databases`, all defaulting to
+``"columnar"``.  ``"sharded"`` is the caller's choice for spillable /
+out-of-core data; nothing promotes a database into it by size.
 :meth:`repro.db.database.Database.to_backend` converts explicitly.
 
 The classes below are *virtual* ABCs: implementations are registered
-rather than subclassed, so each backend keeps its own storage layout
-(``__slots__``-free sets vs NumPy arrays) while ``isinstance`` checks
-against the interface still work.
+rather than subclassed, so ``isinstance`` checks against the interface
+work without imposing a base class on the storage layouts.
 
 Mutation / consistency contract
 -------------------------------
@@ -86,18 +86,18 @@ derived structures fall back to a full rebuild (exactly the regime
 where the delta was no longer small).  ``retain`` calls that remove
 something and large ``add_all`` calls are bulk rewrites: they compact
 first and also act as history barriers (no-op retains and empty-log
-compactions leave both the stamp and the history untouched).  The
-Python backend mutates in place and keeps no history (``delta_since``
-always raises past stamps), but maintains its hash indexes
-incrementally and bumps ``mutation_stamp`` only on effective changes.
+compactions leave both the stamp and the history untouched).
 """
 
 from __future__ import annotations
 
 from abc import ABC
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
-BACKENDS = ("python", "columnar", "sharded")
+Value = object
+Row = Tuple[Value, ...]
+
+BACKENDS = ("columnar", "sharded")
 
 # Shard-count heuristic for Database.to_backend("sharded") without an
 # explicit count: aim for roughly this many tuples per shard,
@@ -128,9 +128,26 @@ def check_backend(backend: str) -> str:
     """Validate a backend name (single source of truth for all layers)."""
     if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            f"unknown backend {backend!r}; expected one of {BACKENDS} "
+            '(use "columnar" for in-memory storage)'
         )
     return backend
+
+
+def check_stored_kind(kind: str, artifact: str) -> str:
+    """Validate the storage kind a durable artifact records.
+
+    Recovery refuses any other kind (the retired ``"python"`` payloads
+    included) with :class:`CorruptSnapshotError` before building a
+    relation from it.
+    """
+    if kind not in BACKENDS:
+        raise CorruptSnapshotError(
+            artifact,
+            f"stored kind {kind!r} is not supported; durable relations "
+            f"are stored as one of {BACKENDS}",
+        )
+    return kind
 
 
 class StaleStructureError(RuntimeError):
@@ -281,21 +298,16 @@ class FrameAlgebra(ABC):
     Algebra:   ``project``, ``rename``, ``select_in``, ``semijoin``,
                ``join``, ``reorder``, ``to_tuples``.
     Factories: ``unit_like()``, ``empty_like(variables)`` — identity /
-               absorber frames of the *same* backend, so generic
-               algorithm code never hard-codes a frame class.
+               absorber frames over the *same* dictionary.
     """
 
 
 def register_backends() -> None:
     """Register the backends' classes against the virtual ABCs."""
     from repro.db.columnar import ColumnarRelation
-    from repro.db.relation import Relation
     from repro.db.sharded import ShardedColumnarRelation
-    from repro.joins.frame import Frame
     from repro.joins.vectorized import ColumnarFrame
 
-    TupleStore.register(Relation)
     TupleStore.register(ColumnarRelation)
     TupleStore.register(ShardedColumnarRelation)
-    FrameAlgebra.register(Frame)
     FrameAlgebra.register(ColumnarFrame)

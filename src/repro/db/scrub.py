@@ -309,7 +309,6 @@ def _rebuild_from_checkpoint(path: str, manifest, index: int):
 def _seed_from_feed(feed):
     """Build relations + dictionary from a replica feed's handshake."""
     from repro.db.columnar import ColumnarRelation, Dictionary
-    from repro.db.relation import Relation
     from repro.db.sharded import ShardedColumnarRelation
 
     import numpy as np
@@ -322,25 +321,21 @@ def _seed_from_feed(feed):
     for entry in seed["relations"]:
         name, arity = entry["name"], entry["arity"]
         content = entry["content"]
-        if isinstance(content, np.ndarray):
-            if seed["backend"] == "sharded":
-                rel = ShardedColumnarRelation(
-                    name,
-                    arity,
-                    dictionary=dictionary,
-                    shard_count=seed["shard_count"],
-                )
-            else:
-                rel = ColumnarRelation(name, arity, dictionary=dictionary)
-            if len(content):
-                rel.add_coded_batch(
-                    np.asarray(content, dtype=np.int64).reshape(
-                        len(content), arity
-                    )
-                )
+        if seed["backend"] == "sharded":
+            rel = ShardedColumnarRelation(
+                name,
+                arity,
+                dictionary=dictionary,
+                shard_count=seed["shard_count"],
+            )
         else:
-            rel = Relation(name, arity)
-            rel.add_all([tuple(r) for r in content])
+            rel = ColumnarRelation(name, arity, dictionary=dictionary)
+        if len(content):
+            rel.add_coded_batch(
+                np.asarray(content, dtype=np.int64).reshape(
+                    len(content), arity
+                )
+            )
         relations[name] = rel
     return relations, dictionary, seed
 
@@ -358,7 +353,6 @@ class _RepairedState:
 
 
 def _infer_layout(manifest, relations) -> Tuple[str, Optional[int]]:
-    from repro.db.columnar import ColumnarRelation
     from repro.db.sharded import ShardedColumnarRelation
 
     if manifest is not None:
@@ -366,10 +360,7 @@ def _infer_layout(manifest, relations) -> Tuple[str, Optional[int]]:
     for rel in relations.values():
         if isinstance(rel, ShardedColumnarRelation):
             return "sharded", rel.shard_count
-    for rel in relations.values():
-        if isinstance(rel, ColumnarRelation):
-            return "columnar", None
-    return "python", None
+    return "columnar", None
 
 
 def repair(path: str, feed=None) -> Dict[str, Any]:

@@ -310,18 +310,17 @@ class WalJournal:
     One journal serves a whole database: relations call
     ``record_op`` / ``record_batch`` / ``record_remove`` /
     ``record_compact`` (see the ``_journal`` attribute contract in
-    :class:`repro.db.columnar.ColumnarRelation` and
-    :class:`repro.db.relation.Relation`), and the journal lazily
+    :class:`repro.db.columnar.ColumnarRelation`), and the journal lazily
     prepends ``REC_DICT`` records whenever the shared dictionary grew
     since the last record — so replay always knows every code before
     the first record using it.  Code matrices are journaled as
-    ``int64`` arrays; python-backend payloads are plain value tuples.
+    ``int64`` arrays.
     """
 
-    def __init__(self, writer: WalWriter, dictionary=None) -> None:
+    def __init__(self, writer: WalWriter, dictionary) -> None:
         self.writer = writer
         self.dictionary = dictionary
-        self._dict_len = len(dictionary) if dictionary is not None else 0
+        self._dict_len = len(dictionary)
         #: Called (with no args) after every appended record — the
         #: database hangs its size-triggered WAL rotation here, so the
         #: rotation decision sits *between* records, never inside one.
@@ -332,8 +331,6 @@ class WalJournal:
             self.on_record()
 
     def _sync_dictionary(self) -> None:
-        if self.dictionary is None:
-            return
         grown = len(self.dictionary)
         if grown > self._dict_len:
             self.writer.append(
@@ -370,6 +367,4 @@ class WalJournal:
 
     @staticmethod
     def _pack_rows(rows) -> Any:
-        if isinstance(rows, np.ndarray):
-            return np.ascontiguousarray(rows, dtype=np.int64)
-        return [tuple(r) for r in rows]
+        return np.ascontiguousarray(rows, dtype=np.int64)

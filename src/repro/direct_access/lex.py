@@ -17,9 +17,9 @@ access costs Õ(log m):
    binary search in the prefix sums and splitting the residual index
    across the children blocks mixed-radix style.
 
-**Columnar preprocessing.**  When the reduced frames are columnar
-(:class:`repro.joins.vectorized.ColumnarFrame` over one dictionary),
-step 3 is an array program: subtree counts are binary-search gathers of
+**Array preprocessing.**  The reduced frames
+(:class:`repro.joins.vectorized.ColumnarFrame` over the database's
+dictionary) make step 3 an array program: subtree counts are binary-search gathers of
 child block totals (:func:`repro.db.columnar.lookup_rows`) multiplied
 columnwise; the per-separator blocks come from one ``np.lexsort`` over
 (separator codes, order-preserving *value ranks* of the own columns —
@@ -32,15 +32,15 @@ range from runs of store rows (the enumeration: no search per answer)
 or sends a strided index array down the same tree, and decodes the
 block once.  Subtree counts use
 int64 and raise :class:`OverflowError` where they would wrap (the root
-product, and the Python store, keep bigints).
+product keeps a bigint, so ``count()`` stays exact past 2^63).
 
 **Staleness and maintenance.**  The stores snapshot the database: the
 constructor records every relation's ``mutation_stamp`` and ``access``
 compares them first.  On drift the default (``on_stale="error"``) is
 to raise :class:`repro.db.interface.StaleStructureError` — the
 structure used to answer silently from the dead snapshot.  With
-``on_stale="refresh"`` on coded storage the structure repairs itself,
-projected queries included, and skips the full reducer:
+``on_stale="refresh"`` the structure repairs itself, projected
+queries included, and skips the full reducer:
 
 - *Derived relations.*  The existential variables are eliminated
   bottom-up along the join tree of ``H ∪ {S}``
@@ -70,8 +70,7 @@ projected queries included, and skips the full reducer:
 
 When a relation's delta history is gone (compaction past the
 threshold, or a bulk rewrite) refresh falls back to a full rebuild —
-the regime where patching would not have been cheaper anyway; Python
-stores and relations over several dictionaries rebuild always.
+the regime where patching would not have been cheaper anyway.
 
 **Sharded inputs.**  Sharding is a storage layout: a sharded relation
 binds to the same plain :class:`~repro.joins.vectorized.ColumnarFrame`
@@ -91,8 +90,7 @@ behind ``len``, ``access_range`` behind pages and iteration — see
 
 from __future__ import annotations
 
-import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,21 +118,16 @@ from repro.direct_access.layered import (
 from repro.hypergraph.freeconnex import free_connex_join_tree, is_free_connex
 from repro.hypergraph.gyo import is_acyclic
 from repro.joins.fc_reduce import free_connex_reduce
-from repro.joins.generic_join import generic_join, generic_join_codes
+from repro.db.interface import Row
+from repro.joins.generic_join import generic_join_codes
 from repro.joins.semijoin import atom_frames
-from repro.joins.vectorized import (
-    ColumnarFrame,
-    columnar_family,
-    relation_family,
-)
+from repro.joins.vectorized import ColumnarFrame
 from repro.joins.yannakakis import yannakakis_project
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.faq import Message
 
-Row = Tuple[object, ...]
-
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_OVERFLOW = "answer count exceeds int64 on columnar storage"
+_OVERFLOW = "answer count exceeds int64"
 
 
 def _scale_counts(counts: np.ndarray, factors: np.ndarray) -> None:
@@ -153,8 +146,8 @@ def value_rank_table(dictionary, codes: np.ndarray) -> np.ndarray:
     rank in the sorted order of the *decoded values*; a lexsort over
     rank-remapped columns then realizes the value order the access
     contracts promise, without decoding any row.  Values must be
-    mutually comparable (the same constraint the Python backend's sort
-    has).  Entries for unused codes are 0 — look up used codes only.
+    mutually comparable (``TypeError`` otherwise).  Entries for unused
+    codes are 0 — look up used codes only.
 
     Shared by the lexicographic stores here and the sum-order covering
     path (:mod:`repro.direct_access.sum_order`), so the two access
@@ -179,16 +172,14 @@ class OrderedAnswers:
     The ordered materialization Lemma 3.23 proves necessary off the
     layered-tree orders, produced by the query class's own algorithm:
     the Yannakakis projection when the query is acyclic, Generic Join
-    otherwise.  On coded storage (columnar relations over one
-    dictionary) ``codes`` is the head code matrix, one row per answer,
+    otherwise.  ``codes`` is the head code matrix, one row per answer,
     and ``len()`` reads its length — nothing is sorted or decoded for a
     count.  :meth:`sorted_rows` orders it without a Python-level sort
     (each head column rank-remapped by :func:`value_rank_table`, one
     ``np.lexsort`` with the order's first variable as the primary key)
     and decodes it once; from then on ``codes`` and ``rows`` are
-    aligned row for row.  Python stores have no codes: ``codes`` is
-    ``None`` and ``rows`` is sorted at once.  ``stamps`` are the
-    relation stamps the answers are current for.
+    aligned row for row.  ``stamps`` are the relation stamps the
+    answers are current for.
     """
 
     __slots__ = ("stamps", "codes", "rows", "_dictionary", "_positions")
@@ -199,28 +190,15 @@ class OrderedAnswers:
         self.stamps = snapshot_stamps(db, query.relation_symbols)
         head = tuple(query.head)
         self._positions = [head.index(v) for v in order]
-        self._dictionary = relation_family(
-            db[atom.relation] for atom in query.atoms
-        )
-        acyclic = is_acyclic(query.hypergraph())
-        self.codes: Optional[np.ndarray] = None
+        self._dictionary = db.dictionary
         self.rows: Optional[List[Row]] = None
-        if self._dictionary is None:
-            rows = (
-                yannakakis_project(query, db).rows
-                if acyclic
-                else generic_join(query, db)
-            )
-            self.rows = sorted(
-                rows, key=operator.itemgetter(*self._positions)
-            )
-        elif acyclic:
+        if is_acyclic(query.hypergraph()):
             self.codes = yannakakis_project(query, db).codes()
         else:
             self.codes = generic_join_codes(query, db)[0]
 
     def __len__(self) -> int:
-        return len(self.rows if self.codes is None else self.codes)
+        return len(self.codes)
 
     def sorted_rows(self) -> List[Row]:
         """The answers in ``order``; never mutated in place."""
@@ -236,30 +214,6 @@ class OrderedAnswers:
 
 
 class _NodeStore:
-    """Per-node access structures: grouped, sorted, prefix-summed."""
-
-    __slots__ = ("groups", "sep_positions", "own_positions")
-
-    def __init__(self) -> None:
-        # key -> (sorted own projections, rows, cumulative counts)
-        self.groups: Dict[Row, Tuple[List[Row], List[Row], List[int]]] = {}
-        self.sep_positions: Tuple[int, ...] = ()
-        self.own_positions: Tuple[int, ...] = ()
-
-    def total(self, key: Row) -> int:
-        group = self.groups.get(key)
-        return group[2][-1] if group else 0
-
-    def locate(self, key: Row, index: int) -> Tuple[Row, int]:
-        """The row covering ``index`` within the key's block, and the
-        cumulative count preceding that row."""
-        _, rows, cumulative = self.groups[key]
-        slot = bisect_right(cumulative, index)
-        previous = cumulative[slot - 1] if slot else 0
-        return rows[slot], previous
-
-
-class _ColumnarNodeStore:
     """Per-node access structures over lexsorted code columns.
 
     ``codes`` holds the node's rows sorted by (separator codes, own
@@ -416,10 +370,6 @@ class LexDirectAccess:
     follows ``order``.  ``access(i)`` raises :class:`IndexError` when
     ``i`` is past the last answer (the paper's "error" convention).
 
-    ``store_backend`` reports which preprocessing ran: ``"columnar"``
-    (vectorized, zero row decodes) when the reduced frames are
-    columnar, ``"python"`` otherwise.
-
     ``on_stale`` picks the behaviour when an underlying relation
     mutates after preprocessing (module docstring): ``"error"`` fails
     fast with :class:`StaleStructureError`, ``"refresh"`` repairs the
@@ -464,10 +414,9 @@ class LexDirectAccess:
         self.rebuilds += 1
         self._stamps = snapshot_stamps(db, query.relation_symbols)
         self.mode = "layered"
-        self.store_backend = "python"
         self._materialized: Optional[List[Row]] = None
         self._count = 0
-        self._dictionary = None
+        self._dictionary = db.dictionary
         self._maintain = False
         self._layered: Optional[LayeredTree] = None
         # Tree node -> the frame its store is built from: reduced, or
@@ -503,17 +452,12 @@ class LexDirectAccess:
             return
         self._layered = layered
         self._frames = reduced.frames
-        self._dictionary = columnar_family(reduced.frames.values())
-        if self._dictionary is not None:
-            self.store_backend = "columnar"
-            self._build_stores_columnar()
-        else:
-            self._build_stores()
+        self._build_stores()
 
     def _try_build_maintained(self) -> bool:
         """Build patchable stores over the derived relations.
 
-        For coded storage and an order with a layered tree: every
+        For an order with a layered tree: every
         child ``c`` of the S-node becomes one tree node holding
         ``D_c`` (module docstring) — its atom frame where nothing is
         eliminated, so a join query's nodes are its atoms and a
@@ -528,9 +472,7 @@ class LexDirectAccess:
         """
         query = self.query
         atoms = dict(enumerate(atom_frames(query, self._db)))
-        dictionary = columnar_family(atoms.values())
-        if dictionary is None:
-            return False
+        dictionary = self._dictionary
         # Structure first: who is eliminated into whom, on which key.
         tree, s_node = free_connex_join_tree(query)
         below = [node for node in tree.bottom_up() if node != s_node]
@@ -546,8 +488,6 @@ class LexDirectAccess:
         if layered is None:
             return False
         self._layered = layered
-        self._dictionary = dictionary
-        self.store_backend = "columnar"
         self._maintain = True
         self._up = up
         self._atom_nodes: Dict[str, List[int]] = {}
@@ -581,7 +521,7 @@ class LexDirectAccess:
                     dictionary,
                     _distinct=True,
                 )
-        self._build_stores_columnar(drop_dead=False)
+        self._build_stores(drop_dead=False)
         return True
 
     def _live(
@@ -614,55 +554,6 @@ class LexDirectAccess:
             total *= self._stores[child].total(())
         self._count = total
 
-    def _build_stores(self) -> None:
-        layered, frames = self._layered, self._frames
-        stores: Dict[int, _NodeStore] = self._stores
-        # Bottom-up over the layered tree: reversed preorder works
-        # because preorder parents precede children.
-        for node in reversed(layered.preorder):
-            if node == VIRTUAL_ROOT:
-                continue
-            frame = frames[node]
-            sep_vars = self._node_separator(node)
-            own_vars = layered.own[node]
-            store = _NodeStore()
-            store.sep_positions = frame.positions(sep_vars)
-            store.own_positions = frame.positions(own_vars)
-            child_stores = [
-                (frame.positions(self._node_separator(child)), stores[child])
-                for child in layered.children[node]
-            ]
-            grouped: Dict[Row, List[Tuple[Row, Row, int]]] = {}
-            for row in frame.rows:
-                count = 1
-                for positions, child_store in child_stores:
-                    count *= child_store.total(
-                        tuple(row[p] for p in positions)
-                    )
-                    if not count:
-                        break
-                if not count:
-                    # Cannot happen after full reduction; kept so that
-                    # unreduced inputs still yield correct results.
-                    continue
-                sep_key = tuple(row[p] for p in store.sep_positions)
-                own_key = tuple(row[p] for p in store.own_positions)
-                grouped.setdefault(sep_key, []).append(
-                    (own_key, row, count)
-                )
-            for sep_key, entries in grouped.items():
-                entries.sort(key=lambda e: e[0])
-                own_keys = [e[0] for e in entries]
-                rows = [e[1] for e in entries]
-                cumulative: List[int] = []
-                running = 0
-                for _, _, count in entries:
-                    running += count
-                    cumulative.append(running)
-                store.groups[sep_key] = (own_keys, rows, cumulative)
-            stores[node] = store
-        self._finish_count()
-
     def _subtree_counts(self, node: int, rows: np.ndarray) -> np.ndarray:
         """Per frame row of ``node``, the product over its children of
         the block total under the row's separator key."""
@@ -675,7 +566,7 @@ class LexDirectAccess:
             )
         return counts
 
-    def _build_stores_columnar(self, drop_dead: bool = True) -> None:
+    def _build_stores(self, drop_dead: bool = True) -> None:
         """Vectorized preprocessing over code columns (zero decodes).
 
         ``drop_dead=False`` (maintained stores) keeps rows whose
@@ -685,7 +576,7 @@ class LexDirectAccess:
         """
         layered, frames = self._layered, self._frames
         dictionary = self._dictionary
-        stores: Dict[int, _ColumnarNodeStore] = self._stores
+        stores: Dict[int, _NodeStore] = self._stores
         # Per node and child: the node's columns holding the child's
         # separator, in the child's column order.
         self._child_sep_pos: Dict[int, Dict[int, List[int]]] = {
@@ -711,13 +602,20 @@ class LexDirectAccess:
             # Dictionary codes are first-seen, not value-ordered; remap
             # the own columns through value ranks so the lexsort below
             # realizes the *value* order the access contract promises.
+            own_codes = codes[:, own_pos]
             if own_pos and n:
-                own_codes = codes[:, own_pos]
-                own_ranks = value_rank_table(dictionary, own_codes)[
-                    own_codes
-                ]
+                try:
+                    own_ranks = value_rank_table(dictionary, own_codes)[
+                        own_codes
+                    ]
+                except TypeError:
+                    # Columns of mutually incomparable types (ints in
+                    # one, strs in another): one table per column.
+                    own_ranks = np.column_stack(
+                        [value_rank_table(dictionary, c)[c] for c in own_codes.T]
+                    )
             else:
-                own_ranks = np.empty((n, 0), dtype=np.int64)
+                own_ranks = own_codes
             sep_codes = codes[:, sep_pos]
             sort_keys = [
                 own_ranks[:, j]
@@ -731,7 +629,7 @@ class LexDirectAccess:
                 codes, counts = codes[order], counts[order]
                 sep_codes = codes[:, sep_pos]
             representatives, starts, ends = block_slices(sep_codes)
-            store = _ColumnarNodeStore()
+            store = _NodeStore()
             store.codes = codes
             store.counts = counts
             store.refresh_cum()
@@ -767,7 +665,7 @@ class LexDirectAccess:
         """Bring the stores up to date with the database.
 
         Incremental (array patches of the sorted blocks) when this is
-        a maintained columnar structure and every drifted relation
+        a maintained structure and every drifted relation
         still has delta history; a full rebuild otherwise.
         """
         drifted = stale_relations(self._db, self._stamps)
@@ -808,7 +706,7 @@ class LexDirectAccess:
         self._finish_count()
 
     # ------------------------------------------------------------------
-    # incremental patching (maintained columnar stores)
+    # incremental patching (maintained stores)
     # ------------------------------------------------------------------
     def _frame_rows(self, node: int, rows: np.ndarray) -> np.ndarray:
         """Relation rows as the atom's frame rows: the repeated-variable
@@ -869,14 +767,14 @@ class LexDirectAccess:
         return rows[self._live(node, rows, skip=child)]
 
     def _own_key(
-        self, store: _ColumnarNodeStore, codes_row: np.ndarray
+        self, store: _NodeStore, codes_row: np.ndarray
     ) -> Tuple:
         values = self._dictionary.values()
         return tuple(values[int(codes_row[p])] for p in store.own_pos)
 
     def _bisect_block(
         self,
-        store: _ColumnarNodeStore,
+        store: _NodeStore,
         start: int,
         end: int,
         own_key: Tuple,
@@ -908,7 +806,7 @@ class LexDirectAccess:
         """
         if not len(rows):
             return
-        store: _ColumnarNodeStore = self._stores[node]
+        store: _NodeStore = self._stores[node]
         cardinality = len(self._dictionary)
         # In final order — block by block, own values ascending:
         # np.insert keeps the given order among rows bound for one
@@ -994,7 +892,7 @@ class LexDirectAccess:
             parent = layered.parent[child]
             if parent is None or parent == VIRTUAL_ROOT:
                 return
-            pstore: _ColumnarNodeStore = self._stores[parent]
+            pstore: _NodeStore = self._stores[parent]
             if not len(pstore.codes):
                 return
             sub = pstore.codes[:, self._child_sep_pos[parent][child]]
@@ -1039,13 +937,11 @@ class LexDirectAccess:
         head_pos = {v: i for i, v in enumerate(self.head)}
         assignment: List[object] = [None] * len(self.head)
         # _select assigns each node's row and recurses; kick off at the
-        # virtual root with the full index.  Columnar stores descend
-        # over codes; only the returned answer is decoded.
+        # virtual root with the full index.  The descent runs over
+        # codes; only the returned answer is decoded.
         self._descend_children(VIRTUAL_ROOT, index, assignment, head_pos)
-        if self.store_backend == "columnar":
-            decode = self._dictionary.decode
-            return tuple(decode(code) for code in assignment)
-        return tuple(assignment)
+        decode = self._dictionary.decode
+        return tuple(decode(code) for code in assignment)
 
     def _select(
         self,
@@ -1104,8 +1000,8 @@ class LexDirectAccess:
     def access_range(self, start: int, stop: int, step: int = 1) -> List[Row]:
         """``[access(i) for i in range(start, stop, step)]``, as one read.
 
-        :class:`IndexError` if any index is outside ``[0, n)``.  On
-        columnar stores a contiguous range (``step == 1``: pages,
+        :class:`IndexError` if any index is outside ``[0, n)``.  A
+        contiguous range (``step == 1``: pages,
         iteration, ``first``) is expanded, not searched
         (:meth:`_expand`): the answers below a row are runs of
         contiguous store rows, so a block costs O(block + depth·log m)
@@ -1124,10 +1020,11 @@ class LexDirectAccess:
                 f"range({start}, {stop}, {step}) out of range for "
                 f"{self._count} answers"
             )
-        if self.store_backend != "columnar" or self._count > _INT64_MAX:
-            # Python stores (the materialized mode's list included) and
-            # a root product past int64 (exact only in the scalar
-            # descent's bigints) go index by index.
+        if self.mode == "materialized":
+            return [self._materialized[i] for i in indices]
+        if self._count > _INT64_MAX:
+            # A root product past int64 is exact only in the scalar
+            # descent's bigints: index by index.
             return [self.access(i) for i in indices]
         # One head column per row, so each column is gathered and
         # decoded contiguously.
@@ -1208,7 +1105,7 @@ class LexDirectAccess:
         rows_of: Dict[int, np.ndarray] = {}
         radix = np.ones(len(lo), dtype=np.int64)
         for child in reversed(children):
-            store: _ColumnarNodeStore = self._stores[child]
+            store: _NodeStore = self._stores[child]
             block = self._child_blocks(node, child, rows)
             total = store.cum0[store.ends[block]] - store.cum0[store.starts[block]]
             first = lo // radix
@@ -1241,7 +1138,7 @@ class LexDirectAccess:
         repeated by its count; only a segment that starts or stops
         inside its block searches ``cum0`` for its edge row.
         """
-        store: _ColumnarNodeStore = self._stores[child]
+        store: _NodeStore = self._stores[child]
         cum0 = store.cum0
         first = store.starts[block]
         last = store.ends[block]
@@ -1270,7 +1167,7 @@ class LexDirectAccess:
         drops out for free, and a segment's first and last row pass on
         just the answers inside the segment, whatever their fanout.
         """
-        store: _ColumnarNodeStore = self._stores[child]
+        store: _NodeStore = self._stores[child]
         cum0 = store.cum0
         lengths = last - first
         ends = lengths.cumsum()
@@ -1314,7 +1211,7 @@ class LexDirectAccess:
         """
         cardinality = len(self._dictionary)
         for child in reversed(self._layered.children[node]):
-            store: _ColumnarNodeStore = self._stores[child]
+            store: _NodeStore = self._stores[child]
             separator = [head_pos[v] for v in self._node_separator(child)]
             block = store.blocks_of(out[:, separator], cardinality)
             first = store.cum0[store.starts[block]]

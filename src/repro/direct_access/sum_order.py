@@ -9,33 +9,33 @@ whole preprocessing.  Otherwise two variables share no atom, Lemma 3.25
 embeds 3SUM, and superlinear preprocessing is unavoidable — realized
 here by the materializing fallback the benchmarks measure.
 
-**Columnar covering path.**  When the reduced covering frame is
-columnar, the preprocessing is an array program sharing the
-value-rank machinery of :func:`repro.direct_access.lex.
-value_rank_table`: per-row weights are one table gather + columnwise
-sum over the code matrix, the sort is one ``np.lexsort`` over
-(value-ranked columns as tie-breaks, weight column as primary key),
-and no row is decoded during preprocessing — ``access(i)`` decodes
-exactly the returned answer, matching the lex stores' decode budget.
-The decoded-and-sorted list of the scalar path is gone.
+**One sort over codes.**  Both modes sort a head code matrix — the
+reduced covering frame's, or the materialized Generic Join answers'
+(:func:`repro.joins.generic_join.generic_join_codes`) — as an array
+program sharing the value-rank machinery of
+:func:`repro.direct_access.lex.value_rank_table`: per-row weights are
+one table gather + columnwise sum over the code matrix, the sort is one
+``np.lexsort`` over (value-ranked columns as tie-breaks, weight column
+as primary key), and no row is decoded during preprocessing —
+``access(i)`` decodes exactly the returned answer, matching the lex
+stores' decode budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.db.database import Database
+from repro.db.interface import Row
 from repro.direct_access.lex import value_rank_table
 from repro.hypergraph.gyo import is_acyclic, join_tree
-from repro.joins.generic_join import generic_join
+from repro.joins.generic_join import generic_join_codes
 from repro.joins.semijoin import atom_frames, full_reducer_pass
-from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 
-Row = Tuple[object, ...]
 WeightMap = Mapping[object, float]
 
 
@@ -70,12 +70,11 @@ class SumOrderDirectAccess:
 
     ``weights`` maps domain values to numbers (missing values weigh 0).
     For join queries with a covering atom the preprocessing is
-    Õ(m log m): reduce, then sort the covering relation — over code
-    columns with zero row decodes when the frame is columnar
-    (``store_backend`` reports which path ran).  Otherwise
-    (``strict=False``) the full result is materialized and sorted.
-    Ties are broken by the tuple itself (value order) so the order is
-    total and deterministic on both paths.
+    Õ(m log m): reduce, then sort the covering relation over code
+    columns with zero row decodes.  Otherwise (``strict=False``) the
+    full result is materialized by Generic Join and sorted the same
+    way.  Ties are broken by the tuple itself (value order) so the
+    order is total and deterministic.
     """
 
     def __init__(
@@ -93,21 +92,15 @@ class SumOrderDirectAccess:
         self.query = query
         self.head = tuple(query.head)
         self.weights = dict(weights)
-        self.store_backend = "python"
-        self._sorted_codes: Optional[np.ndarray] = None
-        self._dictionary = None
-        self._answers: List[Row] = []
+        self._dictionary = db.dictionary
         cover = covering_atom_index(query)
         if cover is not None and is_acyclic(query.hypergraph()):
             self.mode = "covering"
-            frame = self._reduced_covering_frame(query, db, cover)
-            if isinstance(frame, ColumnarFrame):
-                self._build_columnar(frame)
-                return
-            answers = [
-                tuple(row[p] for p in frame.positions(self.head))
-                for row in frame.rows
-            ]
+            tree = join_tree(query.hypergraph())
+            frame = full_reducer_pass(
+                dict(enumerate(atom_frames(query, db))), tree
+            )[cover]
+            codes = frame.codes()[:, list(frame.positions(self.head))]
         elif strict:
             pair = uncovered_pair(query)
             raise ValueError(
@@ -118,34 +111,19 @@ class SumOrderDirectAccess:
             )
         else:
             self.mode = "materialized"
-            answers = list(generic_join(query, db))
-        decorated = [(self.answer_weight(row), row) for row in answers]
-        decorated.sort()
-        self._answers = [row for _, row in decorated]
-        self._keys = [weight for weight, _ in decorated]
+            codes = generic_join_codes(query, db)[0]
+        self._sort(codes)
 
-    def _reduced_covering_frame(
-        self, query: ConjunctiveQuery, db: Database, cover: int
-    ):
-        tree = join_tree(query.hypergraph())
-        reduced = full_reducer_pass(
-            dict(enumerate(atom_frames(query, db))), tree
-        )
-        return reduced[cover]
-
-    def _build_columnar(self, frame: ColumnarFrame) -> None:
-        """Sort the covering frame's *codes* by (weight, value ranks).
+    def _sort(self, codes: np.ndarray) -> None:
+        """Sort head-ordered answer *codes* by (weight, value ranks).
 
         One weight-table gather per column realizes the answer weights
-        (summed left to right, bit-identical to the scalar path's
-        ``sum``); the value-rank remap makes the lexsort's tie-break
-        the value order the scalar path gets by sorting decoded
-        tuples.  Zero decodes — ``access`` decodes one answer.
+        (summed left to right, bit-identical to :meth:`answer_weight`'s
+        ``sum`` over floats); the value-rank remap makes the lexsort's
+        tie-break the value order of the decoded tuples.  Zero decodes
+        — ``access`` decodes one answer.
         """
-        self.store_backend = "columnar"
-        dictionary = frame.dictionary
-        self._dictionary = dictionary
-        codes = frame.codes()[:, list(frame.positions(self.head))]
+        dictionary = self._dictionary
         n, width = codes.shape
         row_weights = np.zeros(n, dtype=np.float64)
         if n and width:
@@ -157,9 +135,9 @@ class SumOrderDirectAccess:
                 weight_table[code] = get(values[code], 0.0)
             for j in range(width):
                 row_weights = row_weights + weight_table[codes[:, j]]
-            # One rank table per column: the scalar path's tie-break
-            # compares tuples position-wise, so values are only ever
-            # compared within a column — a single cross-column table
+            # One rank table per column: the tie-break compares tuples
+            # position-wise, so values are only ever compared within a
+            # column — a single cross-column table
             # would impose (and require) a global order that mixed
             # column types need not have.
             ranks = np.empty_like(codes)
@@ -184,9 +162,7 @@ class SumOrderDirectAccess:
         return sum(self.weights.get(value, 0.0) for value in row)
 
     def __len__(self) -> int:
-        if self._sorted_codes is not None:
-            return len(self._sorted_codes)
-        return len(self._answers)
+        return len(self._sorted_codes)
 
     def access(self, index: int) -> Row:
         """The index-th lightest answer (IndexError past the end)."""
@@ -194,12 +170,8 @@ class SumOrderDirectAccess:
             raise IndexError(
                 f"index {index} out of range for {len(self)} answers"
             )
-        if self._sorted_codes is not None:
-            decode = self._dictionary.decode
-            return tuple(
-                decode(int(code)) for code in self._sorted_codes[index]
-            )
-        return self._answers[index]
+        decode = self._dictionary.decode
+        return tuple(decode(int(code)) for code in self._sorted_codes[index])
 
     def has_weight(self, target: float, tolerance: float = 0.0) -> bool:
         """Is there an answer of total weight ``target``?

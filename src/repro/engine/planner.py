@@ -6,7 +6,7 @@ Boolean acyclic queries (Theorem 3.1); for free-connex queries one
 counted layered join tree (Theorem 3.24 / Corollary 3.22) whose root
 total is the count (Theorem 3.13's bound) and whose ordered block
 reads are the enumeration (Theorem 3.17's Õ(1) delay: a block expands
-runs of store rows, O(1) amortised per answer on coded storage); and
+runs of store rows, O(1) amortised per answer); and
 worst-case-optimal joins as the cyclic fallback (Theorem 3.7).
 :func:`plan_query` turns one :func:`repro.classify.classify` pass into
 an executable :class:`Plan`: one route per serving capability
@@ -118,24 +118,18 @@ class Plan:
     @property
     def maintained(self) -> bool:
         """Does the tree patch under small updates instead of rebuilding?
-        (``LexDirectAccess`` on coded storage: its nodes are the atoms of
-        a join query, support-counted projections of them otherwise.)"""
-        return self.tree_order is not None and self.backend in (
-            "columnar",
-            "sharded",
-        )
+        (``LexDirectAccess``: its nodes are the atoms of a join query,
+        support-counted projections of them otherwise.)"""
+        return self.tree_order is not None
 
     @property
     def repaired(self) -> bool:
         """Are the answers off the tree repaired by delta joins instead of
-        produced again?  (``OrderedAnswers``: a join query on coded storage;
-        relations over several dictionaries have no code matrix and are
-        rebuilt regardless.)"""
+        produced again?  (``OrderedAnswers`` of a join query.)"""
         return (
             self.order is not None
             and not self.access_admissible
             and self.classification.is_join_query
-            and self.backend in ("columnar", "sharded")
         )
 
     def route(self, capability: str) -> PlanRoute:
@@ -170,20 +164,14 @@ class Plan:
         for stat in self.stats:
             lines.append(f"  stats:    {stat}")
         if not c.acyclic:  # cyclic: the worst-case-optimal join runs
-            if self.backend in ("columnar", "sharded"):
-                strategy = (
-                    "breadth-first frontier arrays (all prefixes per"
-                    " level extended at once; zero per-row decodes)"
-                )
-                if self.stats:
-                    strategy += (
-                        "; variable-order ties broken by the measured"
-                        " distinct counts above"
-                    )
-            else:
-                strategy = (
-                    "depth-first search over prefix tries"
-                    " (explicit stack; python backend)"
+            strategy = (
+                "breadth-first frontier arrays (all prefixes per"
+                " level extended at once; zero per-row decodes)"
+            )
+            if self.stats:
+                strategy += (
+                    "; variable-order ties broken by the measured"
+                    " distinct counts above"
                 )
             lines.append(f"  wcoj:     {strategy}")
         for route in self.routes:
@@ -262,7 +250,7 @@ def _choose_order(
 def plan_query(
     query: ConjunctiveQuery,
     size: int,
-    stored_backend: str = "python",
+    stored_backend: str = "columnar",
     order: Optional[Sequence[str]] = None,
     stored_shard_count: Optional[int] = None,
     stats: Sequence[str] = (),
@@ -321,7 +309,7 @@ def plan_query(
         family = CYCLIC_MATERIALIZE
     routes = (
         _count_route(classification, family),
-        _iterate_route(classification, family, tree_order, backend),
+        _iterate_route(classification, family, tree_order),
         _access_route(classification, family, chosen_order, admissible, bags),
         _aggregate_route(query, classification, family),
     )
@@ -405,17 +393,9 @@ def _iterate_route(
     classification: QueryClassification,
     family: str,
     tree_order: Optional[Tuple[str, ...]],
-    backend: str,
 ) -> PlanRoute:
     verdict = classification.verdict("enumeration")
     if family == FREE_CONNEX:
-        if backend == "python":
-            note = "python storage: one O(log m) descent per answer"
-        else:
-            note = (
-                "no per-answer search: a block expands runs of store rows,"
-                " O(block + depth·log m), so O(1) amortised per answer"
-            )
         return PlanRoute(
             capability="iterate",
             algorithm=(
@@ -424,7 +404,10 @@ def _iterate_route(
             ),
             cost=verdict.upper_bound,
             theorem=f"{verdict.theorem} (via Theorem 3.24)",
-            note=note,
+            note=(
+                "no per-answer search: a block expands runs of store rows,"
+                " O(block + depth·log m), so O(1) amortised per answer"
+            ),
         )
     return PlanRoute(
         capability="iterate",

@@ -25,7 +25,7 @@ served across an update stream (mutations through
 :meth:`repro.engine.session.Session.add` / ``discard``) never raises
 :class:`repro.db.interface.StaleStructureError` and never serves a
 stale answer — it repairs incrementally where the delta-segment
-machinery allows and rebuilds otherwise.  On coded storage the counted
+machinery allows and rebuilds otherwise.  The counted
 tree of a free-connex query patches in place, projected or not: the
 existential variables are eliminated into support-counted projections
 (:mod:`repro.direct_access.lex`, "Staleness and maintenance"), a
@@ -39,9 +39,8 @@ repaired by delta joins over the changed tuples instead of being
 produced again.  The classifier's ``dynamic`` verdict rules out
 constant-time maintenance off the q-hierarchical class (a cyclic
 query, most projections); it asks neither for a full Õ(m^{ρ*}) join
-nor for an Õ(m) rebuild per single-tuple update.  The python backend
-and relations over several dictionaries rebuild per version; so do the
-``OrderedAnswers`` of a projected query.
+nor for an Õ(m) rebuild per single-tuple update.  The
+``OrderedAnswers`` of a projected query rebuild per version.
 """
 
 from __future__ import annotations
@@ -234,7 +233,7 @@ class PreparedQuery:
         positions as it does for a client paging by offset).  A block
         is a contiguous ``access_range``, which the tree expands from
         runs of store rows instead of searching per answer — O(1)
-        amortised per answer on coded storage, as are pages; strided
+        amortised per answer, as are pages; strided
         slices and ``answers[i]`` search (Õ(log m) each)."""
         start, size = 0, 128
         while True:
@@ -288,11 +287,11 @@ class PreparedQuery:
     def _join_answers(self) -> OrderedAnswers:
         """The answers off the tree, current for the database.
 
-        Built by one producer run.  On stamp drift a join query on
-        coded storage is repaired from the relations' net deltas
-        (:meth:`_repair_join_answers`); a projected query, the python
-        backend and truncated delta history rebuild instead.  Callers
-        hold the serving guard.
+        Built by one producer run.  On stamp drift a join query is
+        repaired from the relations' net deltas
+        (:meth:`_repair_join_answers`); a projected query and truncated
+        delta history rebuild instead.  Callers hold the serving
+        guard.
         """
         answers = self._answers
         if answers is not None:
@@ -316,7 +315,7 @@ class PreparedQuery:
         Empty net deltas (absorbed updates) only adopt the new stamps.
         """
         query, db = self.query, self._db
-        if not self.plan.repaired or answers.codes is None:
+        if not self.plan.repaired:
             return False
         inserted: Dict[str, np.ndarray] = {}
         deleted: Dict[str, np.ndarray] = {}
@@ -325,7 +324,7 @@ class PreparedQuery:
                 inserted[name], deleted[name] = db[name].delta_since(stamp)
             except TruncatedHistoryError:
                 return False
-        dictionary = db[query.atoms[0].relation].dictionary
+        dictionary = db.dictionary
         cardinality = len(dictionary)
         rows, codes = answers.sorted_rows(), answers.codes
         position = {v: i for i, v in enumerate(self.head)}
@@ -393,11 +392,8 @@ class PreparedQuery:
             )
         if plan.classification.acyclic:
             return aggregate_acyclic(query, db, semiring, weights)
-        # Coded weights fold over the shared matrix; the python
-        # backend has none and joins inside aggregate_generic.
-        codes = None
-        if plan.backend != "python":
-            codes = self._join_answers().codes
+        # Coded weights fold over the shared answer matrix.
+        codes = self._join_answers().codes
         return aggregate_generic(query, db, semiring, weights, codes=codes)
 
 

@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.db.columnar import ColumnarRelation
 from repro.db.database import Database
 from repro.db.interface import TruncatedHistoryError
 from repro.engine.session import Session
@@ -84,9 +83,7 @@ class TransientReplicationError(ReplicationError):
 
 
 def _rows_of(codes: Union[np.ndarray, tuple, list]) -> List[tuple]:
-    if isinstance(codes, np.ndarray):
-        return [tuple(r) for r in codes.tolist()]
-    return [tuple(r) for r in codes]
+    return [tuple(r) for r in np.asarray(codes, dtype=np.int64).tolist()]
 
 
 class ReplicationTransport:
@@ -139,36 +136,24 @@ class LeaderFeed(ReplicationTransport):
     # ------------------------------------------------------------------
     # payload builders
     # ------------------------------------------------------------------
-    def _dictionary_values(self, start: int = 0) -> Optional[List[Any]]:
-        dictionary = getattr(self.db, "_dictionary", None)
-        if dictionary is None:
-            return None
-        return dictionary.values()[start:]
-
     def _seed_entry(self, rel) -> Dict[str, Any]:
         """A full-content entry (handshake seed or reseed fallback)."""
-        if isinstance(rel, ColumnarRelation):
-            content: Any = np.ascontiguousarray(
-                rel.codes(), dtype=np.int64
-            )
-        else:
-            content = [tuple(row) for row in rel]
         return {
             "name": rel.name,
             "arity": rel.arity,
             "mode": "seed",
-            "content": content,
+            "content": np.ascontiguousarray(rel.codes(), dtype=np.int64),
             "stamp": rel.mutation_stamp,
         }
 
     def handshake(self) -> Dict[str, Any]:
         """The full seed payload a fresh follower bootstraps from."""
-        dictionary = self._dictionary_values()
+        dictionary = self.db.dictionary.values()[:]
         return {
             "backend": self.db.backend,
             "shard_count": self.db.shard_count,
-            "dict_values": dictionary if dictionary is not None else [],
-            "dict_len": len(dictionary or ()),
+            "dict_values": dictionary,
+            "dict_len": len(dictionary),
             "relations": [self._seed_entry(rel) for rel in self.db],
         }
 
@@ -182,7 +167,7 @@ class LeaderFeed(ReplicationTransport):
         history was truncated by a barrier ship as reseed entries —
         the follower diffs, it never errors.
         """
-        dict_suffix = self._dictionary_values(dict_len)
+        dict_suffix = self.db.dictionary.values()[dict_len:]
         relations: List[Dict[str, Any]] = []
         for rel in self.db:
             stamp = stamps.get(rel.name)
@@ -207,8 +192,8 @@ class LeaderFeed(ReplicationTransport):
                 }
             )
         return {
-            "dict_values": dict_suffix if dict_suffix is not None else [],
-            "dict_len": dict_len + len(dict_suffix or ()),
+            "dict_values": dict_suffix,
+            "dict_len": dict_len + len(dict_suffix),
             "relations": relations,
         }
 
@@ -367,8 +352,7 @@ class FollowerSession:
         # The stamp-exact handoff: file replay reproduced the leader's
         # mutation_stamp sequences, so the next sync() pulls exact
         # deltas from here — never a reseed.
-        dictionary = self.db._dictionary
-        self._dict_len = len(dictionary) if dictionary is not None else 0
+        self._dict_len = len(self.db.dictionary)
         self._leader_stamps = {
             rel.name: rel.mutation_stamp for rel in self.db
         }
@@ -466,10 +450,7 @@ class FollowerSession:
     # applying payloads
     # ------------------------------------------------------------------
     def _grow_dictionary(self, values, leader_len: int) -> None:
-        dictionary = getattr(self.db, "_dictionary", None)
-        if dictionary is None:
-            self._dict_len = leader_len
-            return
+        dictionary = self.db.dictionary
         for value in values:
             dictionary.encode(value)
         if len(dictionary) != leader_len:
@@ -493,37 +474,24 @@ class FollowerSession:
     def _apply_delta(self, rel, inserted, deleted) -> None:
         del_rows = _rows_of(deleted)
         ins_rows = _rows_of(inserted)
-        coded = isinstance(rel, ColumnarRelation)
         if len(del_rows) + len(ins_rows) <= self.small_delta:
             for row in del_rows:
-                if coded:
-                    rel.apply_coded(row, False)
-                else:
-                    rel.discard(row)
+                rel.apply_coded(row, False)
             for row in ins_rows:
-                if coded:
-                    rel.apply_coded(row, True)
-                else:
-                    rel.add(row)
+                rel.apply_coded(row, True)
             return
-        if coded:
-            if del_rows:
-                rel.remove_coded_batch(
-                    np.asarray(del_rows, dtype=np.int64).reshape(
-                        len(del_rows), rel.arity
-                    )
+        if del_rows:
+            rel.remove_coded_batch(
+                np.asarray(del_rows, dtype=np.int64).reshape(
+                    len(del_rows), rel.arity
                 )
-            if ins_rows:
-                rel.add_coded_batch(
-                    np.asarray(ins_rows, dtype=np.int64).reshape(
-                        len(ins_rows), rel.arity
-                    )
+            )
+        if ins_rows:
+            rel.add_coded_batch(
+                np.asarray(ins_rows, dtype=np.int64).reshape(
+                    len(ins_rows), rel.arity
                 )
-        else:
-            if del_rows:
-                rel.remove_batch(del_rows)
-            if ins_rows:
-                rel.add_all(ins_rows)
+            )
 
     def _apply_seed(self, rel, content) -> None:
         """Converge on full leader content by set difference.
@@ -533,13 +501,8 @@ class FollowerSession:
         and leaves the follower's own delta history intact for rows
         that never changed.
         """
-        theirs = set(_rows_of(content)) if not isinstance(
-            content, np.ndarray
-        ) else {tuple(r) for r in content.tolist()}
-        if isinstance(rel, ColumnarRelation):
-            mine = {tuple(r) for r in rel.codes().tolist()}
-        else:
-            mine = set(rel)
+        theirs = set(_rows_of(content))
+        mine = set(_rows_of(rel.codes()))
         stale = list(mine - theirs)
         fresh = list(theirs - mine)
         self._apply_delta(rel, fresh, stale)

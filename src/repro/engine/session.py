@@ -17,11 +17,8 @@ queries stay live::
 ``session.db`` — the session holds no other copy of the data — so the
 execution backend is the *stored* backend, fixed when the session is
 opened.  The front doors default to ``"columnar"`` (dictionary-encoded
-NumPy columns; it beats the python tier from ~100 rows per relation
-up, ROADMAP item 3(c)); ``backend="python"`` selects the reference
-implementation (hash sets, what the differential tests compare
-against) and ``backend="sharded"`` the hash-partitioned layout for
-spilling / out-of-core data.  ``connect(db)`` runs on ``db``'s own
+NumPy columns over one dictionary); ``backend="sharded"`` selects the
+hash-partitioned layout for spilling / out-of-core data.  ``connect(db)`` runs on ``db``'s own
 backend; convert first with
 :meth:`~repro.db.database.Database.to_backend` to serve it on another.
 Because prepared queries guard every structure with the relations'
@@ -200,9 +197,8 @@ class Session:
     def add_all(self, relation: str, rows: Sequence) -> None:
         """Bulk insert: one write-lock hold, one batched relation call.
 
-        The batched relation path (``Relation.add_all``) encodes once
-        and routes whole code batches on the columnar/sharded
-        backends, so callers streaming many tuples (the network
+        The batched relation path (``ColumnarRelation.add_all``) encodes
+        once and routes whole code batches, so callers streaming many tuples (the network
         ingestion batcher in :mod:`repro.server`) pay per-batch, not
         per-row, engine cost.
         """
@@ -423,9 +419,8 @@ def connect(
 
     ``backend`` is the storage — and therefore execution — backend of
     a database the call creates (``db`` a mapping or ``None``, or a
-    fresh ``path``): ``"columnar"`` by default, ``"python"`` for the
-    reference implementation, ``"sharded"`` for hash-partitioned /
-    spillable storage.  An existing :class:`Database` keeps its own.
+    fresh ``path``): ``"columnar"`` by default, ``"sharded"`` for
+    hash-partitioned / spillable storage.  An existing :class:`Database` keeps its own.
 
     With ``path=...`` the session is *durable*: the directory is
     opened (or recovered) via :func:`repro.db.attach`, every update

@@ -7,8 +7,7 @@ Preprocessing (Theorem 3.17's upper bound, all O(m)):
 2. for every join-tree node, index its rows by the separator toward the
    parent.
 
-On Python-backend frames step 2 builds one dict-of-lists per node.  On
-columnar frames it is an array program: one ``np.lexsort`` per node
+Step 2 is an array program: one ``np.lexsort`` per node
 (separator columns major) materializes the adjacency as contiguous
 sorted blocks and block boundaries come from one vectorized
 change-detection pass — the sorted matrices stay *code matrices*, so
@@ -61,11 +60,9 @@ from repro.db.interface import (
 )
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.joins.fc_reduce import ReducedJoinQuery, free_connex_reduce
+from repro.db.interface import Row
 from repro.joins.generic_join import generic_join
-from repro.joins.vectorized import columnar_family
 from repro.query.cq import ConjunctiveQuery
-
-Row = Tuple[object, ...]
 
 
 class ConstantDelayEnumerator:
@@ -85,9 +82,8 @@ class ConstantDelayEnumerator:
         iterating after an underlying relation mutated; ``"refresh"``
         rebuilds the fully reduced blocks first (module docstring).
 
-    The constructor *is* the preprocessing phase; iteration is the
-    enumeration phase.  ``store_backend`` reports which preprocessing
-    ran (``"columnar"`` = vectorized, zero row decodes).
+    The constructor *is* the preprocessing phase (vectorized, zero row
+    decodes); iteration is the enumeration phase.
     """
 
     def __init__(
@@ -119,10 +115,9 @@ class ConstantDelayEnumerator:
         self.rebuilds += 1
         self._stamps = snapshot_stamps(db, query.relation_symbols)
         self.mode: str
-        self.store_backend = "python"
         self._materialized: Optional[List[Row]] = None
         self._reduced: Optional[ReducedJoinQuery] = None
-        self._dictionary = None
+        self._dictionary = db.dictionary
         if is_free_connex(query):
             self.mode = "free-connex"
             self._reduced = free_connex_reduce(query, db)
@@ -193,34 +188,16 @@ class ConstantDelayEnumerator:
         reduced = self._reduced
         assert reduced is not None
         self._node_order = []
-        self._indexes: Dict[int, Dict[Row, object]] = {}
         self._sep_vars = {}
+        self._blocks: Dict[
+            int,
+            Tuple[np.ndarray, Dict[Tuple[int, ...], Tuple[int, int]]],
+        ] = {}
         if reduced.is_empty:
             return
         self._node_order_and_seps()
-        self._dictionary = columnar_family(reduced.frames.values())
-        if self._dictionary is not None:
-            self.store_backend = "columnar"
-            self._blocks: Dict[
-                int,
-                Tuple[
-                    np.ndarray,
-                    Dict[Tuple[int, ...], Tuple[int, int]],
-                ],
-            ] = {}
-            for node in self._node_order:
-                self._build_node_blocks(node)
-            return
         for node in self._node_order:
-            frame = reduced.frames[node]
-            positions = frame.positions(self._sep_vars[node])
-            index: Dict[Row, List[Row]] = {}
-            for row in frame.rows:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, []).append(row)
-            for rows in index.values():
-                rows.sort()
-            self._indexes[node] = index
+            self._build_node_blocks(node)
 
     def _build_node_blocks(self, node: int) -> None:
         """Adjacency of one node as lexsorted code blocks (zero decodes).
@@ -269,9 +246,7 @@ class ConstantDelayEnumerator:
         if self.mode == "materialized":
             assert self._materialized is not None
             return iter(self._materialized)
-        if self.store_backend == "columnar":
-            return self._enumerate_columnar()
-        return self._enumerate_free_connex()
+        return self._enumerate()
 
     def _var_positions(self) -> Dict[int, List[Tuple[int, int]]]:
         reduced = self._reduced
@@ -285,36 +260,8 @@ class ConstantDelayEnumerator:
             for node in self._node_order
         }
 
-    def _enumerate_free_connex(self) -> Iterator[Row]:
-        reduced = self._reduced
-        assert reduced is not None
-        if reduced.is_empty:
-            return
-        order = self._node_order
-        head_index = {v: i for i, v in enumerate(self.head)}
-        var_positions = self._var_positions()
-        assignment: List[object] = [None] * len(self.head)
-
-        def recurse(depth: int) -> Iterator[Row]:
-            if depth == len(order):
-                yield tuple(assignment)
-                return
-            node = order[depth]
-            sep = self._sep_vars[node]
-            key = tuple(assignment[head_index[v]] for v in sep)
-            for row in self._indexes[node].get(key, ()):
-                # Consistency with already-bound variables beyond the
-                # separator cannot fail (running intersection confines
-                # sharing to the separator), so bind and descend.
-                for target, source in var_positions[node]:
-                    assignment[target] = row[source]
-                yield from recurse(depth + 1)
-            # No cleanup needed: ancestors rebind on their next row.
-
-        yield from recurse(0)
-
-    def _enumerate_columnar(self) -> Iterator[Row]:
-        """The same depth-first walk over dictionary codes.
+    def _enumerate(self) -> Iterator[Row]:
+        """A depth-first walk of the blocks over dictionary codes.
 
         Each answer is decoded individually at yield time — a
         constant-per-answer cost, preserving the delay contract while

@@ -1,8 +1,8 @@
 """Join algorithms: the paper's upper bounds.
 
-- :mod:`repro.joins.frame` — the internal (variables, rows) table type;
-- :mod:`repro.joins.vectorized` — the columnar (NumPy) frame backend
-  implementing the same algebra over dictionary-encoded code columns;
+- :mod:`repro.joins.vectorized` — the frame: a (variables, rows) table
+  over dictionary-encoded NumPy code columns, with the small relational
+  algebra the algorithms are written in;
 - :mod:`repro.joins.hashjoin` — binary hash joins and left-deep plans;
 - :mod:`repro.joins.semijoin` — semijoins and full reducers;
 - :mod:`repro.joins.yannakakis` — Theorem 3.1 (Boolean acyclic in
@@ -20,7 +20,6 @@ from repro.joins.cycles import (
     cycle_boolean_generic,
     cycle_boolean_meet_in_middle,
 )
-from repro.joins.frame import Frame
 from repro.joins.generic_join import generic_join, generic_join_boolean
 from repro.joins.hashjoin import hash_join, left_deep_plan_join
 from repro.joins.loomis_whitney import (
@@ -42,7 +41,6 @@ from repro.joins.yannakakis import (
 
 __all__ = [
     "ColumnarFrame",
-    "Frame",
     "atom_frames",
     "count_triangles",
     "cycle_boolean_generic",

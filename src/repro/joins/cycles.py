@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.db.database import Database
-from repro.joins.frame import Frame
 from repro.joins.generic_join import generic_join
 from repro.joins.triangle import triangle_relations
 from repro.query.catalog import cycle_query

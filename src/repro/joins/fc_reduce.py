@@ -41,9 +41,8 @@ from repro.hypergraph.freeconnex import free_connex_join_tree
 from repro.hypergraph.gyo import is_acyclic, join_tree
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.jointree import JoinTree
-from repro.joins.frame import Frame
 from repro.joins.semijoin import atom_frames, full_reducer_pass
-from repro.joins.vectorized import empty_frame_like, unit_frame_like
+from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 
 
@@ -58,15 +57,16 @@ class ReducedJoinQuery:
     """
 
     head: Tuple[str, ...]
-    frames: Dict[int, Frame]
+    frames: Dict[int, ColumnarFrame]
     tree: JoinTree
     is_empty: bool = False
 
-    def answer_frame(self) -> Frame:
+    def answer_frame(self) -> ColumnarFrame:
         """Materialize the full answer set (test helper, output-sized)."""
+        some = next(iter(self.frames.values()))
         if self.is_empty:
-            return empty_frame_like(self.frames.values(), self.head)
-        result = unit_frame_like(self.frames.values())
+            return some.empty_like(self.head)
+        result = some.unit_like()
         order: List[int] = []
         for node in self.tree.bottom_up():
             order.append(node)
@@ -104,7 +104,7 @@ def free_connex_reduce(
         dict(enumerate(atom_frames(query, db))), body_tree
     )
     if any(frame.is_empty() for frame in reduced.values()):
-        placeholder = empty_frame_like(reduced.values(), head)
+        placeholder = ColumnarFrame.empty(head, db.dictionary)
         return ReducedJoinQuery(
             head=head,
             frames={0: placeholder},
@@ -112,7 +112,7 @@ def free_connex_reduce(
             is_empty=True,
         )
     free = frozenset(head)
-    frames: Dict[int, Frame] = {}
+    frames: Dict[int, ColumnarFrame] = {}
     for index, child in enumerate(extended_tree.children(s_node)):
         scope = extended_tree.bags[child] & free
         ordered_scope = tuple(v for v in head if v in scope)

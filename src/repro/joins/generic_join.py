@@ -13,11 +13,10 @@ This is the algorithm behind:
 - the Õ(m^{1+1/(k-1)}) Loomis–Whitney evaluation of Example 3.4
   (ρ* = k/(k-1)).
 
-**Two execution strategies.**
-
-On columnar databases (every atom relation a
-:class:`~repro.db.columnar.ColumnarRelation` over one shared
-dictionary) the join runs *breadth-first over frontier arrays*: instead
+**Breadth-first over frontier arrays.**  Every relation of a database
+is a :class:`~repro.db.columnar.ColumnarRelation` over the database's
+one dictionary, so the join compares codes across atoms and runs
+breadth-first: instead
 of recursing per prefix, level ``t`` extends **all** currently-alive
 prefixes at once.  The *frontier* at level ``t`` is an ``(n_t, t)``
 int64 code matrix whose columns are the first ``t`` variables of the
@@ -50,26 +49,20 @@ No tuple is ever decoded (``decoded_row_count`` stays zero up to the
 public value boundary), and no per-prefix Python runs: the interpreter
 cost per level is O(#atoms), not O(#prefixes).  Sharded relations are
 columnar relations (the prefix tables are built from their coalesced
-``codes()``), so they run this same level step.
-
-Python-backend databases (and mixed-dictionary inputs, where codes are
-not comparable across atoms) run the depth-first strategy over
-hash-map tries (:class:`_AtomIndex`), driven by an explicit stack so
-deep variable orders can never hit Python's recursion limit.  It
-shares no code with the frontier path, which makes
-``db.to_backend("python")`` the independent oracle the parity tests
-compare the frontier against.
+``codes()``), so they run this same level step.  Deep variable orders
+cost one loop iteration per level, never an interpreter frame.  The
+tests compare every answer set against
+:meth:`repro.query.cq.ConjunctiveQuery.evaluate_brute_force`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.db.columnar import (
     ColumnarRelation,
-    Dictionary,
     atom_codes,
     lookup_rows,
     unique_rows,
@@ -77,69 +70,11 @@ from repro.db.columnar import (
 from repro.db.database import Database
 from repro.query.cq import ConjunctiveQuery
 
-Assignment = Dict[str, object]
-
 # Capped-witness search: with ``limit`` set the breadth-first run first
 # caps every frontier at max(limit, _WITNESS_CAP) rows — almost always
 # enough to find the requested witnesses — and falls back to the
 # uncapped run only when the truncated search came up short.
 _WITNESS_CAP = 1024
-
-
-class _AtomIndex:
-    """Per-atom trie-like access path for one global variable order.
-
-    For an atom with variables ordered consistently with the global
-    order, stores hash indexes from each prefix of the atom's variables
-    to the possible next values — the 'sorted trie' of Leapfrog-style
-    implementations, realized with dictionaries.
-    """
-
-    def __init__(
-        self,
-        relation_rows: Iterable[Tuple[object, ...]],
-        atom_variables: Sequence[str],
-        global_order: Sequence[str],
-    ) -> None:
-        rank = {v: i for i, v in enumerate(global_order)}
-        distinct: List[str] = []
-        first_pos: Dict[str, int] = {}
-        for pos, var in enumerate(atom_variables):
-            if var not in first_pos:
-                first_pos[var] = pos
-                distinct.append(var)
-        self.ordered_vars: List[str] = sorted(distinct, key=rank.get)
-        positions = [first_pos[v] for v in self.ordered_vars]
-        # levels[d] maps a length-d prefix key to the set of values the
-        # (d+1)-th ordered variable can take.
-        self.levels: List[Dict[Tuple, Set[object]]] = [
-            {} for _ in self.ordered_vars
-        ]
-        for row in relation_rows:
-            ok = all(
-                row[pos] == row[first_pos[var]]
-                for pos, var in enumerate(atom_variables)
-            )
-            if not ok:
-                continue
-            key: Tuple = ()
-            for depth, pos in enumerate(positions):
-                value = row[pos]
-                self.levels[depth].setdefault(key, set()).add(value)
-                key = key + (value,)
-
-    def candidates(self, assignment: Assignment, var: str) -> Optional[Set[object]]:
-        """Possible values of ``var`` given the assignment so far.
-
-        Returns ``None`` when the atom does not constrain ``var`` yet
-        (``var`` not in the atom), otherwise the candidate set (possibly
-        empty).
-        """
-        if var not in self.ordered_vars:
-            return None
-        depth = self.ordered_vars.index(var)
-        key = tuple(assignment[v] for v in self.ordered_vars[:depth])
-        return self.levels[depth].get(key, set())
 
 
 def _sorted_prefixes(
@@ -377,20 +312,6 @@ def _extend_frontier(
     return out
 
 
-def _shared_dictionary(
-    query: ConjunctiveQuery, db: Database
-) -> Optional[Dictionary]:
-    """The single dictionary of the query's relations, or ``None``.
-
-    ``None`` means the frontier strategy does not apply: a python
-    -backend relation has no codes, and codes from different
-    dictionaries are not comparable across atoms.
-    """
-    from repro.joins.vectorized import relation_family
-
-    return relation_family(db[atom.relation] for atom in query.atoms)
-
-
 def _frontier_run(
     query: ConjunctiveQuery,
     db: Database,
@@ -429,10 +350,12 @@ def _frontier_run(
             frontier = frontier[:cap]
             truncated = True
         if not len(frontier):
-            # A dead level kills every prefix: the join is empty.
+            # A dead level kills every prefix: the join is empty — or,
+            # after a capped level, the prefixes the cap cut off may
+            # still extend (the caller reruns uncapped).
             return (
                 np.empty((0, len(global_order)), dtype=np.int64),
-                False,
+                truncated,
             )
     return frontier, truncated
 
@@ -452,7 +375,7 @@ def _project_head(
 
 
 def _empty_atom_falsifies(query: ConjunctiveQuery, db: Database) -> bool:
-    # Arity-0 atoms bind no variables, so neither strategy ever
+    # Arity-0 atoms bind no variables, so the frontier never
     # consults them; an empty one nevertheless falsifies the query.
     return any(
         not atom.scope and db[atom.relation].is_empty()
@@ -464,26 +387,21 @@ def generic_join_codes(
     query: ConjunctiveQuery,
     db: Database,
     order: Optional[Sequence[str]] = None,
-) -> Optional[Tuple[np.ndarray, Tuple[str, ...]]]:
+) -> Tuple[np.ndarray, Tuple[str, ...]]:
     """Code-level Generic Join: the head's answer code matrix, no decodes.
 
     Returns ``(codes, head)`` — one distinct row per answer, columns in
-    head order, values as dictionary codes — or ``None`` when the
-    frontier strategy does not apply (python backend or mixed
-    dictionaries).  This is the
+    head order, values as codes of ``db.dictionary``.  This is the
     zero-decode entry point for counting and semiring aggregation over
     cyclic queries; :func:`generic_join` is the same computation with a
     decode at the value boundary.
     """
     query.validate_database(db)
-    dictionary = _shared_dictionary(query, db)
-    if dictionary is None:
-        return None
     head = tuple(query.head)
     if _empty_atom_falsifies(query, db):
         return np.empty((0, len(head)), dtype=np.int64), head
     global_order = _choose_order(query, order, db)
-    cardinality = len(dictionary)
+    cardinality = len(db.dictionary)
     matrix, _ = _frontier_run(query, db, global_order, cardinality, None)
     return _project_head(matrix, global_order, head, cardinality), head
 
@@ -507,14 +425,10 @@ def generic_join_delta_codes(
     inserts, these are exactly the answers the inserts created (an
     answer of a join query uses one tuple per atom).
 
-    Requires what :func:`generic_join_codes` requires to return codes:
-    columnar relations over one shared dictionary.
     """
     if not query.is_join_query():
         raise ValueError("generic_join_delta_codes requires a join query")
-    dictionary = _shared_dictionary(query, db)
-    if dictionary is None:
-        raise ValueError("delta joins run on columnar databases only")
+    dictionary = db.dictionary
     head = tuple(query.head)
     if _empty_atom_falsifies(query, db):
         return np.empty((0, len(head)), dtype=np.int64)
@@ -543,18 +457,14 @@ def generic_join(
     ``limit=1`` this is the Boolean early-exit used by
     :func:`generic_join_boolean`.
 
-    Columnar inputs run the breadth-first frontier strategy (module
-    docstring) and decode only the final head rows; everything else
-    runs the depth-first search.  Both strategies visit the
-    same prefix tree, so their answer sets are identical.
+    The breadth-first frontier strategy (module docstring) runs over
+    codes and decodes only the final head rows.
     """
     query.validate_database(db)
     if _empty_atom_falsifies(query, db):
         return set()
     global_order = _choose_order(query, order, db)
-    dictionary = _shared_dictionary(query, db)
-    if dictionary is None:
-        return _generic_join_stack(query, db, global_order, limit)
+    dictionary = db.dictionary
     cardinality = len(dictionary)
     head = tuple(query.head)
     cap = None if limit is None else max(limit, _WITNESS_CAP)
@@ -569,70 +479,6 @@ def generic_join(
     answers = set(dictionary.decode_rows(head_codes))
     if limit is not None and len(answers) > limit:
         answers = set(list(answers)[:limit])
-    return answers
-
-
-def _generic_join_stack(
-    query: ConjunctiveQuery,
-    db: Database,
-    global_order: Sequence[str],
-    limit: Optional[int],
-) -> Set[Tuple]:
-    """The depth-first strategy, driven by an explicit stack.
-
-    One stack frame per bound variable — an iterator over the smallest
-    candidate set plus the other sets to intersect against — so a
-    60-variable chain is 60 list entries, not 60 interpreter frames:
-    deep variable orders can never trip Python's recursion limit.
-    """
-    indexes = [
-        _AtomIndex(db[a.relation], a.variables, global_order)
-        for a in query.atoms
-    ]
-    head = tuple(query.head)
-    answers: Set[Tuple] = set()
-    depth_target = len(global_order)
-    if depth_target == 0:
-        answers.add(())
-        return answers
-    assignment: Assignment = {}
-    frames: List[Tuple[str, object, List[Set[object]]]] = []
-
-    def push(depth: int) -> None:
-        var = global_order[depth]
-        candidate_sets = [
-            c
-            for idx in indexes
-            if (c := idx.candidates(assignment, var)) is not None
-        ]
-        if not candidate_sets:  # pragma: no cover - defensive
-            # Cannot happen: every query variable occurs in some atom,
-            # and atom tries are keyed consistently with the global
-            # order, so at least one atom constrains ``var`` here.
-            raise RuntimeError(f"variable {var!r} is unconstrained")
-        smallest = min(candidate_sets, key=len)
-        others = [c for c in candidate_sets if c is not smallest]
-        frames.append((var, iter(smallest), others))
-
-    push(0)
-    while frames:
-        var, values, others = frames[-1]
-        descended = False
-        for value in values:
-            if others and not all(value in c for c in others):
-                continue
-            assignment[var] = value
-            if len(frames) == depth_target:
-                answers.add(tuple(assignment[v] for v in head))
-                if limit is not None and len(answers) >= limit:
-                    return answers
-                # Leaf level: keep draining this iterator in place.
-                continue
-            push(len(frames))
-            descended = True
-            break
-        if not descended:
-            frames.pop()
     return answers
 
 
@@ -705,7 +551,7 @@ def generic_join_boolean(
 ) -> bool:
     """Boolean evaluation with early exit on the first witness.
 
-    On columnar inputs the frontier strategy runs its capped witness
+    The frontier strategy runs its capped witness
     search — every level's frontier is truncated, which finds a
     witness after touching a bounded slice of the prefix tree.
     """

@@ -13,14 +13,14 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.db.database import Database
-from repro.joins.frame import Frame
 from repro.joins.semijoin import atom_frames
-from repro.joins.vectorized import unit_frame_like
+from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 
 
-def hash_join(left: Frame, right: Frame) -> Frame:
-    """Natural hash join of two frames (delegates to :meth:`Frame.join`)."""
+def hash_join(left: ColumnarFrame, right: ColumnarFrame) -> ColumnarFrame:
+    """Natural join of two frames (delegates to
+    :meth:`ColumnarFrame.join`)."""
     return left.join(right)
 
 
@@ -28,25 +28,23 @@ def left_deep_plan_join(
     query: ConjunctiveQuery,
     db: Database,
     order: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
-) -> Frame:
+) -> ColumnarFrame:
     """Evaluate a join query by a left-deep sequence of binary joins.
 
     ``order`` lists atom indices; default is ascending by relation size
     (the textbook greedy heuristic).  Returns the full join over all
     body variables projected onto the head.  Intermediates are
     materialized — that is the point: this evaluator exhibits the
-    non-worst-case-optimal behaviour.  ``backend`` forces the frame
-    backend; by default each atom frame matches its stored relation.
+    non-worst-case-optimal behaviour.
     """
-    frames = atom_frames(query, db, backend=backend)
+    frames = atom_frames(query, db)
     if order is None:
         order = sorted(range(len(frames)), key=lambda i: len(frames[i]))
     else:
         order = list(order)
         if sorted(order) != list(range(len(frames))):
             raise ValueError("order must be a permutation of atom indices")
-    result = unit_frame_like(frames)
+    result = ColumnarFrame.unit(db.dictionary)
     for index in order:
         result = result.join(frames[index])
     head = tuple(query.head)
@@ -57,18 +55,17 @@ def plan_intermediate_sizes(
     query: ConjunctiveQuery,
     db: Database,
     order: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
 ) -> List[int]:
     """Sizes of every intermediate a left-deep plan materializes.
 
     The instrumentation used by the benchmark that demonstrates the
     Ω(m^2) intermediate blow-up on AGM-tight triangle instances.
     """
-    frames = atom_frames(query, db, backend=backend)
+    frames = atom_frames(query, db)
     if order is None:
         order = sorted(range(len(frames)), key=lambda i: len(frames[i]))
     sizes: List[int] = []
-    result = unit_frame_like(frames)
+    result = ColumnarFrame.unit(db.dictionary)
     for index in order:
         result = result.join(frames[index])
         sizes.append(len(result))

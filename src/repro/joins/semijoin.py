@@ -9,81 +9,35 @@ linear-time upper bounds of Section 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.db.columnar import ColumnarRelation, Dictionary
 from repro.db.database import Database
-from repro.db.interface import check_backend
-from repro.db.relation import Relation
 from repro.hypergraph.jointree import JoinTree
-from repro.joins.frame import Frame
-from repro.joins.vectorized import frame_for_atom
+from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 
 
-def semijoin(target: Frame, source: Frame) -> Frame:
-    """``target ⋉ source`` — see :meth:`Frame.semijoin`."""
+def semijoin(target: ColumnarFrame, source: ColumnarFrame) -> ColumnarFrame:
+    """``target ⋉ source`` — see :meth:`ColumnarFrame.semijoin`."""
     return target.semijoin(source)
 
 
-def atom_frames(
-    query: ConjunctiveQuery,
-    db: Database,
-    backend: Optional[str] = None,
-) -> List[Frame]:
+def atom_frames(query: ConjunctiveQuery, db: Database) -> List[ColumnarFrame]:
     """One frame per atom, with repeated-variable selections applied.
 
-    Each frame uses the backend of its stored relation (so a columnar
-    database flows into the vectorized join stack automatically).  Pass
-    ``backend=`` to force one backend: relations stored the other way
-    are converted *once per relation symbol* (self-joins reuse the
-    conversion) at the store level, so the repeated-variable selection
-    and projection always run on the target backend — forcing
-    ``"columnar"`` never builds a Python frame first, and forcing
-    ``"python"`` decodes each relation exactly once.
+    Every frame reads its relation's codes over the database's one
+    dictionary, so the frames of a query compare codes directly.
     """
     query.validate_database(db)
-    if backend is None:
-        return [
-            frame_for_atom(db[atom.relation], atom.variables)
-            for atom in query.atoms
-        ]
-    check_backend(backend)
-    shared_dictionary = Dictionary()
-    converted: Dict[str, object] = {}
-
-    def store_for(name: str):
-        relation = db[name]
-        wrong_way = (
-            not isinstance(relation, ColumnarRelation)
-            if backend == "columnar"
-            else isinstance(relation, ColumnarRelation)
-        )
-        if not wrong_way:
-            return relation
-        if name not in converted:
-            if backend == "columnar":
-                converted[name] = ColumnarRelation(
-                    relation.name,
-                    relation.arity,
-                    relation,
-                    dictionary=shared_dictionary,
-                )
-            else:
-                converted[name] = Relation(
-                    relation.name, relation.arity, relation.rows()
-                )
-        return converted[name]
-
     return [
-        frame_for_atom(store_for(atom.relation), atom.variables)
+        ColumnarFrame.from_atom(db[atom.relation], atom.variables)
         for atom in query.atoms
     ]
 
 
 def full_reducer_pass(
-    frames: Dict[int, Frame], tree: JoinTree
-) -> Dict[int, Frame]:
+    frames: Dict[int, ColumnarFrame], tree: JoinTree
+) -> Dict[int, ColumnarFrame]:
     """Run the two semijoin passes of the Yannakakis full reducer.
 
     ``frames`` maps join-tree node ids to frames; the tree's node ids
@@ -110,7 +64,7 @@ def full_reducer_pass(
 
 
 def is_globally_consistent(
-    frames: Dict[int, Frame], tree: JoinTree
+    frames: Dict[int, ColumnarFrame], tree: JoinTree
 ) -> bool:
     """Check pairwise consistency along tree edges (test helper).
 

@@ -1,11 +1,13 @@
-"""Vectorized frames: the columnar execution backend's operators.
+"""Vectorized frames: the operators every join algorithm runs on.
 
-The algorithms in this package (binary hash joins, semijoin reducers,
-Yannakakis, Generic Join) are written against a small frame algebra —
+Relations store positional tuples; join algorithms need to know *which
+variable* each column binds.  A frame pairs a variable tuple with a set
+of rows, and the algorithms in this package (binary hash joins,
+semijoin reducers, Yannakakis) are written against its small algebra —
 ``project`` / ``select_in`` / ``semijoin`` / ``join`` / ``reorder``.
 :class:`ColumnarFrame` implements that algebra over dictionary-encoded
 NumPy code matrices (see :mod:`repro.db.columnar` for the encoding
-scheme), so an algorithm runs unchanged on either backend:
+scheme):
 
 - **semijoin** — pack the shared-variable columns of both sides into
   64-bit keys and keep rows via one :func:`numpy.isin`;
@@ -22,12 +24,9 @@ holds distinct rows, and each operator either provably preserves
 distinctness (join, semijoin, select) or re-uniquifies (project,
 raw-row construction).
 
-**When this backend wins** — see the :mod:`repro.db.columnar` module
-docstring: bulk operators over ≳10³ rows run one to two orders of
-magnitude faster; per-row Python callbacks and single-tuple updates do
-not.  The Python :class:`~repro.joins.frame.Frame` therefore remains
-the default; pass ``backend="columnar"`` at the :class:`Database` /
-workload / evaluator boundary to opt in.
+Frames built from one database share its dictionary and compare codes
+directly; an operand over another dictionary is re-encoded first
+(:meth:`repro.db.columnar.Dictionary.recode`).
 """
 
 from __future__ import annotations
@@ -53,18 +52,15 @@ from repro.db.columnar import (
     match_pairs,
     unique_rows,
 )
-from repro.joins.frame import Frame
-
-Row = Tuple[object, ...]
+from repro.db.interface import Row
 
 
 class ColumnarFrame:
     """A set of rows over named variables, stored as int64 code columns.
 
-    Mirrors :class:`repro.joins.frame.Frame`: immutable-ish operators
-    returning new frames, set semantics, same method names.  ``rows``
-    is exposed as a (lazily decoded, cached) set property so code
-    written against the Python frame's attribute keeps working.
+    Operators return new frames (so algorithm code reads like the
+    algebra in the paper) and keep set semantics.  ``rows`` is the
+    (lazily decoded, cached) set of value tuples.
     """
 
     def __init__(
@@ -162,7 +158,7 @@ class ColumnarFrame:
     # ------------------------------------------------------------------
     @property
     def rows(self) -> Set[Row]:
-        """Decoded rows as a set (cached) — Python-frame compatibility."""
+        """Decoded rows as a set (cached)."""
         if self._rows_cache is None:
             self._rows_cache = set(self.dictionary.decode_rows(self._codes))
         return self._rows_cache
@@ -199,28 +195,12 @@ class ColumnarFrame:
     # ------------------------------------------------------------------
     def _coerce(self, other) -> "ColumnarFrame":
         """The other operand's codes re-expressed in *this* dictionary."""
-        if not isinstance(other, ColumnarFrame):
-            # A Python Frame (or anything frame-shaped): encode its rows.
-            return ColumnarFrame.from_rows(
-                other.variables, other.rows, self.dictionary
-            )
         if other.dictionary is self.dictionary:
             return other
-        if not other._codes.size:
-            return ColumnarFrame(
-                other.variables, other._codes, self.dictionary, _distinct=True
-            )
-        # Translate only the codes this frame actually uses, so a small
-        # frame carrying a huge dictionary neither does dictionary-sized
-        # encode work nor bloats the target dictionary.
-        other_values = other.dictionary.values()
-        used = np.unique(other._codes)
-        table = np.zeros(int(used[-1]) + 1, dtype=np.int64)
-        encode = self.dictionary.encode
-        for code in used.tolist():
-            table[code] = encode(other_values[code])
         return ColumnarFrame(
-            other.variables, table[other._codes], self.dictionary,
+            other.variables,
+            self.dictionary.recode(other._codes, other.dictionary),
+            self.dictionary,
             _distinct=True,
         )
 
@@ -344,83 +324,6 @@ class ColumnarFrame:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarFrame({self.variables}, {len(self._codes)} rows)"
-
-
-# ----------------------------------------------------------------------
-# backend dispatch helpers
-# ----------------------------------------------------------------------
-def columnar_family(frames: Iterable) -> Optional[Dictionary]:
-    """The shared dictionary of an all-columnar frame family, else None.
-
-    The vectorized pipelines (FAQ aggregation, direct access,
-    enumeration preprocessing) compare codes across frames, which is
-    only sound when every frame is a :class:`ColumnarFrame` over one
-    :class:`Dictionary`.  Returns that dictionary when so, and ``None``
-    for empty, mixed-backend, or mixed-dictionary collections (callers
-    then take the scalar path).
-    """
-    dictionary: Optional[Dictionary] = None
-    for frame in frames:
-        if not isinstance(frame, ColumnarFrame):
-            return None
-        if dictionary is None:
-            dictionary = frame.dictionary
-        elif frame.dictionary is not dictionary:
-            return None
-    return dictionary
-
-
-def relation_family(relations: Iterable) -> Optional[Dictionary]:
-    """The shared dictionary of an all-columnar relation family, else None.
-
-    The relation-level counterpart of :func:`columnar_family`, with the
-    same soundness rule: cross-relation code comparisons (the frontier
-    Generic Join probes every atom's prefix tables with one shared
-    frontier matrix) require every relation to be a
-    :class:`~repro.db.columnar.ColumnarRelation` — sharded ones
-    included — over one :class:`~repro.db.columnar.Dictionary`.
-    ``None`` sends callers to their decoded fallback.
-    """
-    dictionary: Optional[Dictionary] = None
-    for relation in relations:
-        if not isinstance(relation, ColumnarRelation):
-            return None
-        if dictionary is None:
-            dictionary = relation.dictionary
-        elif relation.dictionary is not dictionary:
-            return None
-    return dictionary
-
-
-def frame_for_atom(relation, variables: Sequence[str]):
-    """An atom frame of the backend matching the stored relation.
-
-    Any :class:`ColumnarRelation` — sharded ones included, read through
-    their coalesced ``codes()`` — binds to a plain
-    :class:`ColumnarFrame`.
-    """
-    if isinstance(relation, ColumnarRelation):
-        return ColumnarFrame.from_atom(relation, variables)
-    return Frame.from_atom(relation, variables)
-
-
-def unit_frame_like(frames: Iterable) -> "Frame | ColumnarFrame":
-    """A join-identity frame of the same backend as ``frames``.
-
-    Falls back to the Python backend when the collection is empty.
-    """
-    for frame in frames:
-        return frame.unit_like()
-    return Frame.unit()
-
-
-def empty_frame_like(
-    frames: Iterable, variables: Sequence[str] = ()
-) -> "Frame | ColumnarFrame":
-    """A join-absorber frame of the same backend as ``frames``."""
-    for frame in frames:
-        return frame.empty_like(variables)
-    return Frame.empty(variables)
 
 
 # Make isinstance checks against the common backend interface work.

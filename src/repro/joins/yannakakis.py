@@ -25,9 +25,8 @@ from typing import Dict, Optional, Set, Tuple
 from repro.db.database import Database
 from repro.hypergraph.gyo import join_tree
 from repro.hypergraph.jointree import JoinTree
-from repro.joins.frame import Frame
 from repro.joins.semijoin import full_reducer_pass, atom_frames
-from repro.joins.vectorized import empty_frame_like, unit_frame_like
+from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 
 
@@ -41,7 +40,6 @@ def yannakakis_boolean(
     query: ConjunctiveQuery,
     db: Database,
     tree: Optional[JoinTree] = None,
-    backend: Optional[str] = None,
 ) -> bool:
     """Decide a Boolean acyclic query in linear time (Theorem 3.1).
 
@@ -49,7 +47,7 @@ def yannakakis_boolean(
     body is what is decided).  Raises on cyclic queries.
     """
     tree = _tree_for(query, tree)
-    frames = dict(enumerate(atom_frames(query, db, backend=backend)))
+    frames = dict(enumerate(atom_frames(query, db)))
     if any(frame.is_empty() for frame in frames.values()):
         return False
     reduced = full_reducer_pass(frames, tree)
@@ -60,16 +58,12 @@ def yannakakis_full(
     query: ConjunctiveQuery,
     db: Database,
     tree: Optional[JoinTree] = None,
-    backend: Optional[str] = None,
-) -> Frame:
+) -> ColumnarFrame:
     """Materialize an acyclic *join* query in O(m + output).
 
     After full reduction every partial join along the tree is supported
     by at least one output tuple, so intermediate results never exceed
     the final output — the classical output-sensitivity argument.
-    ``backend`` forces the frame backend; by default each atom frame
-    matches its stored relation, so a columnar database is evaluated by
-    the vectorized reducer/join stack end to end.
     """
     if not query.is_join_query():
         raise ValueError(
@@ -77,16 +71,16 @@ def yannakakis_full(
             "yannakakis_project for queries with projections"
         )
     tree = _tree_for(query, tree)
-    frames = dict(enumerate(atom_frames(query, db, backend=backend)))
+    frames = dict(enumerate(atom_frames(query, db)))
     reduced = full_reducer_pass(frames, tree)
     if any(frame.is_empty() for frame in reduced.values()):
-        return empty_frame_like(reduced.values(), tuple(query.head))
-    accumulated: Dict[int, Frame] = dict(reduced)
+        return ColumnarFrame.empty(tuple(query.head), db.dictionary)
+    accumulated: Dict[int, ColumnarFrame] = dict(reduced)
     for node in tree.bottom_up():
         parent = tree.parent.get(node)
         if parent is not None:
             accumulated[parent] = accumulated[parent].join(accumulated[node])
-    result = unit_frame_like(accumulated.values())
+    result = ColumnarFrame.unit(db.dictionary)
     for root in tree.roots:
         result = result.join(accumulated[root])
     return result.reorder(tuple(query.head))
@@ -96,8 +90,7 @@ def yannakakis_project(
     query: ConjunctiveQuery,
     db: Database,
     tree: Optional[JoinTree] = None,
-    backend: Optional[str] = None,
-) -> Frame:
+) -> ColumnarFrame:
     """Evaluate an acyclic query with projections.
 
     Bottom-up DP over the join tree: at each node, join the children's
@@ -109,13 +102,13 @@ def yannakakis_project(
     """
     tree = _tree_for(query, tree)
     reduced = full_reducer_pass(
-        dict(enumerate(atom_frames(query, db, backend=backend))), tree
+        dict(enumerate(atom_frames(query, db))), tree
     )
     head = tuple(query.head)
     if any(frame.is_empty() for frame in reduced.values()):
-        return empty_frame_like(reduced.values(), head)
+        return ColumnarFrame.empty(head, db.dictionary)
     free: Set[str] = set(query.free_variables)
-    partial: Dict[int, Frame] = {}
+    partial: Dict[int, ColumnarFrame] = {}
     for node in tree.bottom_up():
         frame = reduced[node]
         for child in tree.children(node):
@@ -126,7 +119,7 @@ def yannakakis_project(
             if v in free or v in tree.separator(node)
         ]
         partial[node] = frame.project(keep)
-    result = unit_frame_like(partial.values())
+    result = ColumnarFrame.unit(db.dictionary)
     for root in tree.roots:
         result = result.join(partial[root])
     return result.project(head).reorder(head)

@@ -178,11 +178,11 @@ class ConjunctiveQuery:
                 )
 
     def rename_apart_database(self, db: Database) -> Database:
-        """The database matching :meth:`rename_apart` (relations shared)."""
-        out = Database()
+        """The database matching :meth:`rename_apart` (relations copied,
+        re-encoded into the new database's dictionary)."""
+        out = Database(backend=db.backend)
         for i, atom in enumerate(self.atoms):
-            rel = db[atom.relation].copy(f"{atom.relation}__{i}")
-            out.add_relation(rel)
+            out.add_relation(db[atom.relation].copy(f"{atom.relation}__{i}"))
         return out
 
     # ------------------------------------------------------------------

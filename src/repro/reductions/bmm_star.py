@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Tuple
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.matmul.sparse import SparseBooleanMatrix
 from repro.query.catalog import star_query_sjf
 from repro.query.cq import ConjunctiveQuery
@@ -35,10 +34,8 @@ def build_star_database(
             f"inner dimensions differ: {a.shape} vs {b.shape}"
         )
     db = Database()
-    db.add_relation(Relation("R1", 2, a.entries))
-    db.add_relation(
-        Relation("R2", 2, ((j, k) for (k, j) in b.entries))
-    )
+    db.ensure_relation("R1", 2).add_all(a.entries)
+    db.ensure_relation("R2", 2).add_all((j, k) for (k, j) in b.entries)
     return db
 
 

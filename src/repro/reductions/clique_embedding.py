@@ -33,7 +33,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.catalog import cycle_query
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.faq import aggregate_generic
@@ -139,7 +138,7 @@ class CliqueEmbedding:
         for index, atom in enumerate(self.query.atoms):
             scope_vars = list(dict.fromkeys(atom.variables))
             touch = self.touching(atom.scope)
-            rel = Relation(atom.relation, atom.arity)
+            rows: List[Tuple] = []
             table: Dict[Tuple, float] = {}
             for choice in product(vertices, repeat=len(touch)):
                 assignment = dict(zip(touch, choice))
@@ -161,7 +160,7 @@ class CliqueEmbedding:
                     self._variable_value(var, assignment)
                     for var in atom.variables
                 )
-                rel.add(row)
+                rows.append(row)
                 if weights is not None:
                     charged = 0.0
                     for (i, j) in responsible.get(index, ()):
@@ -173,7 +172,7 @@ class CliqueEmbedding:
                         for var in scope_vars
                     )
                     table[key] = charged
-            db.add_relation(rel)
+            db.ensure_relation(atom.relation, atom.arity).add_all(rows)
             weight_tables[index] = table
 
         def weight_fn(atom_index: int, frame_row: Tuple) -> float:

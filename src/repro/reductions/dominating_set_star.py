@@ -24,7 +24,6 @@ from typing import Iterable, List, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 
@@ -73,9 +72,7 @@ class DominatingSetToStarCounting:
             for block_choice in product(allowed, repeat=self.block):
                 non_dominating.append(block_choice + (v,))
         db = Database()
-        db.add_relation(
-            Relation("R", self.block + 1, non_dominating)
-        )
+        db.ensure_relation("R", self.block + 1).add_all(non_dominating)
         return db
 
     def has_dominating_set(

@@ -20,7 +20,6 @@ from itertools import permutations
 from typing import FrozenSet, Iterable, Set, Tuple
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.catalog import loomis_whitney_query
 from repro.query.cq import ConjunctiveQuery
 from repro.solvers.hyperclique import normalize_hypergraph
@@ -55,7 +54,7 @@ class HypercliqueToLoomisWhitney:
         rows = permutation_relation(edges, self.k - 1)
         db = Database()
         for atom in self.query.atoms:
-            db.add_relation(Relation(atom.relation, self.k - 1, rows))
+            db.ensure_relation(atom.relation, self.k - 1).add_all(rows)
         return db
 
     def decide_hyperclique(

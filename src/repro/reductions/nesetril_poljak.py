@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.joins.triangle import triangle_boolean_ayz
 
 
@@ -75,18 +74,16 @@ def build_triangle_database(graph: nx.Graph, k: int) -> Database:
         [("s3", c) for c in _cliques_of_size(graph, r3)],
     ]
 
-    def edge_relation(name: str, left, right) -> Relation:
-        rel = Relation(name, 2)
+    def edges(left, right):
         for tag_l, clique_l in left:
             for tag_r, clique_r in right:
                 if _joinable(graph, clique_l, clique_r):
-                    rel.add(((tag_l, clique_l), (tag_r, clique_r)))
-        return rel
+                    yield ((tag_l, clique_l), (tag_r, clique_r))
 
     db = Database()
-    db.add_relation(edge_relation("R1", sides[0], sides[1]))
-    db.add_relation(edge_relation("R2", sides[1], sides[2]))
-    db.add_relation(edge_relation("R3", sides[2], sides[0]))
+    db.ensure_relation("R1", 2).add_all(edges(sides[0], sides[1]))
+    db.ensure_relation("R2", 2).add_all(edges(sides[1], sides[2]))
+    db.ensure_relation("R3", 2).add_all(edges(sides[2], sides[0]))
     return db
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
 
@@ -77,26 +76,19 @@ class ThreeSumToSumOrderAccess:
 
         db = Database()
         for atom in self.query.atoms:
-            rel = Relation(atom.relation, atom.arity)
             if self.x_var in atom.scope:
-                for tag in a_domain:
-                    rel.add(
-                        tuple(
-                            tag if v == self.x_var else PAD
-                            for v in atom.variables
-                        )
-                    )
+                rows = [
+                    tuple(tag if v == self.x_var else PAD for v in atom.variables)
+                    for tag in a_domain
+                ]
             elif self.y_var in atom.scope:
-                for tag in b_domain:
-                    rel.add(
-                        tuple(
-                            tag if v == self.y_var else PAD
-                            for v in atom.variables
-                        )
-                    )
+                rows = [
+                    tuple(tag if v == self.y_var else PAD for v in atom.variables)
+                    for tag in b_domain
+                ]
             else:
-                rel.add((PAD,) * atom.arity)
-            db.add_relation(rel)
+                rows = [(PAD,) * atom.arity]
+            db.ensure_relation(atom.relation, atom.arity).add_all(rows)
         return db, weights
 
     def solve(

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.hypergraph.structure import find_hard_substructure
 from repro.query.cq import ConjunctiveQuery
 
@@ -97,7 +96,7 @@ class TriangleToCyclicCQ:
         cycle_set = set(self.cycle)
         for index, atom in enumerate(self.query.atoms):
             role = self._atom_roles[index]
-            rel = Relation(atom.relation, atom.arity)
+            rel = db.ensure_relation(atom.relation, atom.arity)
             if role == "edge":
                 rel.add_all(edges)
             elif role == "equality":
@@ -120,7 +119,6 @@ class TriangleToCyclicCQ:
                 rel.add_all(rows)
             else:  # dummy
                 rel.add((DUMMY,) * atom.arity)
-            db.add_relation(rel)
         return db
 
     def decide_triangle(self, graph: nx.Graph, evaluator=None) -> bool:

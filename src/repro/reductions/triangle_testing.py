@@ -19,7 +19,6 @@ from typing import Callable, Optional, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.catalog import star_query, star_query_full
 from repro.query.cq import ConjunctiveQuery
 
@@ -33,7 +32,7 @@ def star_database_from_graph(graph: nx.Graph) -> Database:
         pairs.add((u, v))
         pairs.add((v, u))
     db = Database()
-    db.add_relation(Relation("R", 2, pairs))
+    db.ensure_relation("R", 2).add_all(pairs)
     return db
 
 

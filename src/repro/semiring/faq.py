@@ -10,18 +10,17 @@ With the counting semiring and unit weights this is exactly the
 linear-time answer counting of Theorem 3.8; with the tropical semiring
 it is min-weight aggregation (Section 4.1.2).
 
-**One execution path per frame type.**  On Python-backend frames the
-passing is the classical dict fold: one Python dict per message, one
-fold per tuple.  On columnar frames
-(:class:`repro.joins.vectorized.ColumnarFrame` sharing one dictionary)
-the same recurrence runs as an array program — a *message* is a pair
+**One execution path.**  Over the frames of one database
+(:class:`repro.joins.vectorized.ColumnarFrame` sharing its dictionary)
+the recurrence runs as an array program — a *message* is a pair
 ``(separator code matrix, weight column)`` that the parent consumes
 with one :func:`repro.db.columnar.fused_group_lookup` (group-reduce,
 binary-search gather and in-place ⊗ in one pass); a sharded relation
 binds to the same frames through its coalesced ``codes()``.  Semirings
 without native NumPy kernels fall back to object-dtype ``frompyfunc``
 folds (see :meth:`repro.semiring.semirings.Semiring.kernels`), keeping
-a single code path.  No tuple is ever decoded back into Python values.
+a single code path.  No tuple is decoded back into Python values
+unless a caller's scalar weight function asks for them.
 
 **Incremental maintenance.**  :class:`AggregateMaintainer` keeps the
 aggregate of an acyclic join query current under single-tuple updates:
@@ -56,7 +55,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.db.columnar import (
-    ColumnarRelation,
     atom_projection,
     common_keys,
     fused_group_lookup,
@@ -72,14 +70,13 @@ from repro.db.interface import (
 )
 from repro.hypergraph.gyo import join_tree
 from repro.hypergraph.jointree import JoinTree
-from repro.joins.frame import Frame
+from repro.db.interface import Row
 from repro.joins.generic_join import generic_join, generic_join_codes
 from repro.joins.semijoin import atom_frames, full_reducer_pass
-from repro.joins.vectorized import ColumnarFrame, columnar_family
+from repro.joins.vectorized import ColumnarFrame
 from repro.query.cq import ConjunctiveQuery
 from repro.semiring.semirings import Semiring
 
-Row = Tuple[object, ...]
 WeightFn = Callable[[int, Row], object]
 
 
@@ -94,8 +91,8 @@ class WeightedDatabase:
     the session's prepared queries execute on, and they notice through
     the relations' mutation stamps.
 
-    For columnar relations the store additionally keys every weight by
-    the tuple's *dictionary codes*, so the vectorized aggregation reads
+    The store additionally keys every weight by the tuple's
+    *dictionary codes*, so the vectorized aggregation reads
     whole weight columns (:meth:`coded_weight_column`) without decoding
     a single relation row — membership checks go through
     :meth:`repro.db.columnar.ColumnarRelation.has_coded`.
@@ -116,11 +113,10 @@ class WeightedDatabase:
     def __init__(self, db: Database) -> None:
         self.db = db
         self._weights: Dict[str, Dict[Row, object]] = {}
-        # relation name -> {coded tuple: weight}; columnar relations only.
+        # relation name -> {coded tuple: weight}.
         self._coded: Dict[str, Dict[Tuple[int, ...], object]] = {}
         self._stamp = 0
-        # Which (relation, coded tuple) weights changed, in order; None
-        # marks a change on a non-columnar relation (not code-addressable).
+        # Which (relation, coded tuple) weights changed, in order.
         self._weight_log: List[Tuple[str, Optional[Tuple[int, ...]]]] = []
         self._weight_log_start = 0
 
@@ -155,29 +151,14 @@ class WeightedDatabase:
     def set_weight(self, relation: str, row: Row, weight: object) -> None:
         tup = tuple(row)
         rel = self.db[relation]
-        if isinstance(rel, ColumnarRelation):
-            coded = []
-            for value in tup:
-                code = rel.dictionary.encode_existing(value)
-                if code is None:
-                    raise KeyError(
-                        f"tuple {row} not present in relation {relation!r}"
-                    )
-                coded.append(code)
-            if not rel.has_coded(coded):
-                raise KeyError(
-                    f"tuple {row} not present in relation {relation!r}"
-                )
-            self._coded.setdefault(relation, {})[tuple(coded)] = weight
-            self._weights.setdefault(relation, {})[tup] = weight
-            self._log_weight_change(relation, tuple(coded))
-            return
-        elif tup not in rel:
+        coded = tuple(map(rel.dictionary.encode_existing, tup))
+        if None in coded or not rel.has_coded(coded):
             raise KeyError(
                 f"tuple {row} not present in relation {relation!r}"
             )
+        self._coded.setdefault(relation, {})[coded] = weight
         self._weights.setdefault(relation, {})[tup] = weight
-        self._log_weight_change(relation, None)
+        self._log_weight_change(relation, coded)
 
     def add(
         self, relation: str, row: Row, weight: Optional[object] = None
@@ -204,19 +185,11 @@ class WeightedDatabase:
         if weights is not None and weights.pop(tup, None) is not None:
             purged = True
         coded_store = self._coded.get(relation)
-        if coded_store is not None and isinstance(rel, ColumnarRelation):
-            coded = []
-            for value in tup:
-                code = rel.dictionary.encode_existing(value)
-                if code is None:
-                    coded = None
-                    break
-                coded.append(code)
-            if coded is not None and (
-                coded_store.pop(tuple(coded), None) is not None
-            ):
+        if coded_store is not None:
+            coded = tuple(map(rel.dictionary.encode_existing, tup))
+            if coded_store.pop(coded, None) is not None:
                 purged = True
-                coded_key = tuple(coded)
+                coded_key = coded
         if purged:
             self._log_weight_change(relation, coded_key)
 
@@ -287,7 +260,7 @@ class WeightedDatabase:
         """A per-atom weight function for the given query.
 
         The returned object is callable as ``weights(i, frame_row)``
-        for the scalar path and additionally exposes
+        (a stored weight by value) and additionally exposes
         :meth:`_AtomWeights.column` for the vectorized path.  Atoms
         with repeated variables map the deduplicated frame row back to
         the full relation tuple in both cases.
@@ -324,33 +297,38 @@ class _AtomWeights:
     def column(self, atom_index: int, frame: ColumnarFrame) -> np.ndarray:
         """The weight column of ``frame``'s rows, aligned with its codes.
 
-        Zero-decode when the frame shares the columnar relation's
-        dictionary (the ``backend="columnar"`` database path): stored
-        code-keyed weights are scattered into the column via one
-        binary-search lookup.  Foreign dictionaries fall back to
-        per-row scalar lookups over decoded rows.
+        Zero-decode when the frame shares the weighted relation's
+        dictionary (frames of the weighted database): stored code-keyed
+        weights are scattered into the column via one binary-search
+        lookup.  Frames over another dictionary fall back to per-row
+        scalar lookups over decoded rows.
         """
         relation, positions = self.expanders[atom_index]
-        semiring = self.semiring
         rel = self.weighted.db[relation]
         codes = frame.codes()
-        if (
-            isinstance(rel, ColumnarRelation)
-            and frame.dictionary is rel.dictionary
-        ):
+        if frame.dictionary is rel.dictionary:
             return self.weighted.coded_weight_column(
                 relation,
                 codes[:, list(positions)],
-                semiring,
+                self.semiring,
                 len(frame.dictionary),
             )
-        return np.asarray(
-            [
-                self(atom_index, row)
-                for row in frame.dictionary.decode_rows(codes)
-            ],
-            dtype=object,
-        )
+        return _ScalarWeights(self).column(atom_index, frame)
+
+
+class _ScalarWeights:
+    """A scalar weight function ``weights(i, frame_row)`` read as weight
+    columns: one call per decoded frame row, into an object column."""
+
+    def __init__(self, weights: WeightFn) -> None:
+        self.weights = weights
+
+    def column(self, atom_index: int, frame: ColumnarFrame) -> np.ndarray:
+        rows = frame.dictionary.decode_rows(frame.codes())
+        column = np.empty(len(rows), dtype=object)
+        for position, row in enumerate(rows):
+            column[position] = self.weights(atom_index, row)
+        return column
 
 
 def aggregate_acyclic(
@@ -417,7 +395,7 @@ def aggregate_free_connex(
 
 
 def aggregate_frames(
-    frames: Mapping[int, Frame],
+    frames: Mapping[int, ColumnarFrame],
     tree: JoinTree,
     semiring: Semiring,
     weights: Optional[WeightFn] = None,
@@ -428,74 +406,18 @@ def aggregate_frames(
     otherwise tuples without child matches are ⊕-skipped, which computes
     the aggregate over the actual join but may visit dead tuples.
 
-    Dispatches on the frame type: columnar frames sharing one
-    dictionary run a vectorized array program (when the weights are
-    ``None`` or column-capable, as returned by
-    :meth:`WeightedDatabase.atom_weight_fn`); everything else runs the
-    scalar dict fold.
+    Runs as one array program over the frames' codes (a frame over
+    another dictionary than the first one's is re-encoded first).
+    Column-capable weights (:meth:`WeightedDatabase.atom_weight_fn`)
+    are scattered from code-keyed stores; any other ``weights(i, row)``
+    is called once per decoded frame row.
     """
-    run = _aggregate_frames_python
-    if weights is None or hasattr(weights, "column"):
-        if columnar_family(frames.values()) is not None:
-            run = _aggregate_frames_fused
-    return run(frames, tree, semiring, weights)
-
-
-def _aggregate_frames_python(
-    frames: Mapping[int, Frame],
-    tree: JoinTree,
-    semiring: Semiring,
-    weights: Optional[WeightFn] = None,
-) -> object:
-    """The scalar message passing: dicts of separator keys."""
-    if weights is None:
-        weights = lambda i, row: semiring.one  # noqa: E731
-    # messages[node]: dict mapping separator key -> ⊕-sum over the
-    # node's tuples (matching that key) of (own weight ⊗ children sums).
-    messages: Dict[int, Dict[Row, object]] = {}
-    node_value: Dict[int, object] = {}
-    for node in tree.bottom_up():
-        frame = frames[node]
-        child_info = []
-        for child in tree.children(node):
-            # Key order must match the order the child used when it
-            # grouped its message — sorted() on both sides makes the
-            # exchange canonical (multi-variable separators!).
-            sep = tuple(
-                sorted(
-                    v for v in frame.variables
-                    if v in frames[child].variables
-                )
-            )
-            child_info.append(
-                (frame.positions(sep), messages.pop(child))
-            )
-        sep_to_parent = tree.separator(node)
-        parent_key_vars = tuple(
-            sorted(v for v in frame.variables if v in sep_to_parent)
-        )
-        parent_positions = frame.positions(parent_key_vars)
-        out: Dict[Row, object] = {}
-        for row in frame.rows:
-            value = weights(node, row)
-            dead = False
-            for sep_positions, child_message in child_info:
-                key = tuple(row[p] for p in sep_positions)
-                incoming = child_message.get(key)
-                if incoming is None:
-                    dead = True
-                    break
-                value = semiring.times(value, incoming)
-            if dead:
-                continue
-            key = tuple(row[p] for p in parent_positions)
-            if key in out:
-                out[key] = semiring.plus(out[key], value)
-            else:
-                out[key] = value
-        messages[node] = out
-        node_value[node] = semiring.sum(out.values())
-    return semiring.product(node_value[root] for root in tree.roots)
+    if weights is not None and not hasattr(weights, "column"):
+        weights = _ScalarWeights(weights)
+    if frames:
+        some = next(iter(frames.values()))
+        frames = {node: some._coerce(frame) for node, frame in frames.items()}
+    return _aggregate_frames_fused(frames, tree, semiring, weights)
 
 
 def _aggregate_frames_fused(
@@ -504,7 +426,7 @@ def _aggregate_frames_fused(
     semiring: Semiring,
     weights: Optional["_AtomWeights"],
 ) -> object:
-    """Fused message passing for columnar trees.
+    """Fused message passing over one dictionary's frames.
 
     A child's message stays *unreduced* — its surviving separator
     codes and combined values, arrays it owns anyway — and the parent
@@ -592,12 +514,12 @@ def aggregate_generic(
     Runs in Õ(m^{ρ*}); this is the baseline path for cyclic queries
     such as the k-clique and k-cycle queries of Section 4.
 
-    On columnar databases the answers come from the frontier join as a
-    code matrix (:func:`~repro.joins.generic_join.generic_join_codes`)
-    and the fold runs as weight-column ⊗ products plus one ⊕ reduce —
-    zero per-answer Python, zero decodes.  Arbitrary scalar weight
+    The answers come from the frontier join as a code matrix
+    (:func:`~repro.joins.generic_join.generic_join_codes`) and the fold
+    runs as weight-column ⊗ products plus one ⊕ reduce — zero
+    per-answer Python, zero decodes.  Arbitrary scalar weight
     functions (anything without the coded-column protocol of
-    :meth:`WeightedDatabase.atom_weight_fn`) keep the decoded fold.
+    :meth:`WeightedDatabase.atom_weight_fn`) fold over decoded answers.
 
     ``codes`` is that matrix (one row per answer, head columns, any
     row order) when the caller already holds it current for ``db`` —
@@ -607,10 +529,8 @@ def aggregate_generic(
         raise ValueError("aggregate_generic requires a join query")
     if weights is None or hasattr(weights, "expanders"):
         if codes is None:
-            coded = generic_join_codes(query, db)
-            codes = None if coded is None else coded[0]
-        if codes is not None:
-            return _aggregate_codes(query, db, semiring, weights, codes)
+            codes = generic_join_codes(query, db)[0]
+        return _aggregate_codes(query, db, semiring, weights, codes)
     if weights is None:
         weights = lambda i, row: semiring.one  # noqa: E731
     head = tuple(query.head)
@@ -646,7 +566,8 @@ def aggregate_units(semiring: Semiring, count: int) -> object:
     plus_ufunc, _, _ = semiring.kernels()
     one = semiring.unit_column(1)
     if one.dtype.kind == "i" and count > np.iinfo(one.dtype).max:
-        # A python-backend bigint count: stay exact past the kernel's width.
+        # A count past int64 (the counted tree's root product is a
+        # Python int): stay exact past the kernel's width.
         one = one.astype(object)
     total = one
     for bit in bin(count)[3:]:  # the bits below the leading one
@@ -674,7 +595,7 @@ def _aggregate_codes(
     plus_ufunc, times_fn, _ = semiring.kernels()
     position = {v: i for i, v in enumerate(query.head)}
     values = semiring.unit_column(len(codes))
-    cardinality = len(db[query.atoms[0].relation].dictionary)
+    cardinality = len(db.dictionary)
     for atom in query.atoms:
         full = codes[:, [position[v] for v in atom.variables]]
         column = weights.weighted.coded_weight_column(
@@ -778,8 +699,8 @@ def _constant_column(length: int, value: object, dtype) -> np.ndarray:
 class AggregateMaintainer:
     """Maintain an acyclic join-query aggregate under tuple updates.
 
-    Built over the *unreduced* atom frames of a columnar database (all
-    relations sharing one dictionary): per join-tree node it stores the
+    Built over the *unreduced* atom frames of a database (all relations
+    share its dictionary): per join-tree node it stores the
     code matrix, a weight column aligned row-for-row with it (appended
     and dropped in step with the relation's delta segments), and the
     node's message toward its parent as a :class:`Message`.
@@ -841,14 +762,7 @@ class AggregateMaintainer:
         self.rebuilds += 1
         query, db, semiring = self.query, self.db, self.semiring
         frames = dict(enumerate(atom_frames(query, db)))
-        dictionary = columnar_family(frames.values())
-        if dictionary is None:
-            raise ValueError(
-                "AggregateMaintainer requires a columnar database whose "
-                "relations share one dictionary (Database(backend="
-                "'columnar'))"
-            )
-        self.dictionary = dictionary
+        self.dictionary = dictionary = db.dictionary
         self._stamps = snapshot_stamps(db, query.relation_symbols)
         self._weight_stamp = (
             self.weights.mutation_stamp if self.weights is not None else 0

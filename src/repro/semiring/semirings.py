@@ -95,8 +95,8 @@ class Semiring:
     def as_scalar(self, value: Any) -> Any:
         """A NumPy scalar back as the plain Python value.
 
-        Keeps the vectorized aggregates byte-compatible with the
-        scalar path: counting returns ``int``, Boolean ``bool``.
+        Keeps the vectorized aggregates byte-compatible with a fold
+        over Python values: counting returns ``int``, Boolean ``bool``.
         """
         return value.item() if isinstance(value, np.generic) else value
 
@@ -126,8 +126,8 @@ BOOLEAN = Semiring(
 )
 
 # int64 weight columns: exact as long as intermediate counts stay below
-# 2^63, which covers every workload here by orders of magnitude (the
-# scalar path's bigints remain available by forcing the Python backend).
+# 2^63, which covers every workload here by orders of magnitude (scalar
+# weight functions returning Python ints fold exactly in object columns).
 COUNTING = Semiring(
     name="counting",
     plus=lambda a, b: a + b,

@@ -34,7 +34,8 @@ engine threads.
 **Errors.**  Every failure renders as the JSON envelope
 ``{"error": {"code": ..., "message": ...}}`` with a stable code:
 ``parse_error`` (400) for bad queries, ``stale_structure`` /
-``history_truncated`` (409), ``corruption`` (500), ``degraded``
+``history_truncated`` (409), ``overflow`` (422: an answer count past
+int64 inside the counted tree), ``corruption`` (500), ``degraded``
 (503), ``no_such_db`` / ``no_such_handle`` (404), ``db_exists``
 (409), plus the protocol-level codes from :mod:`repro.server.http`.
 
@@ -144,6 +145,10 @@ def error_for(exc: BaseException) -> HttpError:
         return HttpError(409, "stale_structure", str(exc))
     if isinstance(exc, DegradedDatabaseError):
         return HttpError(503, "degraded", str(exc))
+    if isinstance(exc, OverflowError):
+        # A count past int64 inside the counted tree: a property of the
+        # data the request asked about, not a server fault.
+        return HttpError(422, "overflow", str(exc))
     if isinstance(exc, (KeyError, TypeError, ValueError)):
         return HttpError(400, "bad_request", str(exc))
     return HttpError(
@@ -700,12 +705,13 @@ class QueryServer:
             if action == "page":
                 offset = request.int_param("offset", 0)
                 limit = request.int_param("limit", 100)
-                # One read-lock hold (page and len re-enter it), so
-                # rows and total describe the same database state.
+                # One read-lock hold (page and count re-enter it), so
+                # rows and total describe the same database state;
+                # count() stays exact past 2^63, where len() cannot.
                 rows, total = await self.run_blocking(
                     self._read_locked_call,
                     served.tenant,
-                    lambda: (answers.page(offset, limit), len(answers)),
+                    lambda: (answers.page(offset, limit), answers.count()),
                 )
                 payload = {
                     "handle": handle,

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 import networkx as nx
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.joins.triangle import triangle_boolean_ayz, triangle_boolean_naive
 
 
@@ -28,7 +27,7 @@ def graph_as_triangle_database(graph: nx.Graph) -> Database:
         pairs.add((v, u))
     db = Database()
     for name in ("R1", "R2", "R3"):
-        db.add_relation(Relation(name, 2, pairs))
+        db.ensure_relation(name, 2).add_all(pairs)
     return db
 
 

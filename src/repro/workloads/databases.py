@@ -1,9 +1,9 @@
 """Database generators for the catalog queries.
 
-Every generator takes a ``backend=`` switch (``"python"`` default,
-``"columnar"``) and builds rows in bulk first, so the columnar backend
-ingests each relation with a single encode pass and one vectorized
-dedupe instead of per-tuple inserts.
+Every generator takes a ``backend=`` switch (``"columnar"`` default,
+``"sharded"``) and builds rows in bulk first, so each relation is
+ingested with a single encode pass and one vectorized dedupe instead of
+per-tuple inserts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def random_database(
     tuples_per_relation: int,
     domain_size: int,
     seed: SeedLike = None,
-    backend: str = "python",
+    backend: str = "columnar",
 ) -> Database:
     """IID-uniform tuples for every relation symbol of the query.
 
@@ -51,7 +51,7 @@ def random_triangle_db(
     m_per_relation: int,
     domain_size: int,
     seed: SeedLike = None,
-    backend: str = "python",
+    backend: str = "columnar",
 ) -> Database:
     """Random binary relations R1, R2, R3 for the triangle query."""
     from repro.query.catalog import triangle_query
@@ -62,7 +62,7 @@ def random_triangle_db(
 
 
 def agm_tight_triangle_db(
-    m_per_relation: int, backend: str = "python"
+    m_per_relation: int, backend: str = "columnar"
 ) -> Database:
     """The AGM-tight triangle instance with Θ(m^{3/2}) answers.
 
@@ -95,7 +95,7 @@ def random_star_db(
     domain_size: int,
     seed: SeedLike = None,
     self_join_free: bool = False,
-    backend: str = "python",
+    backend: str = "columnar",
 ) -> Database:
     """A database for q*_k (single R) or q̄*_k (R1..Rk)."""
     rng = make_rng(seed)
@@ -113,7 +113,7 @@ def random_star_db(
 
 
 def functional_path_db(
-    length: int, m: int, seed: SeedLike = None, backend: str = "python"
+    length: int, m: int, seed: SeedLike = None, backend: str = "columnar"
 ) -> Database:
     """A path-query database where each relation is near-functional.
 

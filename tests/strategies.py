@@ -13,7 +13,6 @@ from typing import List, Tuple
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 
@@ -85,12 +84,12 @@ def random_database_for(
         arity = next(
             a.arity for a in query.atoms if a.relation == symbol
         )
-        rel = Relation(symbol, arity)
-        for _ in range(tuples_per_relation):
-            rel.add(
+        db.ensure_relation(symbol, arity).add_all(
+            [
                 tuple(rng.randrange(domain_size) for _ in range(arity))
-            )
-        db.add_relation(rel)
+                for _ in range(tuples_per_relation)
+            ]
+        )
     return db
 
 
@@ -110,7 +109,7 @@ def databases_for(draw, query: ConjunctiveQuery, max_tuples: int = 25):
                 max_size=max_tuples,
             )
         )
-        db.add_relation(Relation(symbol, arity, rows))
+        db.ensure_relation(symbol, arity).add_all(rows)
     return db
 
 

@@ -1,11 +1,11 @@
-"""Backend parity: the columnar (NumPy) backend must agree with the
-Python backend — and with the brute-force oracle — everywhere.
+"""The columnar (NumPy) storage and frame algebra against plain Python
+set semantics, and the join stack against the brute-force oracle.
 
-Covers the tuple-store surface (`ColumnarRelation` vs `Relation`), the
-frame algebra (`ColumnarFrame` vs `Frame`), and the full join stack
-(binary plans, Generic Join, Yannakakis) on random queries/databases,
-including empty relations, arity-0/1 relations and repeated-variable
-atoms.
+Covers the tuple-store surface (`ColumnarRelation` vs Python sets), the
+frame algebra (`ColumnarFrame` vs the set-algebra oracle below), and the
+full join stack (binary plans, Generic Join, Yannakakis) on random
+queries/databases over both storage layouts, including empty relations,
+arity-0/1 relations and repeated-variable atoms.
 """
 
 import numpy as np
@@ -18,32 +18,64 @@ from repro.db import (
     Database,
     Dictionary,
     FrameAlgebra,
-    Relation,
     TupleStore,
 )
 from repro.db.columnar import common_keys, match_pairs, pack_rows, unique_rows
+from repro.db.sharded import ShardedColumnarRelation
 from repro.hypergraph.gyo import join_tree
 from repro.joins import (
     ColumnarFrame,
-    Frame,
     generic_join,
     left_deep_plan_join,
     yannakakis_boolean,
     yannakakis_full,
     yannakakis_project,
 )
-from repro.joins.semijoin import atom_frames
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 
-from tests.strategies import conjunctive_queries, queries_with_databases
+from tests.strategies import queries_with_databases
 
-BACKENDS = ("python", "columnar")
+BACKENDS = ("columnar", "sharded")
 
 
 def both_backends(db):
-    """The same database in both backends (python first)."""
-    return db.to_backend("python"), db.to_backend("columnar")
+    """The same database in both storage layouts."""
+    return db.to_backend("columnar"), db.to_backend("sharded", shard_count=3)
+
+
+# ----------------------------------------------------------------------
+# the set-algebra oracle: frames as (variables, set of value rows)
+# ----------------------------------------------------------------------
+def _project(variables, rows, keep):
+    positions = [variables.index(v) for v in keep]
+    return {tuple(row[p] for p in positions) for row in rows}
+
+
+def _agree(left_vars, left_row, right_vars, right_row):
+    return all(
+        left_row[i] == right_row[right_vars.index(v)]
+        for i, v in enumerate(left_vars)
+        if v in right_vars
+    )
+
+
+def _join(left_vars, left_rows, right_vars, right_rows):
+    extra = [j for j, v in enumerate(right_vars) if v not in left_vars]
+    return {
+        tuple(left) + tuple(right[j] for j in extra)
+        for left in set(left_rows)
+        for right in set(right_rows)
+        if _agree(left_vars, left, right_vars, right)
+    }
+
+
+def _semijoin(left_vars, left_rows, right_vars, right_rows):
+    return {
+        tuple(left)
+        for left in left_rows
+        if any(_agree(left_vars, left, right_vars, r) for r in right_rows)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -114,20 +146,20 @@ relation_rows = st.lists(
 
 
 @given(relation_rows, relation_rows)
-def test_columnar_relation_matches_python_relation(rows, more_rows):
-    py = Relation("R", 2, rows)
+def test_columnar_relation_matches_set_semantics(rows, more_rows):
+    py = set(rows)
     col = ColumnarRelation("R", 2, rows)
-    assert col == py and py == col
+    assert col == ColumnarRelation("S", 2, py)
     assert len(col) == len(py)
-    assert col.rows() == py.rows()
-    assert col.project((1, 0)).rows() == py.project((1, 0)).rows()
-    assert col.project(()).rows() == py.project(()).rows()
-    assert col.select_eq(0, 3).rows() == py.select_eq(0, 3).rows()
-    assert col.distinct_values(1) == py.distinct_values(1)
-    assert col.active_domain() == py.active_domain()
-    assert col.index((0,)).keys() == py.index((0,)).keys()
+    assert col.rows() == py
+    assert col.project((1, 0)).rows() == {(b, a) for a, b in py}
+    assert col.project(()).rows() == ({()} if py else set())
+    assert col.select_eq(0, 3).rows() == {r for r in py if r[0] == 3}
+    assert col.distinct_values(1) == {b for _, b in py}
+    assert col.active_domain() == {v for r in py for v in r}
+    assert col.index((0,)).keys() == {(a,) for a, _ in py}
     for key, bucket in col.index((0, 1)).items():
-        assert sorted(bucket) == sorted(py.index((0, 1))[key])
+        assert bucket == [key]
     # interleaved single-tuple mutation
     for i, row in enumerate(more_rows):
         if i % 3 == 2:
@@ -136,12 +168,11 @@ def test_columnar_relation_matches_python_relation(rows, more_rows):
         else:
             py.add(row)
             col.add(row)
-        assert col == py
-    removed_py = py.retain(lambda t: t[0] % 2 == 0)
-    removed_col = col.retain(lambda t: t[0] % 2 == 0)
-    assert removed_py == removed_col
-    assert col == py
-    assert col.copy() == py.copy()
+        assert col.rows() == py
+    kept = {t for t in py if t[0] % 2 == 0}
+    assert col.retain(lambda t: t[0] % 2 == 0) == len(py) - len(kept)
+    assert col.rows() == kept
+    assert col.copy() == col
 
 
 def test_columnar_relation_edge_arities():
@@ -163,30 +194,8 @@ def test_columnar_relation_edge_arities():
         one.index((1,))
 
 
-def test_relation_indexes_maintained_incrementally():
-    rel = Relation("R", 2, [(1, 2), (3, 4)])
-    idx = rel.index((0,))
-    rel.add((5, 6))
-    # same cached dict object, updated in place — not rebuilt
-    assert rel.index((0,)) is idx
-    assert idx[(5,)] == [(5, 6)]
-    rel.discard((3, 4))
-    assert rel.index((0,)) is idx
-    assert (3,) not in idx
-    rel.add_all([(3, 4), (5, 7)])
-    assert rel.index((0,)) is idx
-    assert sorted(idx[(5,)]) == [(5, 6), (5, 7)]
-    # and the maintained index equals a fresh rebuild
-    fresh = Relation("R", 2, rel.rows()).index((0,))
-    assert {k: sorted(v) for k, v in idx.items()} == {
-        k: sorted(v) for k, v in fresh.items()
-    }
-
-
 def test_backend_interface_registration():
-    assert isinstance(Relation("R", 1), TupleStore)
     assert isinstance(ColumnarRelation("R", 1), TupleStore)
-    assert isinstance(Frame(("x",)), FrameAlgebra)
     assert isinstance(ColumnarFrame.empty(("x",)), FrameAlgebra)
 
 
@@ -198,11 +207,13 @@ def test_database_backend_switch():
     assert db["R"].dictionary is db["S"].dictionary
     assert isinstance(db.ensure_relation("T", 3), ColumnarRelation)
     assert isinstance(db.copy()["R"], ColumnarRelation)
-    back = db.to_backend("python")
-    assert isinstance(back["R"], Relation)
+    back = db.to_backend("sharded")
+    assert isinstance(back["R"], ShardedColumnarRelation)
     assert back["R"].rows() == db["R"].rows()
     with pytest.raises(ValueError):
         Database(backend="gpu")
+    with pytest.raises(ValueError, match="columnar"):
+        Database(backend="python")
 
 
 # ----------------------------------------------------------------------
@@ -216,67 +227,61 @@ frame_rows = st.lists(
 
 @given(frame_rows, frame_rows)
 def test_frame_algebra_parity(left_rows, right_rows):
-    py_l = Frame(("x", "y", "z"), left_rows)
-    py_r = Frame(("y", "z", "w"), right_rows)
+    lv, rv = ["x", "y", "z"], ["y", "z", "w"]
     shared = Dictionary()
-    col_l = ColumnarFrame.from_rows(("x", "y", "z"), left_rows, shared)
-    col_r = ColumnarFrame.from_rows(("y", "z", "w"), right_rows, shared)
+    col_l = ColumnarFrame.from_rows(lv, left_rows, shared)
+    col_r = ColumnarFrame.from_rows(rv, right_rows, shared)
 
-    assert col_l.to_tuples() == py_l.to_tuples()
-    assert (
-        col_l.project(("z", "x")).to_tuples()
-        == py_l.project(("z", "x")).to_tuples()
+    assert col_l.to_tuples() == set(left_rows)
+    assert col_l.project(("z", "x")).to_tuples() == _project(
+        lv, left_rows, ("z", "x")
     )
-    assert col_l.project(()).to_tuples() == py_l.project(()).to_tuples()
-    assert (
-        col_l.join(col_r).to_tuples() == py_l.join(py_r).to_tuples()
+    assert col_l.project(()).to_tuples() == _project(lv, left_rows, ())
+    assert col_l.join(col_r).to_tuples() == _join(
+        lv, left_rows, rv, right_rows
     )
-    assert (
-        col_l.semijoin(col_r).to_tuples()
-        == py_l.semijoin(py_r).to_tuples()
+    assert col_l.semijoin(col_r).to_tuples() == _semijoin(
+        lv, left_rows, rv, right_rows
     )
     allowed = {(r[1], r[2]) for r in left_rows[::2]}
-    assert (
-        col_l.select_in(("y", "z"), allowed).to_tuples()
-        == py_l.select_in(("y", "z"), allowed).to_tuples()
+    assert col_l.select_in(("y", "z"), allowed).to_tuples() == {
+        r for r in left_rows if (r[1], r[2]) in allowed
+    }
+    assert col_l.rename({"x": "a"}).to_tuples(("a", "y", "z")) == set(
+        left_rows
     )
-    assert (
-        col_l.rename({"x": "a"}).to_tuples(("a", "y", "z"))
-        == py_l.rename({"x": "a"}).to_tuples(("a", "y", "z"))
-    )
-    assert (
-        col_l.reorder(("z", "y", "x")).to_tuples()
-        == py_l.reorder(("z", "y", "x")).to_tuples()
+    assert col_l.reorder(("z", "y", "x")).to_tuples() == _project(
+        lv, left_rows, ("z", "y", "x")
     )
 
 
 @given(frame_rows, frame_rows)
 def test_frame_cross_product_parity(left_rows, right_rows):
-    py_l = Frame(("x", "y", "z"), left_rows)
-    py_r = Frame(("u", "v", "w"), right_rows)
-    col_l = ColumnarFrame.from_rows(("x", "y", "z"), left_rows)
-    col_r = ColumnarFrame.from_rows(("u", "v", "w"), right_rows)
-    assert col_l.join(col_r).to_tuples() == py_l.join(py_r).to_tuples()
-    assert (
-        col_l.semijoin(col_r).to_tuples()
-        == py_l.semijoin(py_r).to_tuples()
+    lv, rv = ["x", "y", "z"], ["u", "v", "w"]
+    col_l = ColumnarFrame.from_rows(lv, left_rows)
+    col_r = ColumnarFrame.from_rows(rv, right_rows)
+    assert col_l.join(col_r).to_tuples() == _join(
+        lv, left_rows, rv, right_rows
+    )
+    assert col_l.semijoin(col_r).to_tuples() == _semijoin(
+        lv, left_rows, rv, right_rows
     )
 
 
 @given(frame_rows)
-def test_mixed_backend_frames_interoperate(rows):
-    """A columnar frame can join/semijoin a Python frame and vice versa."""
+def test_frames_over_separate_dictionaries_interoperate(rows):
+    """Frames over two dictionaries join and semijoin either way round
+    (the other operand is re-encoded first)."""
     order = ("x", "y", "z", "w")
-    py_l = Frame(("x", "y", "z"), rows)
-    py_r = Frame(("y", "z", "w"), rows)
-    col_l = ColumnarFrame.from_rows(("x", "y", "z"), rows)
-    col_r = ColumnarFrame.from_rows(("y", "z", "w"), rows)
-    expected = py_l.join(py_r).to_tuples(order)
-    assert py_l.join(col_r).to_tuples(order) == expected
-    assert col_l.join(py_r).to_tuples(order) == expected
-    semi = py_l.semijoin(py_r).to_tuples()
-    assert py_l.semijoin(col_r).to_tuples() == semi
-    assert col_l.semijoin(py_r).to_tuples() == semi
+    lv, rv = ["x", "y", "z"], ["y", "z", "w"]
+    col_l = ColumnarFrame.from_rows(lv, rows)
+    col_r = ColumnarFrame.from_rows(rv, rows)
+    assert col_l.dictionary is not col_r.dictionary
+    expected = _join(lv, rows, rv, rows)
+    assert col_l.join(col_r).to_tuples(order) == expected
+    assert col_r.join(col_l).to_tuples(order) == expected
+    assert col_l.semijoin(col_r).to_tuples() == _semijoin(lv, rows, rv, rows)
+    assert col_r.semijoin(col_l).to_tuples() == _semijoin(rv, rows, lv, rows)
 
 
 def test_columnar_frame_separate_dictionaries_coerce():
@@ -301,11 +306,8 @@ def test_columnar_frame_unit_and_empty():
 def test_from_atom_repeated_variables():
     rel = ColumnarRelation("R", 3, [(1, 1, 2), (1, 2, 2), (4, 4, 4)])
     frame = ColumnarFrame.from_atom(rel, ("x", "x", "y"))
-    py = Frame.from_atom(
-        Relation("R", 3, [(1, 1, 2), (1, 2, 2), (4, 4, 4)]), ("x", "x", "y")
-    )
-    assert frame.variables == py.variables == ("x", "y")
-    assert frame.to_tuples() == py.to_tuples() == {(1, 2), (4, 4)}
+    assert frame.variables == ("x", "y")
+    assert frame.to_tuples() == {(1, 2), (4, 4)}
 
 
 # ----------------------------------------------------------------------
@@ -316,50 +318,26 @@ def test_from_atom_repeated_variables():
 def test_join_stack_backend_parity(query_db):
     query, db = query_db
     expected = query.evaluate_brute_force(db)
-    db_py, db_col = both_backends(db)
+    db_col, db_sharded = both_backends(db)
 
-    assert generic_join(query, db_py) == expected
     assert generic_join(query, db_col) == expected
+    assert generic_join(query, db_sharded) == expected
 
-    assert left_deep_plan_join(query, db_py).to_tuples() == expected
     assert left_deep_plan_join(query, db_col).to_tuples() == expected
+    assert left_deep_plan_join(query, db_sharded).to_tuples() == expected
 
     try:
         tree = join_tree(query.hypergraph())
     except ValueError:
         return  # cyclic — Yannakakis does not apply
-    assert yannakakis_boolean(query, db_py, tree) == bool(expected)
-    assert yannakakis_boolean(query, db_col, tree) == bool(expected)
-    assert (
-        yannakakis_project(query, db_py, tree).to_tuples() == expected
-    )
-    assert (
-        yannakakis_project(query, db_col, tree).to_tuples() == expected
-    )
     full = query.as_join_query()
     full_expected = full.evaluate_brute_force(db)
-    assert yannakakis_full(full, db_py, tree).to_tuples() == full_expected
-    result_col = yannakakis_full(full, db_col, tree)
-    assert isinstance(result_col, ColumnarFrame)
-    assert result_col.to_tuples() == full_expected
-
-
-@settings(max_examples=25)
-@given(conjunctive_queries(max_atoms=3, max_arity=2))
-def test_forced_backend_on_python_database(query):
-    """atom_frames(backend=...) converts frames regardless of storage."""
-    from tests.strategies import random_database_for
-
-    db = random_database_for(query, 12, 4, seed=11)
-    frames_py = atom_frames(query, db, backend="python")
-    frames_col = atom_frames(query, db, backend="columnar")
-    assert all(isinstance(f, Frame) for f in frames_py)
-    assert all(isinstance(f, ColumnarFrame) for f in frames_col)
-    for py, col in zip(frames_py, frames_col):
-        assert py.variables == col.variables
-        assert py.to_tuples() == col.to_tuples()
-    with pytest.raises(ValueError):
-        atom_frames(query, db, backend="gpu")
+    for stored in (db_col, db_sharded):
+        assert yannakakis_boolean(query, stored, tree) == bool(expected)
+        assert yannakakis_project(query, stored, tree).to_tuples() == expected
+        result = yannakakis_full(full, stored, tree)
+        assert isinstance(result, ColumnarFrame)
+        assert result.to_tuples() == full_expected
 
 
 def test_arity0_empty_relation_falsifies_query():
@@ -396,8 +374,10 @@ def test_self_join_columnar_parity():
         (Atom("E", ("x", "y")), Atom("E", ("y", "z"))),
     )
     rows = [(1, 2), (2, 3), (3, 1), (2, 2)]
-    db_py = Database.from_dict({"E": rows})
     db_col = Database.from_dict({"E": rows}, backend="columnar")
-    expected = query.evaluate_brute_force(db_py)
+    expected = {
+        (x, y, z) for (x, y) in rows for (y2, z) in rows if y == y2
+    }
+    assert query.evaluate_brute_force(db_col) == expected
     assert generic_join(query, db_col) == expected
     assert left_deep_plan_join(query, db_col).to_tuples() == expected

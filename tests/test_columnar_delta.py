@@ -5,15 +5,15 @@ then-full-rewrite flush with delta code arrays: a compacted main
 segment plus an op log merged on read.  These tests pin down the new
 contract (:mod:`repro.db.interface`):
 
-- ``mutation_stamp`` is monotone on both backends;
+- ``mutation_stamp`` is monotone on both storage layouts;
 - ``delta_since`` is *exact* — logically-absorbed ops cancel — and
   raises the typed :class:`~repro.db.interface.TruncatedHistoryError`
   only past a history barrier (compaction, bulk ``add_all``, removing
   ``retain``), carrying both stamps;
 - ``retain`` interleaved with buffered ops acts on the merged view;
 - and a hypothesis state machine drives arbitrary interleavings of
-  ``add``/``add_all``/``discard``/``retain`` against the Python
-  backend as oracle, replaying every answerable delta against a
+  ``add``/``add_all``/``discard``/``retain`` against a Python set as
+  oracle, replaying every answerable delta against a
   recorded snapshot.
 """
 
@@ -33,7 +33,7 @@ from repro.db.columnar import (
     ColumnarRelation,
 )
 from repro.db.interface import StaleStructureError, TruncatedHistoryError
-from repro.db.relation import Relation
+from repro.db.sharded import ShardedColumnarRelation
 
 
 def decode_rows(relation, codes):
@@ -44,7 +44,7 @@ def decode_rows(relation, codes):
 # ----------------------------------------------------------------------
 # mutation stamps
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("cls", [Relation, ColumnarRelation])
+@pytest.mark.parametrize("cls", [ShardedColumnarRelation, ColumnarRelation])
 def test_mutation_stamp_monotone(cls):
     rel = cls("R", 2)
     seen = [rel.mutation_stamp]
@@ -58,15 +58,6 @@ def test_mutation_stamp_monotone(cls):
     seen.append(rel.mutation_stamp)
     assert seen == sorted(seen)
     assert seen[-1] > seen[0]
-
-
-def test_python_stamp_only_moves_on_effective_change():
-    rel = Relation("R", 1, [(1,), (2,)])
-    stamp = rel.mutation_stamp
-    rel.add((1,))  # already present
-    rel.discard((9,))  # absent
-    rel.retain(lambda t: True)  # removes nothing
-    assert rel.mutation_stamp == stamp
 
 
 def test_columnar_noop_retain_keeps_stamp_and_history():
@@ -121,15 +112,6 @@ def test_truncated_history_error_is_typed_and_carries_stamps():
     assert err.requested_stamp == stamp
     assert err.barrier_stamp == rel.mutation_stamp
     assert str(stamp) in str(err) and str(err.barrier_stamp) in str(err)
-
-
-def test_python_backend_raises_typed_error_on_drift():
-    rel = Relation("R", 1, [(1,)])
-    stamp = rel.mutation_stamp
-    rel.add((2,))
-    with pytest.raises(TruncatedHistoryError) as excinfo:
-        rel.delta_since(stamp)
-    assert excinfo.value.requested_stamp == stamp
 
 
 def test_compaction_truncates_history_but_not_content():
@@ -223,7 +205,7 @@ rows_st = st.tuples(
 class DeltaSegmentMachine(RuleBasedStateMachine):
     """Arbitrary add/add_all/discard/retain interleavings.
 
-    The Python backend is the oracle for content; recorded
+    A Python set is the oracle for content; recorded
     ``(stamp, rows)`` snapshots are the oracle for ``delta_since``:
     whenever history is still answerable, replaying the net delta on
     the snapshot must reproduce the current rows, the insertions must
@@ -233,13 +215,13 @@ class DeltaSegmentMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.col = ColumnarRelation("R", 2)
-        self.py = Relation("R", 2)
+        self.py = set()
         self.snapshots = []
 
     @initialize(rows=st.lists(rows_st, max_size=30))
     def seed(self, rows):
         self.col.add_all(rows)
-        self.py.add_all(rows)
+        self.py.update(rows)
         self.snapshot()
 
     @rule(row=rows_st)
@@ -250,7 +232,7 @@ class DeltaSegmentMachine(RuleBasedStateMachine):
     @rule(rows=st.lists(rows_st, max_size=8))
     def add_all(self, rows):
         self.col.add_all(rows)
-        self.py.add_all(rows)
+        self.py.update(rows)
 
     @rule(row=rows_st)
     def discard(self, row):
@@ -261,7 +243,9 @@ class DeltaSegmentMachine(RuleBasedStateMachine):
           remainder=st.integers(min_value=0, max_value=4))
     def retain(self, modulus, remainder):
         predicate = lambda t: (t[0] + t[1]) % modulus != remainder  # noqa: E731
-        assert self.col.retain(predicate) == self.py.retain(predicate)
+        kept = {t for t in self.py if predicate(t)}
+        assert self.col.retain(predicate) == len(self.py) - len(kept)
+        self.py = kept
 
     @rule()
     def compact(self):
@@ -276,7 +260,7 @@ class DeltaSegmentMachine(RuleBasedStateMachine):
 
     @invariant()
     def content_matches_oracle(self):
-        assert self.col.rows() == self.py.rows()
+        assert self.col.rows() == self.py
         assert len(self.col) == len(self.py)
 
     @invariant()

@@ -31,7 +31,7 @@ from repro.direct_access import LexDirectAccess
 from repro.engine import connect
 from repro.semiring import COUNTING
 
-BACKENDS = ("python", "columnar", "sharded")
+BACKENDS = ("columnar", "sharded")
 
 ROWS = 300
 READERS = 4

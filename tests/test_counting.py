@@ -13,7 +13,7 @@ from repro.counting import (
 )
 from repro.counting.interpolation import default_star_oracle, tag_relations
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.hypergraph.gyo import is_acyclic
 from repro.query import catalog, parse_query
@@ -58,8 +58,8 @@ def test_count_acyclic_join_rejects_projection():
 def test_count_acyclic_join_empty_result():
     query = catalog.path_query(2)
     db = Database()
-    db.add_relation(Relation("R1", 2, [(1, 2)]))
-    db.add_relation(Relation("R2", 2))
+    db.add_relation(ColumnarRelation("R1", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("R2", 2))
     assert count_acyclic_join(query, db) == 0
 
 
@@ -100,8 +100,8 @@ def test_count_free_connex_boolean():
 def test_count_free_connex_empty_result():
     query = parse_query("q(x) :- R(x, y), S(y)")
     db = Database()
-    db.add_relation(Relation("R", 2, [(1, 2)]))
-    db.add_relation(Relation("S", 1))
+    db.add_relation(ColumnarRelation("R", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("S", 1))
     assert count_free_connex(query, db) == 0
 
 
@@ -170,7 +170,7 @@ def test_interpolation_counts_sjf_star(k):
     query = catalog.star_query_sjf(k)
     db = Database()
     for i, rel in enumerate(relations):
-        db.add_relation(Relation(f"R{i + 1}", 2, rel))
+        db.add_relation(ColumnarRelation(f"R{i + 1}", 2, rel))
     expected = query.count_brute_force(db)
     assert star_counts_by_interpolation(relations) == expected
 
@@ -180,7 +180,7 @@ def test_interpolation_with_explicit_oracle():
     oracle = default_star_oracle(2)
     query = catalog.star_query_sjf(2)
     db = Database(
-        [Relation(f"R{i + 1}", 2, rel) for i, rel in enumerate(relations)]
+        [ColumnarRelation(f"R{i + 1}", 2, rel) for i, rel in enumerate(relations)]
     )
     assert count_with_colors(relations, oracle) == query.count_brute_force(db)
 
@@ -208,7 +208,7 @@ def test_count_multi_variable_separator_regression():
     (b,a)-ordered keys)."""
     query = parse_query("q(a, b, c) :- R0(a, b), R1(b, c, a)")
     db = Database()
-    db.add_relation(Relation("R0", 2, [(1, 2)]))
-    db.add_relation(Relation("R1", 3, [(2, 3, 1)]))
+    db.add_relation(ColumnarRelation("R0", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("R1", 3, [(2, 3, 1)]))
     assert count_acyclic_join(query, db) == 1
     assert count_answers(query, db) == 1

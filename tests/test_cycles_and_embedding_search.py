@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.joins.cycles import (
     count_triangles,
     count_triangles_combinatorial,
@@ -41,7 +41,7 @@ def test_cycle_algorithms_agree(k):
 def test_cycle_empty_relation():
     db = Database()
     for i in range(1, 5):
-        db.add_relation(Relation(f"R{i}", 2))
+        db.add_relation(ColumnarRelation(f"R{i}", 2))
     assert not cycle_boolean_meet_in_middle(db, 4)
     assert not cycle_boolean_generic(db, 4)
 
@@ -81,7 +81,7 @@ def test_triangle_counts_agree_with_brute(seed):
 def test_triangle_count_empty():
     db = Database()
     for name in ("R1", "R2", "R3"):
-        db.add_relation(Relation(name, 2))
+        db.add_relation(ColumnarRelation(name, 2))
     assert count_triangles(db) == 0
 
 

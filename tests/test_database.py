@@ -3,7 +3,7 @@
 import pytest
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 
 
 def test_from_dict_infers_arity():
@@ -18,9 +18,9 @@ def test_from_dict_rejects_empty_relation():
 
 
 def test_duplicate_names_rejected():
-    db = Database([Relation("R", 1)])
+    db = Database([ColumnarRelation("R", 1)])
     with pytest.raises(ValueError):
-        db.add_relation(Relation("R", 2))
+        db.add_relation(ColumnarRelation("R", 2))
 
 
 def test_missing_relation_raises_keyerror():
@@ -30,7 +30,7 @@ def test_missing_relation_raises_keyerror():
 
 
 def test_contains_and_len():
-    db = Database([Relation("R", 1), Relation("S", 2)])
+    db = Database([ColumnarRelation("R", 1), ColumnarRelation("S", 2)])
     assert "R" in db
     assert "missing" not in db
     assert len(db) == 2

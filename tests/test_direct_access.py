@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.direct_access import (
     LexDirectAccess,
     SumOrderDirectAccess,
@@ -213,7 +213,7 @@ def test_lex_access_fallback_matches():
     )
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 @pytest.mark.parametrize(
     "text, order",
     [
@@ -238,8 +238,8 @@ def test_lex_access_fallback_parity_across_backends(text, order, backend):
 def test_lex_access_empty_result():
     query = parse_query("q(x, y) :- R(x, y), S(y)")
     db = Database()
-    db.add_relation(Relation("R", 2, [(1, 2)]))
-    db.add_relation(Relation("S", 1))
+    db.add_relation(ColumnarRelation("R", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("S", 1))
     accessor = LexDirectAccess(query, db)
     assert len(accessor) == 0
     with pytest.raises(IndexError):
@@ -342,7 +342,7 @@ def test_access_range_matches_access(query_db, data):
             max_size=4,
         )
     )
-    for backend in ("python", "columnar", "sharded"):
+    for backend in ("columnar", "sharded"):
         stored = db.to_backend(backend)
         # "refresh" builds the patchable unreduced stores on coded
         # join queries, "error" the fully reduced ones.
@@ -592,24 +592,40 @@ def test_sum_order_single_atom():
     assert keys == sorted(keys)
 
 
+def _sum_ordered(query, db, weights):
+    """Brute-force answers sorted by (answer weight, tuple)."""
+    return sorted(
+        query.evaluate_brute_force(db),
+        key=lambda row: (sum(weights.get(v, 0.0) for v in row), row),
+    )
+
+
 def test_sum_order_columnar_covering_parity():
     query = parse_query("q(x, y) :- R(x, y), S(x)")
     db = random_database(query, 60, 12, seed=102)
     weights = {i: (5 * i) % 11 - 5.0 for i in range(12)}
-    scalar = SumOrderDirectAccess(query, db, weights)
-    columnar = SumOrderDirectAccess(
-        query, db.to_backend("columnar"), weights
-    )
-    assert columnar.store_backend == "columnar"
-    assert len(scalar) == len(columnar)
-    assert [columnar.access(i) for i in range(len(columnar))] == [
-        scalar.access(i) for i in range(len(scalar))
-    ]
-    probe = scalar.answer_weight(scalar.access(0)) if len(scalar) else 0.0
+    expected = _sum_ordered(query, db, weights)
+    accessor = SumOrderDirectAccess(query, db, weights)
+    assert accessor.mode == "covering"
+    assert [accessor.access(i) for i in range(len(accessor))] == expected
+    probe = accessor.answer_weight(expected[0]) if expected else 0.0
     for target in (probe, probe + 0.5, -100.0):
-        assert scalar.has_weight(target, 1e-9) == columnar.has_weight(
-            target, 1e-9
+        assert accessor.has_weight(target, 1e-9) == any(
+            abs(accessor.answer_weight(row) - target) <= 1e-9
+            for row in expected
         )
+
+
+def test_sum_order_materialized_parity():
+    # No covering atom: Generic Join materializes, the same code sort
+    # orders the answers.
+    query = parse_query("q(x, y, z) :- R(x, y), S(y, z)")
+    db = random_database(query, 40, 8, seed=103)
+    weights = {i: (3 * i) % 7 - 2.5 for i in range(8)}
+    accessor = SumOrderDirectAccess(query, db, weights, strict=False)
+    assert accessor.mode == "materialized"
+    expected = _sum_ordered(query, db, weights)
+    assert [accessor.access(i) for i in range(len(accessor))] == expected
 
 
 def test_sum_order_columnar_mixed_type_columns():
@@ -622,10 +638,9 @@ def test_sum_order_columnar_mixed_type_columns():
     )
     weights = {1: 5.0, "x": 1.0}
     columnar = SumOrderDirectAccess(query, db, weights)
-    scalar = SumOrderDirectAccess(query, db.to_backend("python"), weights)
-    assert [columnar.access(i) for i in range(len(columnar))] == [
-        scalar.access(i) for i in range(len(scalar))
-    ]
+    assert [
+        columnar.access(i) for i in range(len(columnar))
+    ] == _sum_ordered(query, db, weights)
 
 
 def test_sum_order_covering_atom_with_filter():
@@ -739,3 +754,21 @@ def test_testing_oracle_boolean_rejected():
     db = random_database(query, 5, 4, seed=107)
     with pytest.raises(ValueError):
         TestingOracle(query, db)
+
+
+def test_lex_store_ranks_each_column_on_its_own():
+    # Regression: one rank table over a node's own columns compared an
+    # int column's values with a str column's (TypeError at build).
+    query = parse_query("q(x, y, z) :- R(x, y), S(y, z)")
+    db = Database.from_dict(
+        {
+            "R": [(2, "a"), (1, "a"), (3, "b")],
+            "S": [("a", 2.5), ("b", 0.5), ("b", 1.5)],
+        }
+    )
+    for order in (("x", "y", "z"), ("y", "x", "z"), ("y", "z", "x")):
+        for on_stale in ("error", "refresh"):
+            accessor = LexDirectAccess(
+                query, db, order=order, on_stale=on_stale
+            )
+            assert accessor.materialize() == sorted_answers(query, db, order)

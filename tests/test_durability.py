@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.db import Database, attach
+from repro.db import CorruptSnapshotError, Database, attach
 from repro.db import checkpoint as _checkpoint  # registers ckpt.* points
 from repro.db.wal import read_records
 
@@ -29,7 +29,7 @@ assert _checkpoint.CRASH_POINTS  # the import above is load-bearing
 from repro.util import faultpoints
 from repro.util.faultpoints import InjectedCrash, known_fault_points
 
-BACKENDS = ("python", "columnar", "sharded")
+BACKENDS = ("columnar", "sharded")
 
 
 @pytest.fixture(autouse=True)
@@ -62,8 +62,7 @@ def scripted_ops():
         lambda db: db["R"].discard((1, 2)),
         lambda db: db["R"].add(("x", "y")),
         lambda db: db["S"].retain(lambda t: t[0] % 2 == 0),
-        # the python backend keeps no segments to fold
-        lambda db: getattr(db["S"], "compact", lambda: 0)(),
+        lambda db: db["S"].compact(),
         lambda db: db.ensure_relation("T", 1).add((42,)),
         lambda db: db["R"].discard(("nope", "nope")),
         lambda db: db["S"].add_all([(100, 101), (102, 103)]),
@@ -352,11 +351,47 @@ def test_corrupt_session_manifest_recovers_cold(tmp_path):
     cold.db.close()
 
 
-def test_durable_rejects_foreign_dictionary(tmp_path):
-    from repro.db.columnar import ColumnarRelation, Dictionary
+def test_durable_reencodes_foreign_dictionary(tmp_path):
+    from repro.db.columnar import ColumnarRelation
 
-    db = attach(str(tmp_path / "db"), backend="columnar")
-    alien = ColumnarRelation("A", 1, dictionary=Dictionary())
-    with pytest.raises(ValueError):
-        db.add_relation(alien)
+    path = str(tmp_path / "db")
+    db = attach(path, backend="columnar")
+    db.ensure_relation("R", 1).add(("b",))
+    alien = ColumnarRelation("A", 1, [("a",), ("b",)])
+    registered = db.add_relation(alien)
+    assert registered is db["A"] and registered is not alien
+    assert registered.dictionary is db.dictionary
+    assert rows_of(registered) == {("a",), ("b",)}
     db.close()
+    recovered = attach(path)
+    assert rows_of(recovered["A"]) == {("a",), ("b",)}
+    assert all(rel.dictionary is recovered.dictionary for rel in recovered)
+    recovered.close()
+
+
+def test_attach_refuses_retired_python_payloads(tmp_path):
+    """Durable directories written with the retired ``"python"`` storage
+    kind are refused with a typed error, never half-loaded."""
+    from repro.db import checkpoint as ckpt
+    from repro.db.wal import REC_CREATE
+
+    # A manifest that records the python backend.
+    path = str(tmp_path / "manifest")
+    db = attach(path)
+    db.ensure_relation("R", 2).add((1, 2))
+    db.checkpoint()
+    db.close()
+    manifest = ckpt.read_manifest(path)
+    ckpt.commit_manifest(path, {**manifest, "backend": "python"})
+    with pytest.raises(CorruptSnapshotError, match="'python'"):
+        attach(path)
+
+    # A WAL that creates a python-kind relation.
+    path = str(tmp_path / "wal")
+    db = attach(path)
+    db._writer.append(
+        REC_CREATE, ("P", 2, {"kind": "python", "state": ([(1, 2)], 1)})
+    )
+    db.close()
+    with pytest.raises(CorruptSnapshotError, match="'python'"):
+        attach(path)

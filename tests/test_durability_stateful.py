@@ -179,10 +179,6 @@ class DurabilityMachine(RuleBasedStateMachine):
         shutil.rmtree(self.root, ignore_errors=True)
 
 
-class PythonDurabilityMachine(DurabilityMachine):
-    backend = "python"
-
-
 class ColumnarDurabilityMachine(DurabilityMachine):
     backend = "columnar"
 
@@ -195,8 +191,6 @@ _stateful = settings(
     max_examples=10, stateful_step_count=20, deadline=None
 )
 
-TestPythonDurability = PythonDurabilityMachine.TestCase
-TestPythonDurability.settings = _stateful
 TestColumnarDurability = ColumnarDurabilityMachine.TestCase
 TestColumnarDurability.settings = _stateful
 TestShardedDurability = ShardedDurabilityMachine.TestCase

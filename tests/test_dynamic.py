@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.dynamic import HierarchicalCountMaintainer
 from repro.query import catalog, parse_query
 
@@ -27,7 +27,7 @@ def brute_count(query, relations):
         arity = next(
             a.arity for a in query.atoms if a.relation == symbol
         )
-        db.add_relation(Relation(symbol, arity, relations[symbol]))
+        db.add_relation(ColumnarRelation(symbol, arity, relations[symbol]))
     return query.count_brute_force(db)
 
 

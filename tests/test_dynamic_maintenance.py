@@ -47,10 +47,10 @@ from repro.semiring.semirings import (
     MIN_PLUS,
     Semiring,
 )
-from tests import strategies
+from tests import brute, strategies
 from tests.test_engine import FAMILY_QUERIES
 
-BACKENDS = ("python", "columnar")
+BACKENDS = ("columnar", "sharded")
 
 STAR = catalog.star_query_full(2, self_join_free=True)
 STAR_ORDER = ("z", "x1", "x2")
@@ -150,8 +150,7 @@ def test_discarded_weight_is_purged_not_resurrected(backend):
     # The old weight must not resurrect: unweighted tuples are neutral.
     assert weighted.weight("R1", (1, 2), COUNTING) == COUNTING.one
     assert (1, 2) not in weighted._weights.get("R1", {})
-    if backend == "columnar":
-        assert weighted.coded_weights("R1") == {}
+    assert weighted.coded_weights("R1") == {}
     weights = weighted.atom_weight_fn(STAR, COUNTING)
     assert aggregate_acyclic(STAR, db, COUNTING, weights) == count_answers(
         STAR, db
@@ -212,13 +211,11 @@ def test_count_maintainer_bulk_rewrite_falls_back_to_rebuild():
     assert maintainer.rebuilds == rebuilds + 1
 
 
-def test_aggregate_maintainer_requires_join_query_and_columnar():
+def test_aggregate_maintainer_requires_join_query():
     with pytest.raises(ValueError):
         AggregateMaintainer(
             catalog.star_query_sjf(2), star_db("columnar"), COUNTING
         )
-    with pytest.raises(ValueError):
-        AggregateMaintainer(STAR, star_db("python"), COUNTING)
 
 
 def test_weighted_inserts_stay_incremental():
@@ -275,7 +272,7 @@ def test_tropical_maintainer_with_weights_and_delete_fallback():
 
 
 # ----------------------------------------------------------------------
-# post-update parity: answers == from-scratch rebuild on both backends
+# post-update parity: answers == from-scratch rebuild == brute force
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lex_refresh_parity_over_stream(backend):
@@ -290,6 +287,7 @@ def test_lex_refresh_parity_over_stream(backend):
             oracle = LexDirectAccess(STAR, db, STAR_ORDER)
             assert len(access) == len(oracle)
             assert access.materialize() == oracle.materialize()
+            assert oracle.materialize() == brute.ordered(STAR, db, STAR_ORDER)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -305,6 +303,7 @@ def test_enumeration_refresh_parity_over_stream(backend):
         if step % 8 == 0 or step > 74:
             oracle = ConstantDelayEnumerator(query, db)
             assert sorted(enumerator) == sorted(oracle)
+            assert sorted(oracle) == brute.ordered(query, db)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -370,8 +369,8 @@ def test_unary_join_query_refresh_parity():
 # The cyclic family serves count, pages, iteration and aggregates from
 # one code matrix + row list (repro.direct_access.lex.OrderedAnswers)
 # and repairs it from ``delta_since`` while history lasts.  Everything
-# below compares it, after every update, against the python-backend
-# session (a rebuild per version, no codes) and the brute-force oracle.
+# below compares it, after every update, against the brute-force oracle
+# (answers, their order, and a brute-force fold for aggregates).
 TRIANGLE = "q(x, y, z) :- R(x, y), S(y, z), T(z, x)"
 
 STORAGES = [
@@ -409,16 +408,13 @@ def _row_weight(row):
 
 
 class _Mirror:
-    """One update stream on a session under test and on the reference.
+    """One update stream on a session under test, checked against the
+    brute-force oracle after every step.
 
-    The reference is the same data on ``backend="python"``: cyclic
-    queries there rebuild per version through the depth-first join and
-    a Python sort, sharing no code with the repair path; acyclic
-    non-free-connex ones through the Yannakakis projection over Python
-    frames and the same sort, where coded storage lexsorts a code
-    matrix; free-connex ones rebuild the counted tree's Python stores
-    per version and read them index by index, sharing none with
-    patching or block reads.
+    The reference shares no code with the engine: the answers are
+    :meth:`~repro.query.cq.ConjunctiveQuery.evaluate_brute_force` over
+    the session's database, sorted by Python, and every aggregate is a
+    fold over them (:func:`tests.brute.fold`), weights included.
     """
 
     def __init__(self, text, storage, rows, order=None, tmp_path=None):
@@ -430,22 +426,14 @@ class _Mirror:
         self.present = {
             name: set(rows.get(name, ())) for name in self.arity
         }
-        self.sessions = []
-        for kwargs in (storage, {"backend": "python"}):
-            db = Database(**kwargs)
-            for name, arity in self.arity.items():
-                db.add_relation(
-                    db.new_relation(name, arity, sorted(self.present[name]))
-                )
-            self.sessions.append(Session(db))
-        self.answers = [
-            s.prepare(self.query, order=order).run() for s in self.sessions
-        ]
-        self.order = self.answers[0].plan.order
-        self.weighted = [WeightedDatabase(s.db) for s in self.sessions]
-        self.weights = [
-            w.atom_weight_fn(self.query, MIN_PLUS) for w in self.weighted
-        ]
+        db = Database(**storage)
+        for name, arity in self.arity.items():
+            db.ensure_relation(name, arity).add_all(sorted(self.present[name]))
+        self.session = Session(db)
+        self.live = self.session.prepare(self.query, order=order).run()
+        self.order = self.live.plan.order
+        self.weighted = WeightedDatabase(db)
+        self.weights = self.weighted.atom_weight_fn(self.query, MIN_PLUS)
         for name, present in self.present.items():
             self._weigh(name, present)
 
@@ -454,12 +442,17 @@ class _Mirror:
         # ``one`` — both sides of coded_weight_column stay exercised.
         for row in rows:
             if sum(row) % 3 == 0:
-                for weighted in self.weighted:
-                    weighted.set_weight(name, row, _row_weight(row))
+                self.weighted.set_weight(name, row, _row_weight(row))
+
+    def _reference_weight(self, atom_index, frame_row):
+        """The stored weight of the relation row behind ``frame_row``."""
+        atom = self.query.atoms[atom_index]
+        distinct = list(dict.fromkeys(atom.variables))
+        row = tuple(frame_row[distinct.index(v)] for v in atom.variables)
+        return _row_weight(row) if sum(row) % 3 == 0 else MIN_PLUS.one
 
     def apply(self, op, name, payload):
-        for session in self.sessions:
-            getattr(session, op)(name, payload)
+        getattr(self.session, op)(name, payload)
         rows = payload if op.endswith("_all") else [payload]
         if op.startswith("add"):
             self.present[name].update(rows)
@@ -468,21 +461,11 @@ class _Mirror:
             self.present[name].difference_update(rows)
 
     def check(self):
-        live, reference = self.answers
-        truth = self.query.evaluate_brute_force(self.sessions[1].db)
-        head = tuple(self.query.head)
-
-        def in_order(order):
-            positions = [head.index(v) for v in order]
-            return sorted(
-                truth, key=lambda row: tuple(row[p] for p in positions)
-            )
-
-        expected = in_order(self.order)
+        live, db = self.live, self.session.db
+        expected = brute.ordered(self.query, db, self.order)
         n = len(expected)
-        assert len(live) == len(reference) == n
+        assert len(live) == n
         assert live.page(0, n + 1) == expected
-        assert reference.page(0, n + 1) == expected
         if n:
             assert live[n - 1] == expected[-1]
         for cut in (slice(1, n, 3), slice(None, None, -1), slice(n, 0, -2)):
@@ -490,14 +473,16 @@ class _Mirror:
         # Iteration follows the tree's order on the free-connex family
         # (the paging order unless that one has a disruptive trio) and
         # the sorted materialization's everywhere else.
-        iterated = in_order(live.plan.tree_order or self.order)
-        assert list(live) == list(reference) == iterated
-        assert live.aggregate(COUNTING) == reference.aggregate(COUNTING) == n
-        assert live.aggregate(MIN_PLUS) == reference.aggregate(MIN_PLUS)
+        iterated = brute.ordered(
+            self.query, db, live.plan.tree_order or self.order
+        )
+        assert list(live) == iterated
+        assert live.aggregate(COUNTING) == n
+        assert live.aggregate(MIN_PLUS) == brute.fold(self.query, db, MIN_PLUS)
         if self.query.is_join_query():
-            assert live.aggregate(
-                MIN_PLUS, weights=self.weights[0]
-            ) == reference.aggregate(MIN_PLUS, weights=self.weights[1])
+            assert live.aggregate(MIN_PLUS, weights=self.weights) == brute.fold(
+                self.query, db, MIN_PLUS, self._reference_weight
+            )
 
     def run(self, stream):
         self.check()
@@ -578,7 +563,7 @@ def test_cyclic_answers_track_the_reference_over_a_stream(
     text, order, storage, tmp_path
 ):
     mirror, rng = _random_mirror(text, order, storage, tmp_path)
-    assert mirror.answers[0].plan.family == "cyclic-materialize"
+    assert mirror.live.plan.family == "cyclic-materialize"
     mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
 
 
@@ -636,7 +621,7 @@ def test_free_connex_answers_track_the_reference_over_a_stream(
     text, order, storage, tmp_path
 ):
     mirror, rng = _random_mirror(text, order, storage, tmp_path)
-    plan = mirror.answers[0].plan
+    plan = mirror.live.plan
     assert plan.family == "free-connex"
     assert plan.access_admissible == (order != ("a", "c", "b"))
     mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
@@ -653,7 +638,7 @@ def test_projected_updates_patch_not_rebuild(storage, tmp_path, monkeypatch):
         "T": {(0, 0), (0, 1), (1, 0), (2, 5)},  # no support for z = 3
     }
     mirror = _Mirror(FC3, storage, rows, tmp_path=tmp_path)
-    live = mirror.answers[0]
+    live = mirror.live
     assert live.plan.maintained and not live.query.is_join_query()
     mirror.check()
     accessor = live.prepared._accessor
@@ -728,7 +713,7 @@ def test_acyclic_materialize_answers_track_the_reference_over_a_stream(
     text, order, storage, tmp_path
 ):
     mirror, rng = _random_mirror(text, order, storage, tmp_path)
-    assert mirror.answers[0].plan.family == "acyclic-materialize"
+    assert mirror.live.plan.family == "acyclic-materialize"
     mirror.run(_cyclic_stream(mirror, rng, _DOMAIN))
 
 
@@ -736,21 +721,21 @@ def test_acyclic_materialize_answers_track_the_reference_over_a_stream(
 @pytest.mark.parametrize("text", (TRIANGLE, PROJECTED_CHAIN))
 def test_materialized_answers_starting_from_empty(text, storage, tmp_path):
     mirror = _Mirror(text, storage, {}, tmp_path=tmp_path)
-    assert mirror.answers[0].plan.family.endswith("-materialize")
+    assert mirror.live.plan.family.endswith("-materialize")
     rng = random.Random(3)
     stream = []
     for _ in range(30):
         name = rng.choice("RST")
         stream.append(("add", name, (rng.randrange(4), rng.randrange(4))))
     mirror.run(stream)
-    assert len(mirror.answers[0]) > 0
+    assert len(mirror.live) > 0
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar"))
-def test_projected_cyclic_query_and_python_backend_rebuild(backend):
-    # No repair here (projection collapses assignments; the python
-    # backend has no codes): both still answer through the one-join
-    # rebuild, weights rejected as for every projected query.
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
+def test_projected_cyclic_query_rebuilds(backend):
+    # No repair here (projection collapses assignments): it still
+    # answers through the one-join rebuild, weights rejected as for
+    # every projected query.
     text = "q(x, y) :- R(x, y), S(y, z), T(z, x)"
     rng = random.Random(11)
     rows = {
@@ -758,7 +743,7 @@ def test_projected_cyclic_query_and_python_backend_rebuild(backend):
         for name in "RST"
     }
     mirror = _Mirror(text, {"backend": backend}, rows)
-    assert mirror.answers[0].plan.family == "cyclic-materialize"
+    assert mirror.live.plan.family == "cyclic-materialize"
     mirror.run(
         [
             ("add", "R", (1, 9)),
@@ -770,7 +755,7 @@ def test_projected_cyclic_query_and_python_backend_rebuild(backend):
         ]
     )
     with pytest.raises(ValueError):
-        mirror.answers[0].aggregate(MIN_PLUS, weights=mirror.weights[0])
+        mirror.live.aggregate(MIN_PLUS, weights=mirror.weights)
 
 
 def _structures(prepared):
@@ -827,7 +812,7 @@ _READS = {
 }
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 @pytest.mark.parametrize(
     "text", ("q(x, z) :- R(x, y), S(y, z)", PROJECTED_CHAIN)
 )
@@ -987,9 +972,7 @@ def test_one_full_join_per_barrier_none_per_small_update(
     read()
     read()
     assert runs == {"full": 2, "delta": delta_runs}  # barrier: one rebuild
-    oracle = parse_query(TRIANGLE).evaluate_brute_force(
-        session.db.to_backend("python")
-    )
+    oracle = parse_query(TRIANGLE).evaluate_brute_force(session.db)
     assert set(answers) == oracle and len(answers) == len(oracle)
 
 
@@ -1053,7 +1036,7 @@ def test_cyclic_repair_matches_brute_force_on_random_queries(
     rows = {rel.name: set(rel) for rel in db}
     storage = {"backend": "sharded", "shard_count": shard_count}
     mirror = _Mirror(str(query), storage, rows)
-    assume(mirror.answers[0].plan.family == "cyclic-materialize")
+    assume(mirror.live.plan.family == "cyclic-materialize")
     mirror.run(stream)
 
 
@@ -1103,9 +1086,9 @@ def test_projected_patching_matches_brute_force_on_random_queries(
     query, db, stream = instance
     rows = {rel.name: set(rel) for rel in db}
     mirror = _Mirror(str(query), storage, rows)
-    assert mirror.answers[0].plan.maintained
+    assert mirror.live.plan.maintained
     mirror.run(stream)
-    assert mirror.answers[0].prepared._accessor.rebuilds == 0
+    assert mirror.live.prepared._accessor.rebuilds == 0
 
 
 # ----------------------------------------------------------------------
@@ -1135,7 +1118,7 @@ UNIT_QUERIES = [
 @pytest.mark.parametrize("semiring", SEMIRINGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("text", UNIT_QUERIES)
 @pytest.mark.parametrize("empty", (False, True))
-def test_fallback_aggregate_equals_python_fold(text, semiring, empty):
+def test_fallback_aggregate_equals_brute_force_fold(text, semiring, empty):
     rng = random.Random(8)
     data = {
         name: [(rng.randrange(6), rng.randrange(6)) for _ in range(25)]
@@ -1143,18 +1126,15 @@ def test_fallback_aggregate_equals_python_fold(text, semiring, empty):
     }
     if empty:
         data["S"] = [(50, 51)]
-    python = Session(data, backend="python").prepare(text).run()
-    fold = semiring.sum(semiring.one for _ in python)
-    assert bool(len(python)) != empty
-    for backend in ("python", "columnar", "sharded"):
+    truth = parse_query(text).evaluate_brute_force(Database.from_dict(data))
+    fold = semiring.sum(semiring.one for _ in truth)
+    assert bool(truth) != empty
+    for backend in ("columnar", "sharded"):
         answers = Session(data, backend=backend).prepare(text).run()
         assert answers.aggregate(semiring) == fold
 
 
-@pytest.mark.parametrize(
-    "storage",
-    [pytest.param({"backend": "python"}, id="python")] + STORAGES[:3],
-)
+@pytest.mark.parametrize("storage", STORAGES[:3])
 @pytest.mark.parametrize("text", UNIT_QUERIES)
 def test_unit_aggregates_track_the_fold_over_a_stream(text, storage):
     query = parse_query(text)
@@ -1227,7 +1207,7 @@ def test_aggregate_builds_no_structure(backend, monkeypatch):
     assert _structures(prepared) == {"_accessor"}
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 @pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
 def test_every_read_shares_two_structures(family, backend):
     rng = random.Random(6)

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.direct_access import LexDirectAccess, SumOrderDirectAccess
 from repro.direct_access.layered import find_layered_tree
 from repro.enumeration import ConstantDelayEnumerator
@@ -145,8 +145,8 @@ def test_singleton_database_pipeline():
 def test_all_relations_empty():
     query = catalog.path_query(2)
     db = Database()
-    db.add_relation(Relation("R1", 2))
-    db.add_relation(Relation("R2", 2))
+    db.add_relation(ColumnarRelation("R1", 2))
+    db.add_relation(ColumnarRelation("R2", 2))
     assert count_answers(query, db) == 0
     assert list(ConstantDelayEnumerator(query, db)) == []
     assert len(LexDirectAccess(query, db)) == 0

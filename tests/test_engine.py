@@ -3,8 +3,8 @@
 The acceptance contract of the Session / PreparedQuery / AnswerSet
 facade: for every query family, the facade's answers (count, first-k
 iteration, random direct access, semiring aggregation) are
-byte-identical to the corresponding direct low-level calls on both
-execution backends, and a prepared query served across an update
+byte-identical to the corresponding direct low-level calls and to the
+brute-force oracle on both storage layouts, and a prepared query served across an update
 stream never raises :class:`StaleStructureError` while matching a
 rebuild-per-query oracle.
 """
@@ -26,7 +26,7 @@ from repro.semiring.faq import aggregate_acyclic
 from repro.semiring.semirings import COUNTING, MIN_PLUS
 from tests.strategies import queries_with_databases, random_database_for
 
-BACKENDS = ("python", "columnar")
+BACKENDS = ("columnar", "sharded")
 
 # One query per family the planner distinguishes.
 FAMILY_QUERIES = {
@@ -165,11 +165,12 @@ def test_session_owns_one_database_and_add_mutates_it_once():
     data = {"R": [(1, 2), (2, 3)], "S": [(2, 4), (3, 4)]}
     assert connect(data).db.backend == "columnar"
     assert connect().db.backend == "columnar"
-    assert connect(data, backend="python").db.backend == "python"
-    assert connect(Database.from_dict(data)).db.backend == "python"
+    assert connect(data, backend="sharded").db.backend == "sharded"
+    stored = Database.from_dict(data, backend="sharded")
+    assert connect(stored).db.backend == "sharded"
 
     query = parse_query(FAMILY_QUERIES["join-chain"])
-    for session in (connect(data), connect(data, backend="python")):
+    for session in (connect(data), connect(data, backend="sharded")):
         prepared = session.prepare(query)
         answers = prepared.run()
         assert prepared.database is session.db
@@ -337,7 +338,7 @@ def _unary(count):
     return [(i,) for i in range(count)]
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar", "sharded"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_count_past_int64_is_exact_or_an_overflow_error(backend):
     """Regression: ``count()`` on a 7-way product of 512-row relations
     returned -9223372036854775808 on columnar storage, and the 7-leaf
@@ -374,21 +375,17 @@ def _star_reaches_int64(backend, r6_body, r6_row):
     answers = session.execute(f"q(x, {head}) :- {body}")
     assert answers.count() == 2**63 - 2**54
     session.add("R6", last)
-    if backend == "python":  # bigints all the way
-        assert answers.count() == 2**63
-        assert answers.page(0, 1) == [(0,) * 8]
-    else:
-        for read in (
-            answers.count,
-            lambda: answers.page(0, 1),
-            lambda: list(answers),
-            lambda: answers[0],
-        ):
-            with pytest.raises(OverflowError, match="exceeds int64"):
-                read()
-        # A fresh structure fails the same way, at build.
+    for read in (
+        answers.count,
+        lambda: answers.page(0, 1),
+        lambda: list(answers),
+        lambda: answers[0],
+    ):
         with pytest.raises(OverflowError, match="exceeds int64"):
-            Session(session.db).execute(f"q(x, {head}) :- {body}").count()
+            read()
+    # A fresh structure fails the same way, at build.
+    with pytest.raises(OverflowError, match="exceeds int64"):
+        Session(session.db).execute(f"q(x, {head}) :- {body}").count()
     # The failed repair left nothing stale behind.
     session.discard("R6", last)
     assert answers.count() == 2**63 - 2**54

@@ -25,7 +25,7 @@ from repro.hypergraph.gyo import is_acyclic
 from repro.query.parser import parse_query
 from tests.strategies import queries_with_databases, random_database_for
 
-BACKENDS = ("python", "columnar")
+BACKENDS = ("columnar", "sharded")
 
 
 def test_non_free_connex_routes_to_materialize_with_note():
@@ -55,8 +55,7 @@ def test_cyclic_routes_to_generic_join_fallback():
     assert aggregate.cost == plan.route("count").cost
     assert "worst-case-optimal join + fold" in aggregate.note
     assert "no constant-delay guarantee" in plan.route("iterate").note
-    # The python backend shares the one join too (it only lacks codes).
-    assert plan.backend == "python"
+    assert plan.backend == "columnar"
     assert aggregate.algorithm == plan.route("access").algorithm == (
         "one worst-case-optimal join per database version, shared by "
         "count, pages, iteration and aggregates"
@@ -189,7 +188,7 @@ def test_answer_set_paging_equals_sorted_materialization(query_db):
             assert answers[index] == oracle[index]
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ("sharded",))
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "text, order",
     [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.enumeration import ConstantDelayEnumerator, measure_delays
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.query import catalog, parse_query
@@ -63,8 +63,8 @@ def test_enumeration_boolean_rejected():
 def test_enumeration_empty_result():
     query = parse_query("q(x) :- R(x, y), S(y)")
     db = Database()
-    db.add_relation(Relation("R", 2, [(1, 2)]))
-    db.add_relation(Relation("S", 1))
+    db.add_relation(ColumnarRelation("R", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("S", 1))
     assert list(ConstantDelayEnumerator(query, db)) == []
 
 
@@ -118,8 +118,8 @@ def test_measure_delays_profile():
 def test_measure_delays_zero_answers():
     query = parse_query("q(x) :- R(x, y), S(y)")
     db = Database()
-    db.add_relation(Relation("R", 2, [(1, 2)]))
-    db.add_relation(Relation("S", 1))
+    db.add_relation(ColumnarRelation("R", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("S", 1))
     profile = measure_delays(lambda: ConstantDelayEnumerator(query, db))
     assert profile.answers == 0
     assert profile.max_delay == 0.0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.hypergraph.freeconnex import is_free_connex
 from repro.hypergraph.gyo import is_acyclic
 from repro.joins.fc_reduce import free_connex_reduce
@@ -65,8 +65,8 @@ def test_reduction_rejects_non_free_connex():
 def test_reduction_detects_empty_result():
     query = parse_query("q(x) :- R(x, y), S(y)")
     db = Database()
-    db.add_relation(Relation("R", 2, [(1, 2)]))
-    db.add_relation(Relation("S", 1))
+    db.add_relation(ColumnarRelation("R", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("S", 1))
     reduced = free_connex_reduce(query, db)
     assert reduced.is_empty
     assert reduced.answer_frame().is_empty()

@@ -1,15 +1,14 @@
 """Parity and guarantee tests for the frontier Generic Join and the
 fused semiring kernels.
 
-Three strategies must agree on every input: the breadth-first frontier
-join (columnar/sharded backends), the depth-first stack search (the
-python backend — ``db.to_backend("python")`` is the independent
-oracle), and the brute-force reference.  On top of parity, this file
-pins the paths' guarantees: zero decodes up to the value boundary
-(``decoded_row_count``), no full-frame aggregation intermediates in
-the fused FAQ pipeline (``scratch_peak``), recursion-limit immunity of
-the explicit-stack path, statistics-aware variable orders, and
-columnar/sharded/python agreement of the FAQ message passing.
+The breadth-first frontier join (over columnar and sharded storage)
+must agree with the brute-force reference on every input.  On top of
+parity, this file pins the paths' guarantees: zero decodes up to the
+value boundary (``decoded_row_count``), no full-frame aggregation
+intermediates in the fused FAQ pipeline (``scratch_peak``), immunity of
+deep variable orders to the recursion limit, the capped witness search,
+statistics-aware variable orders, and columnar/sharded agreement of the
+FAQ message passing with a brute-force fold.
 """
 
 import sys
@@ -49,6 +48,7 @@ from repro.semiring.semirings import (
 )
 from repro.workloads.databases import agm_tight_triangle_db
 
+from tests import brute
 from tests.strategies import queries_with_databases
 
 SHARD_COUNTS = (1, 3)
@@ -56,7 +56,7 @@ WORKER_COUNTS = (1, 3)
 
 
 # ----------------------------------------------------------------------
-# parity: frontier == depth-first == brute force, across backends
+# parity: frontier == brute force, across storage layouts
 # ----------------------------------------------------------------------
 @given(queries_with_databases())
 @settings(max_examples=25)
@@ -67,9 +67,7 @@ def test_frontier_parity_random(query_db):
     columnar_db = db.to_backend("columnar")
     assert generic_join(join_query, columnar_db) == expected
     assert generic_join_boolean(query, columnar_db) == bool(expected)
-    coded = generic_join_codes(join_query, columnar_db)
-    assert coded is not None
-    codes, head = coded
+    codes, head = generic_join_codes(join_query, columnar_db)
     assert head == tuple(join_query.head)
     decoded = set(columnar_db[query.atoms[0].relation].dictionary
                   .decode_rows(codes))
@@ -89,16 +87,6 @@ def test_frontier_parity_sharded(query_db):
             assert generic_join(join_query, sharded) == expected
 
 
-@given(queries_with_databases(max_atoms=3))
-@settings(max_examples=10)
-def test_frontier_matches_recursive(query_db):
-    query, db = query_db
-    join_query = query.as_join_query()
-    frontier = generic_join(join_query, db.to_backend("columnar"))
-    assert generic_join(join_query, db.to_backend("python")) == frontier
-    assert join_query.evaluate_brute_force(db) == frontier
-
-
 def test_frontier_chunked_matches_serial():
     # Big enough that the sharded run splits frontiers into chunks
     # through the executor; the merge must stay bit-identical.
@@ -108,15 +96,13 @@ def test_frontier_chunked_matches_serial():
     chunked = generic_join(query, db)
     serial = generic_join(query, db.to_backend("columnar"))
     assert chunked == serial
-    reference = db.to_backend("python")
-    assert generic_join(query, reference) == chunked
-    assert query.evaluate_brute_force(reference) == chunked
+    assert query.evaluate_brute_force(db) == chunked
 
 
 # ----------------------------------------------------------------------
 # edge cases: empty relations, skew, dangling prefixes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["python", "columnar", "sharded"])
+@pytest.mark.parametrize("backend", ["columnar", "sharded"])
 def test_empty_relation_kills_join(backend):
     query = triangle_query(boolean=False)
     db = Database.from_dict({"R1": [(1, 2)], "R3": [(3, 1)]})
@@ -152,6 +138,19 @@ def test_dangling_prefixes_die_per_level(backend):
     assert generic_join(query, db.to_backend(backend)) == expected
 
 
+def test_capped_witness_search_reruns_when_the_cap_killed_every_prefix():
+    # The cap keeps the first 1024 x prefixes; none of their y values
+    # extends into T, so the capped run dies at the second level.  The
+    # witness behind the cap must still be found by the uncapped rerun.
+    query = parse_query("q() :- S(x, y), T(y, z), U(z)")
+    db = Database.from_dict(
+        {"S": [(i, i) for i in range(3000)], "T": [(2999, 0)], "U": [(0,)]}
+    )
+    order = ("x", "y", "z")
+    assert generic_join_boolean(query, db, order=order)
+    assert generic_join(query.as_join_query(), db, order=order, limit=1)
+
+
 def test_limit_truncated_search_still_finds_witnesses():
     # The capped witness search truncates every level; asking for more
     # answers than the cap leaves must trigger the uncapped rerun.
@@ -182,14 +181,10 @@ def test_codes_path_never_decodes(backend):
     assert decoded_row_count() == 0
 
 
-def test_codes_path_refuses_python_backend():
-    db = agm_tight_triangle_db(50, backend="python")
-    assert generic_join_codes(triangle_query(boolean=False), db) is None
-
-
 def test_sixty_variable_chain_low_recursion_limit():
-    # The depth-first path is an explicit stack: a 60-variable chain order
-    # must survive a recursion limit far below the variable count.
+    # The frontier extends one level per loop iteration: a 60-variable
+    # chain order must survive a recursion limit far below the
+    # variable count.
     query = path_query(60)
     db = Database()
     for atom in query.atoms:
@@ -217,9 +212,8 @@ def test_loomis_whitney_and_clique_parity():
         )
         expected = query.evaluate_brute_force(db)
         assert expected
-        got = generic_join(query, db.to_backend("columnar"))
-        assert got == expected
-        assert generic_join(query, db.to_backend("python")) == expected
+        assert generic_join(query, db) == expected
+        assert generic_join(query, db.to_backend("sharded")) == expected
 
 
 # ----------------------------------------------------------------------
@@ -240,9 +234,7 @@ def test_choose_order_breaks_ties_on_distinct_counts():
     assert set(measured) == set(structural) == {"x", "y", "z"}
     assert measured[0] == "y"  # min distinct count wins the tie
     # Statistics must never change the *result*, only the order.
-    assert generic_join(query, db) == query.evaluate_brute_force(
-        db.to_backend("python")
-    )
+    assert generic_join(query, db) == query.evaluate_brute_force(db)
 
 
 def test_explain_cites_measured_statistics():
@@ -285,19 +277,18 @@ OBJECT_COUNTING = Semiring(
 @pytest.mark.parametrize(
     "semiring", [COUNTING, MIN_PLUS, BOOLEAN, OBJECT_COUNTING]
 )
-def test_fused_matches_sharded_and_python(semiring):
+def test_fused_matches_sharded_and_brute_force(semiring):
     """The fused FAQ pass — over plain columnar storage and over
-    sharded storage read through its coalesced codes — agrees with the
-    scalar dict fold (python)."""
+    sharded storage read through its coalesced codes — agrees with a
+    brute-force fold over the join's answers."""
     db = _chain_db()
-    fused = aggregate_acyclic(CHAIN, db.to_backend("columnar"), semiring)
-    assert fused == aggregate_acyclic(CHAIN, db, semiring)
+    fused = aggregate_acyclic(CHAIN, db, semiring)
+    assert fused == brute.fold(CHAIN, db, semiring)
     for shard_count in SHARD_COUNTS:
         sharded = db.to_backend("sharded", shard_count=shard_count)
         merged = aggregate_acyclic(CHAIN, sharded, semiring)
         assert fused == merged
-        # Same array program, so also the same carrier type (the
-        # scalar fold keeps Python ints where min-plus arrays are float).
+        # Same array program, so also the same carrier type.
         assert type(fused) is type(merged)
 
 
@@ -375,12 +366,14 @@ def test_weighted_aggregate_generic_codes_parity():
             "R3": [(3, 1), (1, 2)],
         }
     )
-    expected_db = WeightedDatabase(base)
-    expected_db.set_weight("R1", (1, 2), 5)
-    weights = expected_db.atom_weight_fn(query, COUNTING)
-    expected = aggregate_generic(query, base, COUNTING, weights)
+    expected = brute.fold(
+        query,
+        base,
+        COUNTING,
+        lambda i, row: 5 if (i, row) == (0, (1, 2)) else 1,
+    )
 
-    coded_base = base.to_backend("columnar")
+    coded_base = base.to_backend("sharded")
     weighted = WeightedDatabase(coded_base)
     weighted.set_weight("R1", (1, 2), 5)
     coded_weights = weighted.atom_weight_fn(query, COUNTING)

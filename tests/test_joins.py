@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.hypergraph.gyo import is_acyclic, join_tree
 from repro.joins import (
     generic_join,
@@ -125,8 +125,8 @@ def test_yannakakis_boolean_matches_brute():
 def test_yannakakis_boolean_empty_relation():
     query = catalog.path_query(2, boolean=True)
     db = Database()
-    db.add_relation(Relation("R1", 2, [(1, 2)]))
-    db.add_relation(Relation("R2", 2))
+    db.add_relation(ColumnarRelation("R1", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("R2", 2))
     assert not yannakakis_boolean(query, db)
 
 
@@ -252,7 +252,7 @@ def test_triangle_join_naive_matches_brute():
 def test_triangle_empty_database():
     db = Database()
     for name in ("R1", "R2", "R3"):
-        db.add_relation(Relation(name, 2))
+        db.add_relation(ColumnarRelation(name, 2))
     assert not triangle_boolean_ayz(db)
     assert not triangle_boolean_naive(db)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 
@@ -118,7 +118,7 @@ def test_brute_force_boolean_and_holds():
     q = ConjunctiveQuery((), (Atom("R", ("x", "y")),))
     assert q.holds(Database.from_dict({"R": [(1, 2)]}))
     empty = Database()
-    empty.add_relation(Relation("R", 2))
+    empty.add_relation(ColumnarRelation("R", 2))
     assert not q.holds(empty)
 
 

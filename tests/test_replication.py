@@ -34,7 +34,7 @@ from repro.engine.replication import (
 from repro.query.parser import parse_query
 from repro.semiring.semirings import COUNTING
 
-BACKENDS = ("python", "columnar", "sharded")
+BACKENDS = ("columnar", "sharded")
 
 
 class FlakyFeed:
@@ -137,13 +137,13 @@ def test_follower_answers_track_leader_at_scale(backend):
 
 def test_http_follower_answers_track_leader_at_scale():
     """The same contract over the HTTP replica transport, against a
-    python-backend tenant (the configuration that used to go stale)."""
+    tenant on the server's default storage."""
     from repro.server import ServerClient, ServerThread
 
     with ServerThread() as server:
         client = ServerClient(server.host, server.port)
         try:
-            client.create_db("lead", backend="python")
+            client.create_db("lead")
             for name, rows in PATH_ROWS.items():
                 client.add("lead", name, rows)
             remote = client.prepare("lead", TWO_PATH)
@@ -192,15 +192,6 @@ def test_reseed_after_leader_barrier():
     # the next pull is a plain delta again
     leader.add("R", (999, 999))
     assert follower.sync() == {"applied": 1, "reseeded": 0}
-    assert state(follower.db) == state(leader.db)
-
-
-def test_python_backend_always_reseeds_and_still_converges():
-    leader = connect({"R": [(1, 2)]}, backend="python")
-    follower = FollowerSession(LeaderFeed(leader))
-    leader.add("R", (3, 4))  # every python mutation is a barrier
-    summary = follower.sync()
-    assert summary["reseeded"] == 1
     assert state(follower.db) == state(leader.db)
 
 

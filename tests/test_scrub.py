@@ -1,7 +1,7 @@
 """Self-healing storage: incremental checkpoints, scrub, repair.
 
 Three promises from the self-healing layer (PR 7), each pinned here
-for all three backends:
+for both storage backends:
 
 - **incremental checkpoints** — a checkpoint rewrites only the
   relations (per shard, for sharded relations) whose
@@ -41,7 +41,7 @@ from repro.engine import connect
 from repro.engine.replication import LeaderFeed
 from repro.util.faultpoints import CORRUPTION_MODES, corrupt_file
 
-BACKENDS = ("python", "columnar", "sharded")
+BACKENDS = ("columnar", "sharded")
 
 OPS_BEFORE_CKPT = 30
 OPS_TOTAL = 40
@@ -115,10 +115,8 @@ def test_chain_recovery_is_exact(tmp_path, backend):
     db.close()
 
     manifest = ckpt.read_manifest(path)
-    # python has no dictionary chunk pinning ckpt-1; columnar/sharded
-    # keep it alive through the base dictionary (and untouched shards)
-    expected_chain = [2, 3] if backend == "python" else [1, 2, 3]
-    assert manifest["chain"] == expected_chain
+    # the base dictionary (and untouched shards) keep ckpt-1 alive
+    assert manifest["chain"] == [1, 2, 3]
     recovered = attach(path)
     assert db_state(recovered) == expected_state
     assert db_stamps(recovered) == expected_stamps
@@ -306,8 +304,7 @@ def _artifacts(path, backend):
         if f.startswith("ckpt-1/") and not f.endswith("meta.json")
     )
     targets["ckpt-payload"] = (payloads[0], None)
-    if backend != "python":
-        targets["ckpt-dictionary"] = ("ckpt-1/dictionary.pkl", None)
+    targets["ckpt-dictionary"] = ("ckpt-1/dictionary.pkl", None)
     return targets
 
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.db.database import Database
-from repro.db.relation import Relation
+from repro.db.columnar import ColumnarRelation
 from repro.query import catalog, parse_query
 from repro.semiring import (
     BOOLEAN,
@@ -134,8 +134,8 @@ def test_boolean_semiring_decides():
 def test_empty_join_aggregates_to_zero():
     query = catalog.path_query(2)
     db = Database()
-    db.add_relation(Relation("R1", 2, [(1, 2)]))
-    db.add_relation(Relation("R2", 2))
+    db.add_relation(ColumnarRelation("R1", 2, [(1, 2)]))
+    db.add_relation(ColumnarRelation("R2", 2))
     assert aggregate_acyclic(query, db, COUNTING) == 0
     assert aggregate_acyclic(query, db, MIN_PLUS) == math.inf
 
@@ -198,6 +198,6 @@ def test_unit_aggregate_folds_by_doubling():
             assert value == fold
             assert not isinstance(value, np.generic)
     # int64 kernel up to its last value, Python ints past it (the
-    # python backend counts in bigints).
+    # counted tree's root product is a bigint past 2^63).
     for n in (2**63 - 1, 2**63, 2**70 + 5):
         assert aggregate_units(COUNTING, n) == n

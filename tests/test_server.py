@@ -139,7 +139,7 @@ def test_durable_tenant_survives_eviction(tmp_path):
 # ----------------------------------------------------------------------
 # the read surface
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ("python", "columnar"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_prepare_page_len_aggregate_match_oracle(backend):
     r_rows = [(i, i % 5) for i in range(40)]
     s_rows = [(j % 5, j) for j in range(40)]
@@ -158,12 +158,73 @@ def test_prepare_page_len_aggregate_match_oracle(backend):
         assert got == expected
         assert q.aggregate("counting") == len(expected)
         assert q.aggregate("boolean") is True
-        # "maintained" follows Plan.maintained: a counted tree on coded
-        # storage, projected queries included.
+        # "maintained" follows Plan.maintained: a counted tree,
+        # projected queries included.
         assert not q.info["maintained"]  # acyclic-materialize: no tree
         projected = client.prepare("db", "q(x) :- R(x, z), S(z, y)")
-        assert projected.info["maintained"] == (backend == "columnar")
+        assert projected.info["maintained"]
         assert projected.count() == len({x for x, _ in expected})
+
+
+def test_retired_python_backend_is_a_bad_request():
+    with serving() as (server, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.create_db("db", backend="python")
+        assert (excinfo.value.status, excinfo.value.code) == (
+            400,
+            "bad_request",
+        )
+        assert "columnar" in excinfo.value.message
+
+
+def _unary_product(client, name):
+    """Seven 512-row unary relations: 512**7 == 2**63 answers, a
+    product the counted tree takes in Python ints at its root."""
+    head = ", ".join(f"y{i}" for i in range(7))
+    body = ", ".join(f"R{i}(y{i})" for i in range(7))
+    client.create_db(name)
+    for i in range(7):
+        client.add(name, f"R{i}", [(v,) for v in range(512)])
+    return client.prepare(name, f"q({head}) :- {body}")
+
+
+def test_page_total_is_exact_past_int64():
+    """Regression: the page route took ``total`` from ``len()``, which
+    cannot carry 2**63 — a 500 ``internal`` instead of the page."""
+    with serving() as (server, client):
+        q = _unary_product(client, "db")
+        payload = client._json(
+            "GET", f"/v1/q/{q.handle}/page?offset=0&limit=2"
+        )
+        assert payload["total"] == 2**63
+        assert [tuple(row) for row in payload["rows"]] == [
+            (0,) * 7,
+            (0,) * 6 + (1,),
+        ]
+        assert q.count() == 2**63
+
+
+def test_inner_count_overflow_has_its_own_envelope():
+    """A seven-leaf star whose prefix sum inside the counted tree
+    passes int64 once R6's last row arrives: ``/len`` and ``/page``
+    answer 422 ``overflow``, not 500 ``internal``."""
+    head = ", ".join(f"y{i}" for i in range(7))
+    body = ", ".join(f"R{i}(x, y{i})" for i in range(7))
+    with serving() as (server, client):
+        client.create_db("db")
+        for i in range(7):
+            client.add("db", f"R{i}", [(0, y) for y in range(511 + (i < 6))])
+        q = client.prepare("db", f"q(x, {head}) :- {body}")
+        assert q.count() == 2**63 - 2**54
+        client.add("db", "R6", [(0, 511)])
+        for read in (q.count, lambda: q.page(0, 1)):
+            with pytest.raises(ServerError) as excinfo:
+                read()
+            assert (excinfo.value.status, excinfo.value.code) == (
+                422,
+                "overflow",
+            )
+            assert "exceeds int64" in excinfo.value.message
 
 
 def test_page_rows_and_total_come_from_one_read(monkeypatch):
@@ -388,7 +449,7 @@ def follower_state(follower):
     )
 
 
-@pytest.mark.parametrize("backend", ("python", "columnar"))
+@pytest.mark.parametrize("backend", ("columnar", "sharded"))
 def test_http_follower_bootstraps_and_converges(backend):
     with serving() as (server, client):
         client.create_db("lead", backend=backend)
@@ -484,7 +545,7 @@ def test_error_envelope_codes():
             client._json(
                 "POST",
                 "/v1/db/db/prepare",
-                {"query": "q(x) :- E(x, y)", "backend": "python"},
+                {"query": "q(x) :- E(x, y)", "backend": "sharded"},
             )
         assert (excinfo.value.status, excinfo.value.code) == (
             400,

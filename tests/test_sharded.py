@@ -1,9 +1,9 @@
 """Sharded-backend parity: the hash-partitioned substrate must agree
-with the single-shard columnar backend and the python oracle
+with the single-shard columnar backend and the brute-force oracle
 everywhere.
 
-Covers the tuple-store surface (`ShardedColumnarRelation` vs
-`Relation`), routing determinism, the join stack (semijoin reducer,
+Covers the tuple-store surface (`ShardedColumnarRelation` vs Python
+sets), routing determinism, the join stack (semijoin reducer,
 Yannakakis, Generic Join) on random queries/databases, merge-based
 counting/aggregation, the `delta_since` consistency contract under
 update streams, empty shards / `shard_count=1` / skewed partitions,
@@ -17,18 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.counting import count_answers
-from repro.db import Database, Relation, ShardedColumnarRelation
+from repro.db import Database, ShardedColumnarRelation
 from repro.db.interface import TruncatedHistoryError
 from repro.db.columnar import reset_decoded_row_count, decoded_row_count
 from repro.db.sharded import shard_ids, shard_of_code
 from repro.engine import connect
 from repro.joins import generic_join, yannakakis_boolean, yannakakis_project
 from repro.joins.semijoin import atom_frames, full_reducer_pass
-from repro.joins.vectorized import ColumnarFrame, frame_for_atom
+from repro.joins.vectorized import ColumnarFrame
 from repro.hypergraph.gyo import is_acyclic, join_tree
 from repro.semiring.faq import aggregate_acyclic
 from repro.semiring.semirings import COUNTING, MIN_PLUS
 
+from tests import brute
 from tests.strategies import queries_with_databases
 
 SHARD_COUNTS = (1, 3)
@@ -62,22 +63,20 @@ def test_scalar_and_vector_routing_agree(codes, shard_count):
     st.sampled_from(SHARD_COUNTS),
 )
 def test_tuple_store_parity(rows, shard_count):
-    oracle = Relation("R", 2, rows)
+    oracle = set(rows)
     sharded = ShardedColumnarRelation(
         "R", 2, rows, shard_count=shard_count
     )
     assert len(sharded) == len(oracle)
-    assert sharded.rows() == oracle.rows()
-    assert sharded == oracle
-    assert sharded.distinct_values(0) == oracle.distinct_values(0)
-    assert sharded.active_domain() == oracle.active_domain()
-    assert sharded.project([1, 0]).rows() == oracle.project([1, 0]).rows()
+    assert sharded.rows() == oracle
+    assert sharded.distinct_values(0) == {a for a, _ in oracle}
+    assert sharded.active_domain() == {v for r in oracle for v in r}
+    assert sharded.project([1, 0]).rows() == {(b, a) for a, b in oracle}
     if rows:
         value = rows[0][0]
-        assert (
-            sharded.select_eq(0, value).rows()
-            == oracle.select_eq(0, value).rows()
-        )
+        assert sharded.select_eq(0, value).rows() == {
+            r for r in oracle if r[0] == value
+        }
     # The shards partition the tuple set.
     assert sum(sharded.shard_sizes()) == len(oracle)
 
@@ -90,7 +89,7 @@ def test_skewed_partition_single_hot_key():
     sizes = rel.shard_sizes()
     assert sorted(sizes) == [0, 0, 0, 100]
     assert len(rel) == 100
-    assert rel.rows() == Relation("R", 2, rows).rows()
+    assert rel.rows() == set(rows)
 
 
 def test_coded_mutators_route_to_shards():
@@ -127,19 +126,15 @@ def test_join_stack_parity(query_db):
     query, db = query_db
     join_query = query.as_join_query()
     acyclic = is_acyclic(query.hypergraph())
-    expected = set(generic_join(join_query, db))
+    expected = join_query.evaluate_brute_force(db)
+    answers = query.evaluate_brute_force(db)
     for shard_count in SHARD_COUNTS:
         sharded = sharded_copy(db, shard_count)
         assert set(generic_join(join_query, sharded)) == expected
         if acyclic:
-            assert (
-                set(yannakakis_project(query, sharded).rows)
-                == set(yannakakis_project(query, db).rows)
-            )
+            assert set(yannakakis_project(query, sharded).rows) == answers
             if query.is_boolean():
-                assert yannakakis_boolean(
-                    query, sharded
-                ) == yannakakis_boolean(query, db)
+                assert yannakakis_boolean(query, sharded) == bool(answers)
 
 
 @given(queries_with_databases())
@@ -169,7 +164,7 @@ def test_full_reducer_parity(query_db):
 @settings(max_examples=20)
 def test_count_and_aggregate_parity(query_db):
     query, db = query_db
-    expected_count = count_answers(query, db)
+    expected_count = query.count_brute_force(db)
     join_query = query.as_join_query()
     acyclic = is_acyclic(join_query.hypergraph())
     for shard_count in SHARD_COUNTS:
@@ -179,7 +174,7 @@ def test_count_and_aggregate_parity(query_db):
             for semiring in (COUNTING, MIN_PLUS):
                 assert aggregate_acyclic(
                     join_query, sharded, semiring
-                ) == aggregate_acyclic(join_query, db, semiring)
+                ) == brute.fold(join_query, db, semiring)
 
 
 def test_sharded_is_the_same_pipeline():
@@ -197,20 +192,19 @@ def test_sharded_is_the_same_pipeline():
     )
     columnar = db.to_backend("columnar")
     for name, variables in (("R", ("x", "y")), ("S", ("y", "y"))):
-        frame = frame_for_atom(db[name], variables)
+        frame = ColumnarFrame.from_atom(db[name], variables)
         assert type(frame) is ColumnarFrame
-        plain = frame_for_atom(columnar[name], variables)
+        plain = ColumnarFrame.from_atom(columnar[name], variables)
         assert frame.variables == plain.variables
         assert frame.rows == plain.rows
     from repro.query.parser import parse_query
 
     query = parse_query("q(x, y, z) :- R(x, y), S(y, z)")
-    oracle = db.to_backend("python")
+    expected_count = query.count_brute_force(db)
+    expected_min = brute.fold(query, db, MIN_PLUS)
     reset_decoded_row_count()
-    assert count_answers(query, db) == count_answers(query, oracle)
-    assert aggregate_acyclic(query, db, MIN_PLUS) == aggregate_acyclic(
-        query, oracle, MIN_PLUS
-    )
+    assert count_answers(query, db) == expected_count
+    assert aggregate_acyclic(query, db, MIN_PLUS) == expected_min
     assert decoded_row_count() == 0
 
 
@@ -309,23 +303,20 @@ def test_session_update_stream_parity(query_db, ops):
     target = query.atoms[0].relation
     session_sh = connect(db.to_backend("sharded"))
     prepared = session_sh.prepare(query)
-    session_py = connect(db.to_backend("python"))
-    oracle = session_py.prepare(query)
-    answers, expected = prepared.run(), oracle.run()
+    answers = prepared.run()
     for is_add, row in ops:
         row = row[:arity] if len(row) >= arity else row + (0,) * (
             arity - len(row)
         )
         if is_add:
             session_sh.add(target, row)
-            session_py.add(target, row)
         else:
             session_sh.discard(target, row)
-            session_py.discard(target, row)
-        assert len(answers) == len(expected)
+        assert len(answers) == query.count_brute_force(session_sh.db)
+    expected = brute.page_order(prepared)
     assert sorted(answers) == sorted(expected)
     n = len(expected)
-    assert answers[0:n] == expected[0:n]
+    assert answers[0:n] == expected
 
 
 def test_prepared_plan_cache():
@@ -352,10 +343,7 @@ def test_sharded_session_serves_all_capabilities():
             "R2": [(i % 19, i % 7) for i in range(300)]}
     session = connect(rows, backend="sharded")
     prepared = session.prepare("q(z, x1, x2) :- R1(x1, z), R2(x2, z)")
-    oracle = connect(rows, backend="python").prepare(
-        "q(z, x1, x2) :- R1(x1, z), R2(x2, z)"
-    )
-    answers, expected = prepared.run(), oracle.run()
+    answers, expected = prepared.run(), brute.page_order(prepared)
     assert len(answers) == len(expected)
     assert answers[: len(expected)] == expected[: len(expected)]
     assert sorted(answers) == sorted(expected)

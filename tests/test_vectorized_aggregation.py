@@ -1,14 +1,15 @@
-"""Parity of the vectorized (columnar) answer pipelines vs the scalar
-path: semiring aggregation, counting, lexicographic direct access and
-constant-delay enumeration — plus the zero-decode contract.
+"""The vectorized answer pipelines against brute force: semiring
+aggregation, counting, lexicographic direct access and constant-delay
+enumeration — plus the zero-decode contract.
 
 The vectorized message passing of :mod:`repro.semiring.faq`, the
-columnar direct-access stores of :mod:`repro.direct_access.lex` and
-the columnar enumeration preprocessing must produce results identical
-to the Python backend on every input, including empty relations,
-arity-0/1 atoms, Boolean queries and weighted databases — and must
-never decode a row on their preprocessing paths (asserted through
-:func:`repro.db.columnar.decoded_row_count`).
+direct-access stores of :mod:`repro.direct_access.lex` and the
+enumeration preprocessing must agree with the brute-force oracle (a
+fold over :meth:`~repro.query.cq.ConjunctiveQuery.evaluate_brute_force`
+for aggregates, :mod:`tests.brute`) on every input, including empty
+relations, arity-0/1 atoms, Boolean queries and weighted databases —
+and must never decode a row on their preprocessing paths (asserted
+through :func:`repro.db.columnar.decoded_row_count`).
 """
 
 import math
@@ -19,7 +20,6 @@ from hypothesis import assume, given, settings
 
 from repro.db import columnar
 from repro.db.database import Database
-from repro.db.relation import Relation
 from repro.direct_access import LexDirectAccess
 from repro.counting import count_answers, count_free_connex
 from repro.enumeration import ConstantDelayEnumerator
@@ -44,6 +44,7 @@ from repro.semiring import (
 )
 from repro.workloads import random_database
 
+from tests import brute
 from tests.strategies import queries_with_databases
 
 TROPICAL = [MIN_PLUS, MAX_PLUS]
@@ -58,17 +59,36 @@ def decode_counter():
     columnar.reset_decoded_row_count()
 
 
-def _weighted_pair(query, db, db_col, seed):
-    """The same random weights installed on both backends."""
-    weighted_py = WeightedDatabase(db)
-    weighted_col = WeightedDatabase(db_col)
+def _random_weights(query, db, seed, draw=None):
+    """``{(relation, row): weight}`` for every row of the query's
+    relations, drawn by ``draw(rng)`` (default an int in -5..9)."""
     rng = random.Random(seed)
-    for name in query.relation_symbols:
-        for row in db[name]:
-            weight = rng.randint(-5, 9)
-            weighted_py.set_weight(name, row, weight)
-            weighted_col.set_weight(name, row, weight)
-    return weighted_py, weighted_col
+    draw = draw or (lambda rng: rng.randint(-5, 9))
+    return {
+        (name, row): draw(rng)
+        for name in sorted(query.relation_symbols)
+        for row in sorted(db[name])
+    }
+
+
+def _installed(weights, db):
+    weighted = WeightedDatabase(db)
+    for (name, row), weight in weights.items():
+        weighted.set_weight(name, row, weight)
+    return weighted
+
+
+def _reference_weight(query, weights, semiring):
+    """The brute-force side of ``atom_weight_fn``: the stored weight of
+    the relation row behind an atom's frame row."""
+
+    def weight(atom_index, frame_row):
+        atom = query.atoms[atom_index]
+        distinct = list(dict.fromkeys(atom.variables))
+        row = tuple(frame_row[distinct.index(v)] for v in atom.variables)
+        return weights.get((atom.relation, row), semiring.one)
+
+    return weight
 
 
 # ---------------------------------------------------------------------
@@ -81,11 +101,12 @@ def test_unweighted_aggregation_parity(query_db):
     query, db = query_db
     join_query = query.as_join_query()
     assume(is_acyclic(join_query.hypergraph()))
-    db_col = db.to_backend("columnar")
+    sharded = db.to_backend("sharded", shard_count=2)
     for semiring in SEMIRINGS:
-        expected = aggregate_acyclic(join_query, db, semiring)
-        got = aggregate_acyclic(join_query, db_col, semiring)
+        expected = brute.fold(join_query, db, semiring)
+        got = aggregate_acyclic(join_query, db, semiring)
         assert got == expected
+        assert aggregate_acyclic(join_query, sharded, semiring) == expected
         if semiring in (COUNTING, BOOLEAN):
             # byte-identical, not merely numerically equal
             assert type(got) is type(expected)
@@ -97,22 +118,20 @@ def test_weighted_aggregation_parity(query_db):
     query, db = query_db
     join_query = query.as_join_query()
     assume(is_acyclic(join_query.hypergraph()))
-    db_col = db.to_backend("columnar")
-    weighted_py, weighted_col = _weighted_pair(
-        join_query, db, db_col, seed=5
-    )
+    weights = _random_weights(join_query, db, seed=5)
+    weighted = _installed(weights, db)
     for semiring in [COUNTING] + TROPICAL:
-        expected = aggregate_acyclic(
+        expected = brute.fold(
             join_query,
             db,
             semiring,
-            weighted_py.atom_weight_fn(join_query, semiring),
+            _reference_weight(join_query, weights, semiring),
         )
         got = aggregate_acyclic(
             join_query,
-            db_col,
+            db,
             semiring,
-            weighted_col.atom_weight_fn(join_query, semiring),
+            weighted.atom_weight_fn(join_query, semiring),
         )
         assert got == expected
 
@@ -128,17 +147,14 @@ def test_weighted_aggregation_parity(query_db):
 )
 def test_weighted_tropical_parity_fixed_queries(query):
     db = random_database(query, 40, 5, seed=60)
-    db_col = db.to_backend("columnar")
-    weighted_py, weighted_col = _weighted_pair(query, db, db_col, seed=61)
+    weights = _random_weights(query, db, seed=61)
+    weighted = _installed(weights, db)
     for semiring in TROPICAL:
-        expected = aggregate_acyclic(
-            query, db, semiring, weighted_py.atom_weight_fn(query, semiring)
+        expected = brute.fold(
+            query, db, semiring, _reference_weight(query, weights, semiring)
         )
         got = aggregate_acyclic(
-            query,
-            db_col,
-            semiring,
-            weighted_col.atom_weight_fn(query, semiring),
+            query, db, semiring, weighted.atom_weight_fn(query, semiring)
         )
         assert got == expected
 
@@ -161,11 +177,8 @@ def test_aggregation_arity_edge_cases_columnar():
         db = Database(backend="columnar")
         db.add_relation(db.new_relation("R", 1, [(1,), (2,), (3,)]))
         db.add_relation(db.new_relation("T", 0, t_rows))
-        db_py = db.to_backend("python")
         assert aggregate_acyclic(query, db, COUNTING) == expected
-        assert (
-            aggregate_acyclic(query, db_py, COUNTING) == expected
-        )
+        assert brute.fold(query, db, COUNTING) == expected
 
 
 @settings(max_examples=25)
@@ -174,10 +187,9 @@ def test_free_connex_counting_parity(query_db):
     """Projected and Boolean queries via count_free_connex/count_answers."""
     query, db = query_db
     assume(is_free_connex(query))
-    db_col = db.to_backend("columnar")
-    expected = count_free_connex(query, db)
-    assert count_free_connex(query, db_col) == expected
-    assert count_answers(query, db_col) == count_answers(query, db)
+    expected = query.count_brute_force(db)
+    assert count_free_connex(query, db) == expected
+    assert count_answers(query, db.to_backend("sharded")) == expected
 
 
 def test_sequence_carrier_semiring_escape_hatch():
@@ -185,7 +197,7 @@ def test_sequence_carrier_semiring_escape_hatch():
 
     A component-wise pair semiring (tuple elements) exercises the
     ``frompyfunc`` escape hatch end to end: unit columns, weight
-    columns, segment reduces — identical to the scalar fold.
+    columns, segment reduces — identical to a brute-force fold.
     """
     from repro.semiring.semirings import Semiring
 
@@ -198,22 +210,15 @@ def test_sequence_carrier_semiring_escape_hatch():
     )
     query = catalog.path_query(2)
     db = random_database(query, 25, 4, seed=33)
-    db_col = db.to_backend("columnar")
-    expected = aggregate_acyclic(query, db, pair)
-    assert aggregate_acyclic(query, db_col, pair) == expected
-    weighted_py = WeightedDatabase(db)
-    weighted_col = WeightedDatabase(db_col)
-    rng = random.Random(34)
-    for name in query.relation_symbols:
-        for row in db[name]:
-            weight = (rng.randint(0, 3), rng.randint(0, 3))
-            weighted_py.set_weight(name, row, weight)
-            weighted_col.set_weight(name, row, weight)
-    expected = aggregate_acyclic(
-        query, db, pair, weighted_py.atom_weight_fn(query, pair)
+    assert aggregate_acyclic(query, db, pair) == brute.fold(query, db, pair)
+    weights = _random_weights(
+        query, db, seed=34, draw=lambda rng: (rng.randint(0, 3), rng.randint(0, 3))
+    )
+    expected = brute.fold(
+        query, db, pair, _reference_weight(query, weights, pair)
     )
     got = aggregate_acyclic(
-        query, db_col, pair, weighted_col.atom_weight_fn(query, pair)
+        query, db, pair, _installed(weights, db).atom_weight_fn(query, pair)
     )
     assert got == expected
 
@@ -222,19 +227,18 @@ def test_bigint_weights_escape_hatch():
     """Counting weights >= 2^63 fall back to exact object arithmetic."""
     query = parse_query("q(x, y) :- R(x, y)")
     db = Database.from_dict({"R": [(1, 2), (3, 4)]}, backend="columnar")
-    db_py = db.to_backend("python")
     huge = 2**70
-    weighted_col = WeightedDatabase(db)
-    weighted_py = WeightedDatabase(db_py)
-    for weighted in (weighted_col, weighted_py):
-        weighted.set_weight("R", (1, 2), huge)
-    expected = aggregate_acyclic(
-        query, db_py, COUNTING, weighted_py.atom_weight_fn(query, COUNTING)
-    )
+    weighted = WeightedDatabase(db)
+    weighted.set_weight("R", (1, 2), huge)
     got = aggregate_acyclic(
-        query, db, COUNTING, weighted_col.atom_weight_fn(query, COUNTING)
+        query, db, COUNTING, weighted.atom_weight_fn(query, COUNTING)
     )
-    assert got == expected == huge + 1
+    assert got == huge + 1
+    # A scalar weight function folds exactly too.
+    scalar = aggregate_acyclic(
+        query, db, COUNTING, lambda i, row: huge if row == (1, 2) else 1
+    )
+    assert scalar == huge + 1
 
 
 # ---------------------------------------------------------------------
@@ -283,7 +287,6 @@ def _sorted_answers(query, db, order):
 def test_columnar_lex_access_matches_oracle(query, order):
     db = random_database(query, 50, 5, seed=91, backend="columnar")
     accessor = LexDirectAccess(query, db, order=order)
-    assert accessor.store_backend == "columnar"
     expected = _sorted_answers(query, db, order)
     assert len(accessor) == len(expected)
     assert accessor.materialize() == expected
@@ -330,7 +333,6 @@ def test_columnar_enumeration_parity(query_db):
     assume(is_free_connex(query))
     db_col = db.to_backend("columnar")
     enumerator = ConstantDelayEnumerator(query, db_col)
-    assert enumerator.store_backend in ("columnar", "python")
     produced = list(enumerator)
     assert len(produced) == len(set(produced))
     assert set(produced) == query.evaluate_brute_force(db)
@@ -346,7 +348,6 @@ def test_columnar_enumeration_streams_prefix():
         backend="columnar",
     )
     enumerator = ConstantDelayEnumerator(query, db)
-    assert enumerator.store_backend == "columnar"
     prefix = []
     for answer in enumerator:
         prefix.append(answer)
@@ -394,7 +395,6 @@ def test_lex_preprocessing_zero_decodes(decode_counter):
     query = catalog.star_query_full(2, self_join_free=True)
     db = random_database(query, 300, 12, seed=21, backend="columnar")
     accessor = LexDirectAccess(query, db, order=("z", "x1", "x2"))
-    assert accessor.store_backend == "columnar"
     assert decode_counter() == 0
     if len(accessor):  # access decodes exactly the answers it returns
         accessor.access(0)
@@ -404,8 +404,7 @@ def test_lex_preprocessing_zero_decodes(decode_counter):
 def test_enumeration_preprocessing_zero_decodes(decode_counter):
     query = parse_query("q(x, y) :- R(x, y, a), S(a, b)")
     db = random_database(query, 300, 8, seed=22, backend="columnar")
-    enumerator = ConstantDelayEnumerator(query, db)
-    assert enumerator.store_backend == "columnar"
+    ConstantDelayEnumerator(query, db)
     assert decode_counter() == 0
 
 
