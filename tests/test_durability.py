@@ -2,7 +2,7 @@
 
 The durable substrate (:mod:`repro.db.wal`,
 :mod:`repro.db.checkpoint`, :class:`repro.db.database.DurableDatabase`)
-promises three things, each pinned here for all three backends:
+promises three things, each pinned here for both backends:
 
 - **round-trip fidelity** — close/reopen (with or without an
   intervening checkpoint) recovers content *and* per-relation
@@ -21,7 +21,7 @@ import os
 
 import pytest
 
-from repro.db import CorruptSnapshotError, Database, attach
+from repro.db import ColumnarRelation, CorruptSnapshotError, Database, attach
 from repro.db import checkpoint as _checkpoint  # registers ckpt.* points
 from repro.db.wal import read_records
 
@@ -124,22 +124,44 @@ def test_recovery_truncates_garbage_tail(tmp_path):
     again.close()
 
 
-def oracle_states(backend):
-    """Database state after 0, 1, ..., N scripted ops (in memory)."""
+def foreign_ops():
+    """Relations built over dictionaries of their own, registered with
+    ``add_relation``: each is re-encoded into the database's dictionary
+    and journaled as one ``CREATE`` carrying its rows."""
+    return [
+        lambda db: db.ensure_relation("R", 2).add((1, "a")),
+        lambda db: db.add_relation(
+            ColumnarRelation("S", 2, [("a", 10), ("b", 20), ("c", 30)])
+        ),
+        lambda db: db["R"].add((3, "zz")),
+        lambda db: db.add_relation(ColumnarRelation("T", 1, [(10,), ("b",)])),
+        lambda db: db["S"].discard(("a", 10)),
+        lambda db: db.add_relation(
+            ColumnarRelation("U", 2, [("new", 99), (1, "a")])
+        ),
+        lambda db: db["S"].compact(),
+        lambda db: db.add_relation(ColumnarRelation("V", 1, [(7,)])),
+        lambda db: db["U"].add(("after", "ckpt")),
+        lambda db: db["T"].retain(lambda t: t != (10,)),
+    ]
+
+
+def oracle_states(backend, ops=scripted_ops):
+    """Database state after 0, 1, ..., N ops of a script (in memory)."""
     db = Database(backend=backend)
     states = [db_state(db)]
-    for op in scripted_ops():
+    for op in ops():
         op(db)
         states.append(db_state(db))
     return states
 
 
-def crash_workload(path, backend):
+def crash_workload(path, backend, ops=scripted_ops):
     """The durable run the crash tests interrupt: script + checkpoint."""
     db = None
     try:
         db = attach(path, backend=backend, sync="always")
-        ops = scripted_ops()
+        ops = ops()
         for op in ops[:6]:
             op(db)
         db.checkpoint()
@@ -154,27 +176,24 @@ def crash_workload(path, backend):
                 pass
 
 
-@pytest.mark.parametrize("point", sorted(known_fault_points()))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_crash_at_every_fault_point_recovers_a_prefix(
-    tmp_path, backend, point
-):
-    """Arm each declared fault point; recovery must land on an oracle
-    state — a consistent prefix of the op history — never a torn mix,
-    and the survivor must accept writes and round-trip again."""
-    path = str(tmp_path / "db")
-    faultpoints.arm(point, at=1)
+def assert_crash_recovers_a_prefix(tmp_path, backend, point, ops, at=1):
+    """Crash ``ops`` at the ``at``-th visit of ``point`` and check the
+    recovery; returns whether the crash fired (False once ``at`` is past
+    the point's last visit)."""
+    path = str(tmp_path / f"db{at}")
+    faultpoints.arm(point, at=at)
     crashed = False
     try:
-        crash_workload(path, backend)
+        crash_workload(path, backend, ops)
     except InjectedCrash as exc:
         crashed = True
         assert exc.point == point
-    assert crashed or not faultpoints.hits(point), (
-        f"fault point {point} armed but never reached"
+    assert crashed or faultpoints.hits(point) < at, (
+        f"fault point {point} reached {at} times but never fired"
     )
     faultpoints.reset()
     recovered = attach(path)
+    assert all(rel.dictionary is recovered.dictionary for rel in recovered)
 
     # A scripted op may create a relation *and* insert into it; a crash
     # between those two WAL records legitimately recovers the relation
@@ -184,7 +203,7 @@ def test_crash_at_every_fault_point_recovers_a_prefix(
         return {name: rows for name, rows in state.items() if rows}
 
     assert net(db_state(recovered)) in [
-        net(s) for s in oracle_states(backend)
+        net(s) for s in oracle_states(backend, ops)
     ], f"recovery after crash at {point} is not a consistent prefix"
     # the recovered database is live: it takes writes and survives
     # another reopen
@@ -194,6 +213,37 @@ def test_crash_at_every_fault_point_recovers_a_prefix(
     again = attach(path)
     assert db_state(again) == want
     again.close()
+    return crashed
+
+
+@pytest.mark.parametrize("point", sorted(known_fault_points()))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_crash_at_every_fault_point_recovers_a_prefix(
+    tmp_path, backend, point
+):
+    """Arm each declared fault point; recovery must land on an oracle
+    state — a consistent prefix of the op history — never a torn mix,
+    and the survivor must accept writes and round-trip again."""
+    assert_crash_recovers_a_prefix(tmp_path, backend, point, scripted_ops)
+
+
+@pytest.mark.parametrize("point", sorted(known_fault_points()))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_crash_while_reencoding_foreign_relations_recovers_a_prefix(
+    tmp_path, backend, point
+):
+    """The crash matrix over relations registered from foreign
+    dictionaries, crashing at *every* visit of each point (not only the
+    first, which lands before any registration): the re-encoded
+    relation and the dictionary entries it introduced recover together
+    or not at all, and every recovered relation shares the recovered
+    database's dictionary."""
+    at = 1
+    while assert_crash_recovers_a_prefix(
+        tmp_path, backend, point, foreign_ops, at=at
+    ):
+        at += 1
+    assert at > 1, f"fault point {point} never fired"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -7,10 +7,13 @@ recovered by ``attach`` — it ends up encoded over ``db.dictionary``,
 and the engine's answers over it equal brute force.
 """
 
+import random
+
 import pytest
 
 from repro.db import ColumnarRelation, Database, attach
 from repro.engine import Session
+from repro.query.parser import parse_query
 from repro.semiring.semirings import COUNTING, MIN_PLUS
 
 from tests import brute
@@ -87,3 +90,98 @@ def test_attach_recovery_shares_the_dictionary(tmp_path):
     recovered = attach(path)
     assert_one_dictionary_and_brute_force(recovered)
     recovered.close()
+
+
+# One query per family the planner distinguishes, each served by a
+# different coded algorithm (Yannakakis, constant-delay enumeration,
+# lex direct access, materialization, Generic Join).
+FAMILY_QUERIES = {
+    "join-chain": "q(a, b, c) :- R(a, b), S(b, c)",
+    "projected-free-connex": "q(a) :- R(a, b), S(b, c)",
+    "star": "q(a, b) :- R(a, b), T(a, c)",
+    "boolean": "q() :- R(a, b), S(b, c)",
+    "non-free-connex": "q(a, c) :- R(a, b), S(b, c)",
+    "cyclic": "q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+}
+
+
+def _mixed_foreign():
+    """R, S and T over int and str columns (one type per column, so
+    every family above joins like types), each over a dictionary of its
+    own and built in its own order, so no two dictionaries assign the
+    same codes."""
+    rng = random.Random(5)
+    ints, strs = [0, 1, 2, 3, 4], ["a", "b", "c", "d"]
+    relations = []
+    layouts = (("R", (ints, strs)), ("S", (strs, ints)), ("T", (ints, ints)))
+    for name, domains in layouts:
+        rows = list({tuple(map(rng.choice, domains)) for _ in range(14)})
+        rng.shuffle(rows)
+        relations.append(ColumnarRelation(name, 2, rows))
+    return relations
+
+
+def _via_constructor(tmp_path):
+    return Database(relations=_mixed_foreign())
+
+
+def _via_add_relation(backend):
+    def build(tmp_path):
+        db = Database(backend=backend)
+        for relation in _mixed_foreign():
+            db.add_relation(relation)
+        return db
+
+    return build
+
+
+def _via_to_backend(tmp_path):
+    return Database(relations=_mixed_foreign()).to_backend(
+        "sharded", shard_count=3
+    )
+
+
+def _via_attach(tmp_path):
+    path = str(tmp_path / "db")
+    db = attach(path)
+    for relation in _mixed_foreign():
+        db.add_relation(relation)
+    db.close()
+    return attach(path)
+
+
+ENTRY_PATHS = {
+    "constructor": _via_constructor,
+    "add_relation-columnar": _via_add_relation("columnar"),
+    "add_relation-sharded": _via_add_relation("sharded"),
+    "to_backend-sharded": _via_to_backend,
+    "attach": _via_attach,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_PATHS))
+@pytest.mark.parametrize("family", sorted(FAMILY_QUERIES))
+def test_every_query_family_runs_coded_over_the_shared_dictionary(
+    tmp_path, family, entry
+):
+    """Whichever way foreign relations arrive, every family's answers,
+    pages and aggregates equal brute force over the shared dictionary."""
+    db = ENTRY_PATHS[entry](tmp_path)
+    try:
+        assert all(rel.dictionary is db.dictionary for rel in db)
+        text = FAMILY_QUERIES[family]
+        prepared = Session(db).prepare(text)
+        answers = prepared.run()
+        expected = brute.page_order(prepared)
+        assert expected
+        assert len(answers) == len(expected)
+        assert answers.page(0, len(expected) + 1) == expected
+        assert answers.aggregate(COUNTING) == brute.fold(text, db, COUNTING)
+        assert answers.aggregate(MIN_PLUS) == brute.fold(text, db, MIN_PLUS)
+        if parse_query(text).is_join_query():
+            assert answers.aggregate(MIN_PLUS, weights=_weight) == brute.fold(
+                text, db, MIN_PLUS, _weight
+            )
+    finally:
+        if hasattr(db, "close"):
+            db.close()
