@@ -602,25 +602,15 @@ class LexDirectAccess:
             # Dictionary codes are first-seen, not value-ordered; remap
             # the own columns through value ranks so the lexsort below
             # realizes the *value* order the access contract promises.
-            own_codes = codes[:, own_pos]
-            if own_pos and n:
-                try:
-                    own_ranks = value_rank_table(dictionary, own_codes)[
-                        own_codes
-                    ]
-                except TypeError:
-                    # Columns of mutually incomparable types (ints in
-                    # one, strs in another): one table per column.
-                    own_ranks = np.column_stack(
-                        [value_rank_table(dictionary, c)[c] for c in own_codes.T]
-                    )
-            else:
-                own_ranks = own_codes
+            # One rank table per column: the lexsort only compares
+            # values within a column, so mixed column types need no
+            # global order.
+            own_ranks = [
+                value_rank_table(dictionary, column)[column]
+                for column in codes[:, own_pos].T
+            ]
             sep_codes = codes[:, sep_pos]
-            sort_keys = [
-                own_ranks[:, j]
-                for j in range(own_ranks.shape[1] - 1, -1, -1)
-            ] + [
+            sort_keys = own_ranks[::-1] + [
                 sep_codes[:, j]
                 for j in range(sep_codes.shape[1] - 1, -1, -1)
             ]

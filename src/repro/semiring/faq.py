@@ -406,17 +406,13 @@ def aggregate_frames(
     otherwise tuples without child matches are ⊕-skipped, which computes
     the aggregate over the actual join but may visit dead tuples.
 
-    Runs as one array program over the frames' codes (a frame over
-    another dictionary than the first one's is re-encoded first).
+    Runs as one array program over the frames' codes.
     Column-capable weights (:meth:`WeightedDatabase.atom_weight_fn`)
     are scattered from code-keyed stores; any other ``weights(i, row)``
     is called once per decoded frame row.
     """
     if weights is not None and not hasattr(weights, "column"):
         weights = _ScalarWeights(weights)
-    if frames:
-        some = next(iter(frames.values()))
-        frames = {node: some._coerce(frame) for node, frame in frames.items()}
     return _aggregate_frames_fused(frames, tree, semiring, weights)
 
 
